@@ -5,6 +5,12 @@ calling backward() on a scalar output walks the graph in reverse topological
 order and accumulates gradients into every tensor that requires them. The
 module also provides the Adam optimizer and a finite-difference gradient
 checker used as the independent oracle in tests.
+
+Graphs are acyclic: a node refers to its parents and to a backward closure
+that holds the parents and saved arrays, never to the node itself; backward()
+passes each closure its node's gradient. A graph is therefore freed by
+reference counting as soon as its last reference drops, whether or not
+backward() ran, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -102,17 +108,17 @@ class Tensor:
             out_data = self.data + other.data
             out = _result(out_data, (self, other))
             if out.requires_grad:
-                def back(a=self, b=other, o=out):
+                def back(g, a=self, b=other):
                     if a.requires_grad:
-                        a._accum(_unbroadcast(o.grad, a.data.shape))
+                        a._accum(_unbroadcast(g, a.data.shape))
                     if b.requires_grad:
-                        b._accum(_unbroadcast(o.grad, b.data.shape))
+                        b._accum(_unbroadcast(g, b.data.shape))
                 out._backward = back
             return out
         out = _result(self.data + float(other), (self,))
         if out.requires_grad:
-            def back(a=self, o=out):
-                a._accum(o.grad)
+            def back(g, a=self):
+                a._accum(g)
             out._backward = back
         return out
 
@@ -121,8 +127,8 @@ class Tensor:
     def __neg__(self):
         out = _result(-self.data, (self,))
         if out.requires_grad:
-            def back(a=self, o=out):
-                a._accum(-o.grad)
+            def back(g, a=self):
+                a._accum(-g)
             out._backward = back
         return out
 
@@ -138,18 +144,18 @@ class Tensor:
                 )
             out = _result(self.data * other.data, (self, other))
             if out.requires_grad:
-                def back(a=self, b=other, o=out):
+                def back(g, a=self, b=other):
                     if a.requires_grad:
-                        a._accum(o.grad * b.data)
+                        a._accum(g * b.data)
                     if b.requires_grad:
-                        b._accum(o.grad * a.data)
+                        b._accum(g * a.data)
                 out._backward = back
             return out
         c = float(other)
         out = _result(self.data * c, (self,))
         if out.requires_grad:
-            def back(a=self, o=out, k=c):
-                a._accum(o.grad * k)
+            def back(g, a=self, k=c):
+                a._accum(g * k)
             out._backward = back
         return out
 
@@ -163,8 +169,8 @@ class Tensor:
     def sum(self):
         out = _result(np.asarray(self.data.sum()), (self,))
         if out.requires_grad:
-            def back(a=self, o=out):
-                a._accum(np.full_like(a.data, float(o.grad)))
+            def back(g, a=self):
+                a._accum(np.full_like(a.data, float(g)))
             out._backward = back
         return out
 
@@ -172,8 +178,8 @@ class Tensor:
         mask = self.data > 0.0
         out = _result(np.where(mask, self.data, 0.0), (self,))
         if out.requires_grad:
-            def back(a=self, o=out, m=mask):
-                a._accum(o.grad * m)
+            def back(g, a=self, m=mask):
+                a._accum(g * m)
             out._backward = back
         return out
 
@@ -181,8 +187,8 @@ class Tensor:
         s = _sigmoid(self.data)
         out = _result(s, (self,))
         if out.requires_grad:
-            def back(a=self, o=out, v=s):
-                a._accum(o.grad * v * (1.0 - v))
+            def back(g, a=self, v=s):
+                a._accum(g * v * (1.0 - v))
             out._backward = back
         return out
 
@@ -190,8 +196,8 @@ class Tensor:
         t = np.tanh(self.data)
         out = _result(t, (self,))
         if out.requires_grad:
-            def back(a=self, o=out, v=t):
-                a._accum(o.grad * (1.0 - v * v))
+            def back(g, a=self, v=t):
+                a._accum(g * (1.0 - v * v))
             out._backward = back
         return out
 
@@ -255,8 +261,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
     out = _result(ad @ bd, (a, b))
     if out.requires_grad:
-        def back(x=a, y=b, o=out):
-            g = o.grad
+        def back(g, x=a, y=b):
             if x.requires_grad:
                 if x.data.ndim == 1:
                     gx = y.data @ g if y.data.ndim == 2 else g * y.data
@@ -294,11 +299,11 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     out = _result(np.concatenate([ad, bd], axis=-1), (a, b))
     if out.requires_grad:
         split = ad.shape[-1]
-        def back(x=a, y=b, o=out, k=split):
+        def back(g, x=a, y=b, k=split):
             if x.requires_grad:
-                x._accum(o.grad[..., :k])
+                x._accum(g[..., :k])
             if y.requires_grad:
-                y._accum(o.grad[..., k:])
+                y._accum(g[..., k:])
         out._backward = back
     return out
 
@@ -309,29 +314,12 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice [{start}:{stop}] out of range for shape {x.shape}")
     out = _result(x.data[..., start:stop], (x,))
     if out.requires_grad:
-        def back(a=x, o=out, s=start, e=stop):
-            g = np.zeros_like(a.data)
-            g[..., s:e] = o.grad
-            a._accum(g)
+        def back(g, a=x, s=start, e=stop):
+            full = np.zeros_like(a.data)
+            full[..., s:e] = g
+            a._accum(full)
         out._backward = back
     return out
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of identically shaped tensors."""
-    return a * b
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
 
 
 def glu(x: Tensor) -> Tensor:
@@ -344,11 +332,11 @@ def glu(x: Tensor) -> Tensor:
     gate = _sigmoid(x.data[..., h:])
     out = _result(a * gate, (x,))
     if out.requires_grad:
-        def back(t=x, o=out, av=a, gv=gate, k=h):
-            g = np.empty_like(t.data)
-            g[..., :k] = o.grad * gv
-            g[..., k:] = o.grad * av * gv * (1.0 - gv)
-            t._accum(g)
+        def back(g, t=x, av=a, gv=gate, k=h):
+            full = np.empty_like(t.data)
+            full[..., :k] = g * gv
+            full[..., k:] = g * av * gv * (1.0 - gv)
+            t._accum(full)
         out._backward = back
     return out
 
@@ -375,10 +363,10 @@ def softmax_xent(logits: Tensor, target: int) -> Tensor:
     logp = log_softmax(logits.data)
     out = _result(np.asarray(-logp[target]), (logits,))
     if out.requires_grad:
-        def back(a=logits, o=out, p=np.exp(logp), t=target):
-            g = p.copy()
-            g[t] -= 1.0
-            a._accum(g * float(o.grad))
+        def back(g, a=logits, p=np.exp(logp), t=target):
+            d = p.copy()
+            d[t] -= 1.0
+            a._accum(d * float(g))
         out._backward = back
     return out
 
@@ -397,10 +385,10 @@ def softmax_xent_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     rows = np.arange(n)
     out = _result(-logp[rows, targets], (logits,))
     if out.requires_grad:
-        def back(a=logits, o=out, p=np.exp(logp), t=targets, r=rows):
-            g = p.copy()
-            g[r, t] -= 1.0
-            a._accum(g * o.grad[:, None])
+        def back(g, a=logits, p=np.exp(logp), t=targets, r=rows):
+            d = p.copy()
+            d[r, t] -= 1.0
+            a._accum(d * g[:, None])
         out._backward = back
     return out
 
@@ -414,8 +402,8 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = _result(x.data * keep, (x,))
     if out.requires_grad:
-        def back(a=x, o=out, m=keep):
-            a._accum(o.grad * m)
+        def back(g, a=x, m=keep):
+            a._accum(g * m)
         out._backward = back
     return out
 
@@ -425,10 +413,10 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     out = _result(table.data[ids], (table,))
     if out.requires_grad:
-        def back(t=table, o=out, ix=ids):
-            g = np.zeros_like(t.data)
-            np.add.at(g, ix, o.grad)
-            t._accum(g)
+        def back(g, t=table, ix=ids):
+            full = np.zeros_like(t.data)
+            np.add.at(full, ix, g)
+            t._accum(full)
         out._backward = back
     return out
 
@@ -440,7 +428,9 @@ class Adam:
     """Bias-corrected Adam over a fixed parameter list.
 
     Frozen parameters are skipped entirely, so their values stay bit-identical
-    across any number of steps. step() clears all gradients afterwards.
+    across any number of steps. step() clears all gradients afterwards. A
+    missing or non-finite gradient raises before the step counter, the moments
+    or any parameter changes.
     """
 
     def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
@@ -458,8 +448,13 @@ class Adam:
 
     def step(self):
         for p in self.params:
-            if not p.frozen and p.grad is None:
-                raise StateError(f"parameter {getattr(p, 'name', '?')} has no gradient")
+            if p.frozen:
+                continue
+            name = getattr(p, "name", "?")
+            if p.grad is None:
+                raise StateError(f"parameter {name} has no gradient")
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"parameter {name} has a non-finite gradient")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t

@@ -13,7 +13,6 @@ from capfuse.autodiff import (
     gather_rows,
     glu,
     grad_check,
-    hadamard,
     log_softmax,
     matmul,
     no_grad,
@@ -117,20 +116,22 @@ class TestConcat:
 
 
 class TestHadamard:
+    """The elementwise product `a * b` of two tensors."""
+
     def test_annihilator(self):
-        assert np.array_equal(hadamard(t([1.0, 2.0]), t([0.0, 0.0])).data, [0.0, 0.0])
+        assert np.array_equal((t([1.0, 2.0]) * t([0.0, 0.0])).data, [0.0, 0.0])
 
     def test_values(self):
-        assert np.array_equal(hadamard(t([2.0, 3.0]), t([4.0, 5.0])).data, [8.0, 15.0])
+        assert np.array_equal((t([2.0, 3.0]) * t([4.0, 5.0])).data, [8.0, 15.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            hadamard(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
+            t([1.0, 2.0]) * t([1.0, 2.0, 3.0])
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
         a, b = rand(rng, 3, 3), rand(rng, 3, 3)
-        assert grad_check(lambda x, y: hadamard(x, y).sum(), [a, b]) <= 1e-6
+        assert grad_check(lambda x, y: (x * y).sum(), [a, b]) <= 1e-6
 
 
 class TestActivations:
@@ -321,6 +322,26 @@ class TestAdam:
         p = Parameter("w", np.array([1.0]))
         with pytest.raises(StateError, match="w"):
             Adam([p]).step()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_before_any_update(self, bad):
+        rng = np.random.default_rng(16)
+        params = [Parameter("a", rng.normal(size=3)), Parameter("b", rng.normal(size=(2, 2)))]
+        opt = Adam(params, lr=0.01)
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        opt.step()
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        params[1].grad[1, 0] = bad
+        saved = [(p.data.copy(), m.copy(), v.copy())
+                 for p, m, v in zip(params, opt._m, opt._v)]
+        with pytest.raises(NumericError, match="parameter b "):
+            opt.step()
+        assert opt.t == 1
+        for p, m, v, (data, m0, v0) in zip(params, opt._m, opt._v, saved):
+            assert np.array_equal(p.data, data)
+            assert np.array_equal(m, m0) and np.array_equal(v, v0)
 
     def test_two_runs_bit_identical(self):
         def run():
