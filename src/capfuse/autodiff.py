@@ -208,14 +208,19 @@ class Parameter(Tensor):
     __slots__ = ("name", "frozen")
 
     def __init__(self, name: str, data, frozen: bool = False):
-        super().__init__(data, requires_grad=not frozen)
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.frozen = frozen
+        self.frozen = False
+        if frozen:
+            self.freeze()
 
     def freeze(self):
+        """Stop updates and make `data` read-only, so that an in-place write
+        raises ValueError; only rebinding `data` can change a frozen value."""
         self.frozen = True
         self.requires_grad = False
         self.grad = None
+        self.data.flags.writeable = False
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape}, frozen={self.frozen})"

@@ -4,7 +4,9 @@ All decoders share a stepper abstraction: start() primes the model with the
 image features, step() consumes one token per hypothesis and returns renewed
 states plus log-probabilities for the next token. Emendation steppers also
 carry the per-step masked-LM states derived from the draft caption, shared by
-every hypothesis in the beam.
+every hypothesis in the beam. A frozen masked LM encodes each draft once: the
+steppers of every fusion kind that emends the draft, and of the rescoring
+oracle sequence_logprob(..., draft=), share the same read-only rows.
 """
 
 from __future__ import annotations
@@ -57,10 +59,7 @@ class _Stepper:
             x = self.model.decoder.encode_image(self.features)
             state = self.model.decoder.initial_state(self.features.shape[0])
             _, state = self.model.decoder.step(x, state)
-        return self._wrap(0, state)
-
-    def _wrap(self, t, lstm_state):
-        return (t, lstm_state)
+        return (0, state)
 
     def _logprobs(self, logits: np.ndarray) -> np.ndarray:
         logits = logits.copy()
@@ -117,12 +116,33 @@ class SelfDraftStepper(_Stepper):
                 inp = h_new
             zeros = Tensor(np.zeros_like(inp.data))
             h_mlm = self.mlm.combine(inp, zeros)
-            logits = self.model.fusion.fused_logits(h_top, h_mlm, training=False)
+            logits = self.model.fusion.fuse(h_top, h_mlm).logits
         return (t + 1, lstm_state, new_fwd), self._logprobs(logits.data)
 
     def select(self, state, idx):
         t, lstm_state, fwd = state
         return (t, _select_lstm(lstm_state, idx), _select_lstm(fwd, idx))
+
+
+def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
+    """Read-only masked-LM rows of one wrapped draft, appended row included.
+
+    A frozen MLM keeps the last draft's rows and hands them out again while
+    every parameter still holds the array the rows were computed from. Frozen
+    arrays are read-only, so only rebinding a parameter's data can change them.
+    """
+    key = tuple(wrapped)
+    arrays = [p.data for p in mlm.parameters()]
+    frozen = mlm.frozen()
+    memo = mlm.rows_memo
+    if (frozen and memo is not None and memo[0] == key
+            and all(a is b for a, b in zip(arrays, memo[1]))):
+        return memo[2]
+    rows = mlm_context_rows(mlm, [wrapped], append_row=True)[0]
+    rows.flags.writeable = False
+    if frozen:
+        mlm.rows_memo = (key, arrays, rows)
+    return rows
 
 
 class EmendStepper(_Stepper):
@@ -134,11 +154,16 @@ class EmendStepper(_Stepper):
                  mlm_override: np.ndarray | None = None):
         super().__init__(model, features)
         self.mlm = mlm
-        rows = mlm_context_rows(mlm, [wrapped_draft], append_row=True)[0]
-        if mlm_override is not None:
-            rows = np.tile(np.asarray(mlm_override, dtype=np.float64),
-                           (rows.shape[0], 1))
-        self.rows = rows
+        vocab = mlm.cfg.vocab_size
+        bad = [t for t in wrapped_draft if not 0 <= t < vocab]
+        if bad:
+            raise InputError(f"draft token id {bad[0]} is outside the masked "
+                             f"LM's vocabulary of {vocab}")
+        if mlm_override is None:
+            self.rows = draft_rows(mlm, wrapped_draft)
+        else:
+            self.rows = np.tile(np.asarray(mlm_override, dtype=np.float64),
+                                (len(wrapped_draft), 1))
 
     def step(self, state, tokens):
         t, lstm_state = state
@@ -147,7 +172,7 @@ class EmendStepper(_Stepper):
             h_top, lstm_state = self.model.decoder.step(x, lstm_state)
             row = self.rows[min(t, self.rows.shape[0] - 1)]
             h_mlm = Tensor(np.tile(row, (tokens.shape[0], 1)))
-            logits = self.model.fusion.fused_logits(h_top, h_mlm, training=False)
+            logits = self.model.fusion.fuse(h_top, h_mlm).logits
         return (t + 1, lstm_state), self._logprobs(logits.data)
 
 

@@ -118,10 +118,6 @@ class FusionLayer(ParamStore):
         g_f = glu(affine(g_c, self.expand_w, self.expand_b))
         return FusionOutput(g_f, self._head(g_f, training, rng))
 
-    def fused_logits(self, h_lstm: Tensor, h_mlm: Tensor,
-                     training: bool = False, rng=None) -> Tensor:
-        return self.fuse(h_lstm, h_mlm, training, rng).logits
-
     def fuse(self, h_lstm: Tensor, h_mlm: Tensor,
              training: bool = False, rng=None) -> FusionOutput:
         if self.kind == FusionKind.SIMPLE:
@@ -166,7 +162,7 @@ class CaptionModel:
             return self.decoder.head_logits(h_top, training, rng)
         if h_mlm is None:
             raise ConfigError("fusion model needs a masked-LM state per step")
-        return self.fusion.fused_logits(h_top, h_mlm, training, rng)
+        return self.fusion.fuse(h_top, h_mlm, training, rng).logits
 
     def needs_mlm(self) -> bool:
         return self.fusion is not None

@@ -202,6 +202,9 @@ class MaskedLM(ParamStore):
         self.comb_b = self._param("mlm.combine.b", np.zeros(h))
         self.head_w = self._param("mlm.head.W", xavier_uniform(rng, h, v))
         self.head_b = self._param("mlm.head.b", np.zeros(v))
+        # (draft ids, parameter arrays, rows) of the last draft that
+        # decoding.draft_rows encoded while this MLM was frozen
+        self.rows_memo = None
 
     # -- core encoding ----------------------------------------------------
 

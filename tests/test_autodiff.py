@@ -281,6 +281,15 @@ class TestDropout:
 
 
 class TestAdam:
+    def test_frozen_parameter_is_read_only(self):
+        p = Parameter("w", np.array([1.0, 2.0]))
+        p.data[...] = 3.0  # writable until frozen
+        p.freeze()
+        with pytest.raises(ValueError):
+            p.data[...] = 0.0
+        assert np.array_equal(p.data, [3.0, 3.0])
+        assert not Parameter("v", np.zeros(2), frozen=True).data.flags.writeable
+
     def test_frozen_parameter_unchanged(self):
         p = Parameter("w", np.array([1.0, 2.0]), frozen=True)
         p.grad = np.array([5.0, 5.0])

@@ -1,8 +1,10 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+from capfuse import decoding
 from capfuse.decoding import (
     BeamConfig,
     EmendStepper,
@@ -266,3 +268,106 @@ class TestEmend:
     def test_requires_fusion_model(self):
         with pytest.raises(ConfigError):
             emend(tiny_model("none", 18), tiny_mlm(18), feats(0), [5, EOS_ID])
+
+    def test_out_of_vocabulary_draft_rejected(self):
+        model = tiny_model("cold", seed=19)
+        mlm = tiny_mlm(19)
+        mlm.freeze()
+        f = feats(19)
+        with pytest.raises(InputError, match=f"id {V}\\b"):
+            emend(model, mlm, f, [5, V, EOS_ID])
+        with pytest.raises(InputError, match=f"id {V + 3}\\b"):
+            sequence_logprob(model, f, [5, EOS_ID], mlm=mlm, draft=[V + 3, 6, EOS_ID])
+        assert mlm.rows_memo is None
+
+    def test_override_skips_the_masked_lm(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the masked LM ran despite an override")
+
+        monkeypatch.setattr(decoding, "mlm_context_rows", fail)
+        model = tiny_model("hier", seed=20)
+        mlm = tiny_mlm(20)
+        f = feats(20)
+        const = np.full(mlm.cfg.hidden_dim, 0.5)
+        wrapped = [START_ID, 5, 6, 7, EOS_ID]
+        stepper = EmendStepper(model, mlm, f, wrapped, mlm_override=const)
+        assert stepper.rows.shape == (len(wrapped), mlm.cfg.hidden_dim)
+        assert emend(model, mlm, f, wrapped, mlm_override=const)
+
+
+def count_context_rows(monkeypatch) -> list:
+    """Record every call decoding makes to mlm_context_rows."""
+    calls = []
+    original = decoding.mlm_context_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decoding, "mlm_context_rows", counted)
+    return calls
+
+
+class TestDraftRowsMemo:
+    def test_memoized_rows_match_an_unfrozen_copy_and_encode_masked(self):
+        mlm = tiny_mlm(21)
+        twin = copy.deepcopy(mlm)
+        mlm.freeze()
+        wrapped = [START_ID, 5, 6, 7, EOS_ID]
+        model = tiny_model("cold", seed=21)
+        EmendStepper(model, mlm, feats(21), wrapped)
+        rows = EmendStepper(model, mlm, feats(21), wrapped).rows
+        assert rows is mlm.rows_memo[2]
+        want = decoding.mlm_context_rows(twin, [wrapped], append_row=True)[0]
+        assert rows.tobytes() == want.tobytes()
+        # one row per masked position 1..L-1, then a mask inserted before <eos>
+        variants = [wrapped[:p] + [MASK_ID] + wrapped[p + 1:] for p in range(1, len(wrapped))]
+        variants.append(wrapped[:-1] + [MASK_ID] + wrapped[-1:])
+        assert len(variants) == len(rows)
+        for row, masked in zip(rows, variants):
+            assert np.allclose(row, twin.encode_masked(masked).data[0], rtol=0, atol=1e-12)
+
+    def test_one_encoding_serves_every_fusion_kind_and_the_rescorer(self, monkeypatch):
+        calls = count_context_rows(monkeypatch)
+        mlm = tiny_mlm(22)
+        mlm.freeze()
+        f = feats(22)
+        draft = [5, 6, 7, EOS_ID]
+        outs = {kind: emend(tiny_model(kind, seed=22), mlm, f, draft)
+                for kind in ("simple", "cold", "hier")}
+        sequence_logprob(tiny_model("hier", seed=22), f, outs["hier"], mlm=mlm, draft=draft)
+        assert len(calls) == 1
+        emend(tiny_model("simple", seed=22), mlm, f, [8, 9, EOS_ID])
+        assert len(calls) == 2  # a new draft replaces the single memo entry
+
+    def test_rebinding_a_frozen_parameter_forces_a_recompute(self, monkeypatch):
+        calls = count_context_rows(monkeypatch)
+        mlm = tiny_mlm(23)
+        mlm.freeze()
+        model = tiny_model("simple", seed=23)
+        wrapped = [START_ID, 5, 6, EOS_ID]
+        before = EmendStepper(model, mlm, feats(23), wrapped).rows
+        mlm.comb_b.data = mlm.comb_b.data + 1.0
+        after = EmendStepper(model, mlm, feats(23), wrapped).rows
+        assert len(calls) == 2
+        assert np.allclose(after, before + 1.0, rtol=0, atol=1e-12)
+
+    def test_unfrozen_mlm_encodes_for_every_stepper(self, monkeypatch):
+        calls = count_context_rows(monkeypatch)
+        mlm = tiny_mlm(24)
+        wrapped = [START_ID, 5, 6, EOS_ID]
+        for kind in ("simple", "cold", "hier"):
+            EmendStepper(tiny_model(kind, seed=24), mlm, feats(24), wrapped)
+        assert len(calls) == 3
+        assert mlm.rows_memo is None
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_rows_are_read_only(self, frozen):
+        mlm = tiny_mlm(25)
+        if frozen:
+            mlm.freeze()
+        rows = EmendStepper(tiny_model("cold", seed=25), mlm, feats(25),
+                            [START_ID, 5, EOS_ID]).rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
