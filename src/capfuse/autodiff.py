@@ -497,12 +497,21 @@ def clip_grad_norm(params, max_norm: float):
 
 # -- verification oracle ----------------------------------------------------
 
+# Round-off in a central difference: f(x+step) and f(x-step) are each trusted
+# to this many ulps of |f|, which puts up to FD_ROUNDOFF_ULPS * |f| * eps / step
+# of error into (hi - lo) / (2 step). Where the gradient is near zero (a tanh
+# saturated to 1e-8 with |f| about 3), that error alone can exceed a 1e-4
+# relative bound, so it is forgiven before the relative error is taken.
+FD_ROUNDOFF_ULPS = 2.0
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def grad_check(f, inputs, step: float = 1e-5) -> float:
     """Compare autodiff gradients of f(*inputs) against central differences.
 
     Returns the maximum over all input coordinates of
-    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+    max(0, |g_ad - g_fd| - roundoff) / max(1e-8, |g_ad| + |g_fd|), where
+    roundoff = FD_ROUNDOFF_ULPS * max(|f(x+step)|, |f(x-step)|) * eps / step.
     """
     out = f(*inputs)
     if not np.isfinite(out.data).all():
@@ -526,7 +535,8 @@ def grad_check(f, inputs, step: float = 1e-5) -> float:
                 raise NumericError("function value is not finite during perturbation")
             g_fd = (hi - lo) / (2.0 * step)
             g_a = g_ad.reshape(-1)[i]
-            rel = abs(g_a - g_fd) / max(1e-8, abs(g_a) + abs(g_fd))
+            roundoff = FD_ROUNDOFF_ULPS * max(abs(hi), abs(lo)) * _EPS / step
+            rel = max(0.0, abs(g_a - g_fd) - roundoff) / max(1e-8, abs(g_a) + abs(g_fd))
             worst = max(worst, rel)
     return worst
 

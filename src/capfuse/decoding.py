@@ -153,6 +153,8 @@ class EmendStepper(_Stepper):
     def __init__(self, model, mlm: MaskedLM, features, wrapped_draft: list[int],
                  mlm_override: np.ndarray | None = None):
         super().__init__(model, features)
+        if mlm is None:
+            raise ConfigError("emending a draft needs the masked LM")
         self.mlm = mlm
         vocab = mlm.cfg.vocab_size
         bad = [t for t in wrapped_draft if not 0 <= t < vocab]

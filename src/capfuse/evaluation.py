@@ -5,6 +5,25 @@ brevity penalty, ROUGE-L as an LCS F-measure, and the CIDEr-D consensus
 scorer (tf-idf n-gram cosine with count clipping and a Gaussian length
 penalty). Every scorer has an independent brute-force twin in the test suite.
 
+BLEU and CIDEr-D read one n-gram index per corpus (`_NgramIndex`): each
+distinct caption's n-grams of orders 1-4 are counted once, and each n-gram is
+numbered once, so clipping and tf-idf dot products hash ints. CIDEr-D
+computes each distinct caption's tf-idf vectors and norms once per corpus.
+References repeat across hypotheses in a typical corpus (a scene's captions
+serve each other as references), and each repeat costs one dict lookup.
+
+ROUGE-L's LCS is bit-parallel over Python ints (L. Allison and T. I. Dix,
+"A bit-string longest-common-subsequence algorithm", IPL 23(5), 1986;
+H. Hyyro, "Bit-parallel LCS-length computation revisited", AWOCA 2004): one
+big-int update per reference token instead of a row of the O(n*m) table.
+
+token_edits keeps its table, since it needs the alignment, but drops the
+longest shared suffix first: when the last tokens match, d(i, j) equals
+d(i-1, j-1) and the backtrace takes that diagonal first, so the ops do not
+change. A shared prefix is not dropped, because the backtrace runs from the
+end and would place some ops differently ("a a" -> "a" deletes position 0,
+not 1).
+
 Scores for BLEU and ROUGE-L are reported on a 0-100 scale. cider() returns
 the conventional 0-10 scale; reports multiply it by 10 so the printed table
 uses the same x100-style convention as the other columns.
@@ -21,28 +40,63 @@ from .errors import InputError
 Tokens = list[str]
 
 
-def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]],
+                  metric: str):
+    if not hypotheses:
+        raise InputError(f"{metric} needs a non-empty corpus")
+    if len(hypotheses) != len(references):
+        raise InputError("hypothesis and reference lists differ in length")
+    if any(not refs for refs in references):
+        raise InputError("every hypothesis needs at least one reference")
+
+
+class _NgramIndex:
+    """N-gram counts of orders 1..max_n for the captions of one corpus.
+
+    Each distinct token list is counted once, on first request, and kept
+    under its tuple. Each n-gram gets an int id the first time it is seen, so
+    BLEU clipping and CIDEr-D dot products hash ints, not tuples of strings.
+    """
+
+    def __init__(self, max_n: int = 4):
+        self.max_n = max_n
+        self._ids: dict[tuple[str, ...], int] = {}
+        self._counts: dict[tuple[str, ...], list[dict[int, int]]] = {}
+
+    def counts(self, tokens: Tokens) -> list[dict[int, int]]:
+        """One dict per order 1..max_n: n-gram id -> count in `tokens`."""
+        key = tuple(tokens)
+        found = self._counts.get(key)
+        if found is None:
+            ids = self._ids
+            found = []
+            for n in range(1, self.max_n + 1):
+                order: dict[int, int] = {}
+                for i in range(len(key) - n + 1):
+                    gram = ids.setdefault(key[i:i + n], len(ids))
+                    order[gram] = order.get(gram, 0) + 1
+                found.append(order)
+            self._counts[key] = found
+        return found
 
 
 # -- BLEU ----------------------------------------------------------------------
 
 
 def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]],
-             max_n: int = 4, smooth: bool = False) -> list[float]:
+             max_n: int = 4, smooth: bool = False, *,
+             index: _NgramIndex | None = None) -> list[float]:
     """Corpus BLEU for every order 1..max_n, on a 0-100 scale.
 
     Clipped n-gram counts are pooled over the corpus; the brevity penalty uses
     the closest reference length per hypothesis (ties going to the shorter).
     With smooth=True, one is added to the matched and total counts of orders
-    above 1 (zero-count protection at tiny scales; off by default).
+    above 1 (zero-count protection at tiny scales; off by default). `index`
+    shares n-gram counts with other metrics of the same corpus.
     """
-    if not hypotheses:
-        raise InputError("BLEU needs a non-empty corpus")
-    if len(hypotheses) != len(references):
-        raise InputError("hypothesis and reference lists differ in length")
-    if any(not refs for refs in references):
-        raise InputError("every hypothesis needs at least one reference")
+    _check_corpus(hypotheses, references, "BLEU")
+    if index is None or index.max_n < max_n:
+        index = _NgramIndex(max_n)
     matched = [0] * max_n
     total = [0] * max_n
     hyp_len = 0
@@ -50,17 +104,17 @@ def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]],
     for hyp, refs in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        for n in range(1, max_n + 1):
-            counts = _ngrams(hyp, n)
-            if not counts:
-                continue
-            max_ref = Counter()
-            for ref in refs:
-                for gram, c in _ngrams(ref, n).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
-            matched[n - 1] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
-            total[n - 1] += sum(counts.values())
+        ref_counts = [index.counts(r) for r in refs]
+        for n, counts in enumerate(index.counts(hyp)[:max_n]):
+            per_ref = [rc[n] for rc in ref_counts]
+            for gram, c in counts.items():
+                best = 0
+                for rc in per_ref:
+                    r = rc.get(gram, 0)
+                    if r > best:
+                        best = r
+                matched[n] += c if c < best else best
+            total[n] += max(0, len(hyp) - n)
     if hyp_len == 0:
         return [0.0] * max_n
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
@@ -89,16 +143,31 @@ def bleu(hypotheses: list[Tokens], references: list[list[Tokens]], n: int = 4,
 # -- ROUGE-L --------------------------------------------------------------------
 
 
-def _lcs_length(a: Tokens, b: Tokens) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+def _symbol_masks(a: Tokens) -> dict[str, int]:
+    """Token -> bitmask of its positions in `a` (bit i for a[i])."""
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
+def _lcs_length(a: Tokens, b: Tokens, masks: dict[str, int] | None = None) -> int:
+    """LCS length of a and b, bit-parallel (see the module docstring).
+
+    Bit i of v is cleared where a row of the LCS table steps up at a[i], so
+    after all of b the clear bits of v count the LCS. `masks` is
+    `_symbol_masks(a)`, when the caller already built it.
+    """
+    if masks is None:
+        masks = _symbol_masks(a)
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        m = masks.get(y)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l_single(hypothesis: Tokens, references: list[Tokens],
@@ -106,9 +175,10 @@ def rouge_l_single(hypothesis: Tokens, references: list[Tokens],
     """LCS F-measure against the best-matching reference, 0-100 scale."""
     if not references:
         raise InputError("ROUGE-L needs at least one reference")
+    masks = _symbol_masks(hypothesis)
     best = 0.0
     for ref in references:
-        lcs = _lcs_length(hypothesis, ref)
+        lcs = _lcs_length(hypothesis, ref, masks)
         if lcs == 0:
             continue
         p = lcs / len(hypothesis)
@@ -121,8 +191,7 @@ def rouge_l_single(hypothesis: Tokens, references: list[Tokens],
 def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]],
             beta: float = 1.2) -> float:
     """Corpus ROUGE-L: mean of the per-example scores."""
-    if not hypotheses:
-        raise InputError("ROUGE-L needs a non-empty corpus")
+    _check_corpus(hypotheses, references, "ROUGE-L")
     return sum(rouge_l_single(h, r, beta) for h, r in zip(hypotheses, references)) \
         / len(hypotheses)
 
@@ -131,56 +200,65 @@ def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]],
 
 
 def cider(hypotheses: list[Tokens], references: list[list[Tokens]],
-          max_n: int = 4, sigma: float = 6.0) -> float:
+          max_n: int = 4, sigma: float = 6.0, *,
+          index: _NgramIndex | None = None) -> float:
     """CIDEr-D on the conventional 0-10 scale.
 
     idf comes from the reference corpus (document = one example's reference
     set); per-reference similarity is the count-clipped tf-idf cosine per
     n-gram order, damped by a Gaussian penalty on the length difference,
-    averaged over orders and references, then scaled by 10.
+    averaged over orders and references, then scaled by 10. `index` shares
+    n-gram counts with other metrics of the same corpus.
     """
-    if len(hypotheses) != len(references):
-        raise InputError("hypothesis and reference lists differ in length")
+    _check_corpus(hypotheses, references, "CIDEr")
     if len(hypotheses) < 2:
         raise InputError(
             "CIDEr needs at least 2 examples: with a single-document corpus "
             "every idf is log(1/1) = 0 and all vectors are degenerate"
         )
+    if index is None or index.max_n < max_n:
+        index = _NgramIndex(max_n)
     doc_freq: Counter = Counter()
     for refs in references:
-        seen = set()
+        seen: set[int] = set()
         for ref in refs:
-            for n in range(1, max_n + 1):
-                seen.update(_ngrams(ref, n).keys())
+            for counts in index.counts(ref)[:max_n]:
+                seen.update(counts)
         doc_freq.update(seen)
     log_docs = math.log(len(references))
+    idf = {gram: log_docs - math.log(df) for gram, df in doc_freq.items()}
+    vectors: dict[tuple[str, ...], tuple[list[dict[int, float]], list[float]]] = {}
 
-    def tfidf_vec(tokens: Tokens):
-        vecs, norms = [], []
-        for n in range(1, max_n + 1):
-            vec = {}
-            for gram, c in _ngrams(tokens, n).items():
-                idf = log_docs - math.log(max(1.0, doc_freq[gram]))
-                vec[gram] = c * idf
-            vecs.append(vec)
-            norms.append(math.sqrt(sum(v * v for v in vec.values())))
-        return vecs, norms
+    def tfidf(tokens: Tokens):
+        key = tuple(tokens)
+        found = vectors.get(key)
+        if found is None:
+            vecs = [{gram: c * idf.get(gram, log_docs) for gram, c in counts.items()}
+                    for counts in index.counts(tokens)[:max_n]]
+            norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs]
+            found = vectors[key] = (vecs, norms)
+        return found
 
     scores = []
     for hyp, refs in zip(hypotheses, references):
-        h_vecs, h_norms = tfidf_vec(hyp)
+        h_vecs, h_norms = tfidf(hyp)
         total = 0.0
         for ref in refs:
-            r_vecs, r_norms = tfidf_vec(ref)
+            r_vecs, r_norms = tfidf(ref)
             delta = float(len(hyp) - len(ref))
             penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
             sim_sum = 0.0
-            for n in range(max_n):
-                if h_norms[n] == 0.0 or r_norms[n] == 0.0:
+            for h_vec, h_norm, r_vec, r_norm in zip(h_vecs, h_norms, r_vecs, r_norms):
+                if h_norm == 0.0 or r_norm == 0.0:
                     continue
-                dot = sum(min(v, r_vecs[n].get(g, 0.0)) * r_vecs[n].get(g, 0.0)
-                          for g, v in h_vecs[n].items())
-                sim_sum += penalty * dot / (h_norms[n] * r_norms[n])
+                # summed in the hypothesis' n-gram order, so the ids an
+                # index hands out cannot change the rounding
+                dot = 0.0
+                for gram, h_val in h_vec.items():
+                    r_val = r_vec.get(gram)
+                    if r_val is not None:
+                        dot += (h_val if h_val < r_val else r_val) * r_val
+                sim_sum += penalty * dot / (h_norm * r_norm)
             total += sim_sum / max_n
         scores.append(10.0 * total / len(refs))
     return sum(scores) / len(scores)
@@ -210,9 +288,13 @@ def token_edits(draft: Tokens, emended: Tokens, example_id: str = "") -> EditRec
     """Token-level Levenshtein alignment with unit costs.
 
     On cost ties the backtrace prefers substitution over delete+insert, so a
-    one-word change reports as a single substitution at its position.
+    one-word change reports as a single substitution at its position. The
+    shared suffix is trimmed before the table is built (see the module
+    docstring).
     """
     m, n = len(draft), len(emended)
+    while m and n and draft[m - 1] == emended[n - 1]:
+        m, n = m - 1, n - 1
     dist = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):
         dist[i][0] = i
@@ -318,11 +400,13 @@ class MetricsReport:
 
 def compute_metrics(hypotheses: list[Tokens],
                     references: list[list[Tokens]]) -> MetricsReport:
+    """BLEU-1..4, ROUGE-L and CIDEr-D; BLEU and CIDEr-D share one index."""
+    index = _NgramIndex()
     return MetricsReport(
         counts=len(hypotheses),
-        bleu=bleu_all(hypotheses, references),
+        bleu=bleu_all(hypotheses, references, index=index),
         rouge_l=rouge_l(hypotheses, references),
-        cider=10.0 * cider(hypotheses, references),
+        cider=10.0 * cider(hypotheses, references, index=index),
     )
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force reimplementations used as test oracles.
 
 These deliberately avoid the data structures and shortcuts of the package
-implementations: counting is done by scanning lists, LCS recursively, and
-edit distance by plain recursion.
+implementations: counting is done by scanning lists, LCS recursively,
+edit distance by plain recursion, and edit alignments over the full table
+without the package's shared-suffix trim.
 """
 
 import math
@@ -149,6 +150,44 @@ def edit_distance_recursive(a, b):
         return 1 + min(rec(i - 1, j - 1), rec(i - 1, j), rec(i, j - 1))
 
     return rec(len(a), len(b))
+
+
+def token_edits_table(draft, emended):
+    """Levenshtein alignment over the full (m+1) x (n+1) table, with the
+    backtrace preferring a match, then a substitution, a delete, an insert.
+
+    Returns the distance and the ops as (kind, pos, old, new) tuples, in
+    draft order, with draft-side positions.
+    """
+    m, n = len(draft), len(emended)
+    dist = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        dist[i][0] = i
+    for j in range(n + 1):
+        dist[0][j] = j
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if draft[i - 1] == emended[j - 1]:
+                dist[i][j] = dist[i - 1][j - 1]
+            else:
+                dist[i][j] = 1 + min(dist[i - 1][j - 1], dist[i - 1][j], dist[i][j - 1])
+    ops = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and draft[i - 1] == emended[j - 1] \
+                and dist[i][j] == dist[i - 1][j - 1]:
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
+            ops.append(("sub", i - 1, draft[i - 1], emended[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            ops.append(("del", i - 1, draft[i - 1], None))
+            i -= 1
+        else:
+            ops.append(("ins", i, None, emended[j - 1]))
+            j -= 1
+    ops.reverse()
+    return dist[m][n], ops
 
 
 def all_sequences(alphabet, max_len):

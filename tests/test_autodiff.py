@@ -454,6 +454,46 @@ class TestGraphMechanics:
         assert grad_check(f, [x, w, b]) <= 1e-4
 
 
+def saturated_tanh_case():
+    """A composite where x[11]'s gradient is -2.69e-8 and |f| is 3.23: the
+    central difference is off by 1.1e-11 from round-off alone, a relative
+    error of 4.1e-4 without the round-off allowance."""
+    rng = np.random.default_rng(1031)
+    x, w, b = rand(rng, 4, 4), rand(rng, 4, 1), rand(rng, 1)
+
+    def f(xx, ww, bb):
+        out = affine(xx, ww, bb).tanh()
+        return (out * out).sum()
+
+    return f, [x, w, b]
+
+
+class TestGradCheckRoundoff:
+    def test_near_zero_gradient_passes(self):
+        f, inputs = saturated_tanh_case()
+        assert abs(f(*inputs).item()) == pytest.approx(3.23, abs=0.01)
+        assert grad_check(f, inputs) <= 1e-4
+
+    def test_perturbed_gradient_still_caught(self):
+        f, inputs = saturated_tanh_case()
+        x = inputs[0]
+
+        def wrong(xx, ww, bb):
+            out = f(xx, ww, bb)
+            right = out._backward
+
+            def back(g):
+                right(g)
+                bump = np.zeros_like(x.data)
+                bump.flat[11] = 1e-3
+                x._accum(bump)
+
+            out._backward = back
+            return out
+
+        assert grad_check(wrong, inputs) > 1e-4
+
+
 def test_params_checksum_sensitivity():
     p1 = Parameter("a", np.array([1.0, 2.0]))
     p2 = Parameter("b", np.array([3.0]))

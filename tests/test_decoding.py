@@ -213,6 +213,13 @@ class TestEmend:
         with pytest.raises(InputError):
             emend(model, tiny_mlm(12), feats(0), [START_ID, EOS_ID])
 
+    def test_missing_masked_lm_rejected(self):
+        model = tiny_model("cold", seed=12)
+        with pytest.raises(ConfigError):
+            emend(model, None, feats(0), [5, 6, EOS_ID])
+        with pytest.raises(ConfigError):
+            sequence_logprob(model, feats(0), [5, EOS_ID], mlm=None, draft=[5, EOS_ID])
+
     def test_deterministic(self):
         model = tiny_model("cold", seed=13)
         mlm = tiny_mlm(13)

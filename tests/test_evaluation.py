@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capfuse.errors import InputError
 from capfuse.evaluation import (
     EditOp,
     MetricsReport,
+    _lcs_length,
+    _NgramIndex,
     aggregate_seeds,
     apply_edits,
     bleu,
@@ -25,7 +27,9 @@ from oracles import (
     bleu_brute,
     cider_brute,
     edit_distance_recursive,
+    lcs_recursive,
     rouge_brute,
+    token_edits_table,
 )
 
 
@@ -285,3 +289,114 @@ class TestReports:
         refs = [[r.split() for r in ex.references] for ex in examples]
         scores = bleu_all(hyps, refs)
         assert scores[0] >= scores[1] >= scores[2] >= scores[3]
+
+
+# -- input checks shared by the three corpus metrics ----------------------------
+
+
+METRICS = {"bleu": bleu_all, "rouge_l": rouge_l, "cider": cider}
+BAD_CORPORA = {
+    "empty corpus": ([], []),
+    "lengths differ": ([["a"], ["b"]], [[["a"]]]),
+    "no reference": ([["a"], ["b"]], [[["a"]], []]),
+}
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("case", BAD_CORPORA)
+def test_bad_corpus_rejected(metric, case):
+    hyps, refs = BAD_CORPORA[case]
+    with pytest.raises(InputError):
+        METRICS[metric](hyps, refs)
+
+
+# -- the fast paths against their oracles ------------------------------------------
+
+captions = st.lists(st.sampled_from("abcd"), max_size=6)
+corpus_rows = st.tuples(captions, st.lists(captions, min_size=1, max_size=3))
+
+
+@given(captions, captions)
+@example([], ["a"])
+@example(["a"], [])
+@example(["a"], ["a"])
+@settings(max_examples=200, deadline=None)
+def test_bit_parallel_lcs_matches_recursive(a, b):
+    assert _lcs_length(a, b) == lcs_recursive(tuple(a), tuple(b))
+
+
+@given(st.lists(corpus_rows, min_size=1, max_size=5))
+@example([([], [["a"]])])
+@example([(["a"], [[], ["a"]]), ([], [["b"]])])
+@settings(max_examples=100, deadline=None)
+def test_bleu_matches_brute_force(corpus):
+    hyps = [h for h, _ in corpus]
+    refs = [r for _, r in corpus]
+    scores = bleu_all(hyps, refs)
+    for n in range(1, 5):
+        assert scores[n - 1] == pytest.approx(bleu_brute(hyps, refs, n), abs=1e-9)
+
+
+@given(st.lists(corpus_rows, min_size=2, max_size=5))
+@example([([], [["a"]]), (["a"], [[]])])
+@example([(["a"], [["a"]]), (["b"], [["a"], ["b"]])])
+@settings(max_examples=100, deadline=None)
+def test_cider_matches_brute_force(corpus):
+    hyps = [h for h, _ in corpus]
+    refs = [r for _, r in corpus]
+    assert cider(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-12)
+
+
+def test_token_edits_match_full_table_oracle():
+    # every pair of captions up to length 4 over three tokens
+    seqs = all_sequences(("a", "b", "c"), 4)
+    for a in seqs:
+        for b in seqs:
+            rec = token_edits(a, b)
+            count, ops = token_edits_table(a, b)
+            assert rec.count == count
+            assert [(op.kind, op.pos, op.old, op.new) for op in rec.ops] == ops
+
+
+def score_shaped_corpus(seed: int, scenes: int = 10):
+    """Scenes of 5 references; hypothesis j is reference j with one token
+    replaced, scored against the scene's other 4, so every reference is
+    shared by 4 hypotheses."""
+    from capfuse.data import generate_dataset
+
+    rng = np.random.default_rng(seed)
+    hyps, refs = [], []
+    for ex in generate_dataset(seed, scenes, refs_per_scene=5):
+        caps = [r.split() for r in ex.references]
+        for j, cap in enumerate(caps):
+            hyp = list(cap)
+            hyp[int(rng.integers(len(hyp)))] = caps[(j + 1) % 5][0]
+            hyps.append(hyp)
+            refs.append(caps[:j] + caps[j + 1:])
+    return hyps, refs
+
+
+class TestSharedIndex:
+    def test_compute_metrics_matches_oracles(self):
+        hyps, refs = score_shaped_corpus(11)
+        rep = compute_metrics(hyps, refs)
+        for n in range(1, 5):
+            assert rep.bleu[n - 1] == pytest.approx(bleu_brute(hyps, refs, n), abs=1e-9)
+        assert rep.rouge_l == rouge_brute(hyps, refs)
+        assert rep.cider == pytest.approx(10.0 * cider_brute(hyps, refs), abs=1e-11)
+
+    def test_shared_index_changes_nothing(self):
+        # an index already holding another corpus numbers every n-gram differently
+        hyps, refs = score_shaped_corpus(12)
+        other_hyps, other_refs = score_shaped_corpus(13)
+        index = _NgramIndex()
+        bleu_all(other_hyps, other_refs, index=index)
+        assert bleu_all(hyps, refs, index=index) == bleu_all(hyps, refs)
+        assert cider(hyps, refs, index=index) == cider(hyps, refs)
+        assert compute_metrics(hyps, refs).cider == 10.0 * cider(hyps, refs)
+
+    def test_index_counts_each_caption_once(self):
+        index = _NgramIndex()
+        first = index.counts(["a", "b", "a", "b"])
+        assert index.counts(("a", "b", "a", "b")) is first
+        assert [sorted(order.values()) for order in first] == [[2, 2], [1, 2], [1, 1], [1]]
