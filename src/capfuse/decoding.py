@@ -1,12 +1,15 @@
-"""Greedy and beam-search caption decoding plus masked-draft emendation.
+"""Beam-search caption decoding and masked-draft emendation.
 
-All decoders share a stepper abstraction: start() primes the model with the
-image features, step() consumes one token per hypothesis and returns renewed
-states plus log-probabilities for the next token. Emendation steppers also
-carry the per-step masked-LM states derived from the draft caption, shared by
-every hypothesis in the beam. A frozen masked LM encodes each draft once: the
-steppers of every fusion kind that emends the draft, and of the rescoring
-oracle sequence_logprob(..., draft=), share the same read-only rows.
+One stepper drives every decode: start() primes the decoder with the image
+features, step() consumes one token per hypothesis and returns the renewed
+state plus log-probabilities for the next token, and select() keeps the states
+of the surviving hypotheses. beam_over is the only decode loop; greedy decoding
+is beam width 1. A baseline model decodes from the image alone. A fusion model
+decodes only against a draft: at step t the frozen masked LM has read the draft
+with position t+1 masked, and that row is shared by every hypothesis in the
+beam. The MLM encodes each draft once: the steppers of every fusion kind that
+emends the draft, and of the rescoring oracle sequence_logprob(..., draft=),
+share the same read-only rows.
 """
 
 from __future__ import annotations
@@ -43,85 +46,42 @@ class Hypothesis:
     finished: bool
 
 
-def _select_lstm(state, idx: np.ndarray):
-    return [(Tensor(h.data[idx]), Tensor(c.data[idx])) for h, c in state]
+class Stepper:
+    """Steps a caption model over one image's hypotheses under no_grad.
 
-
-class _Stepper:
-    """Shared stepper plumbing over a caption model."""
+    `rows` holds one masked-LM state per step for a fusion model (set by
+    EmendStepper), or None for a baseline model; past the last row the last
+    one is reused.
+    """
 
     def __init__(self, model, features: np.ndarray):
         self.model = model
         self.features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        self.rows: np.ndarray | None = None
 
     def start(self):
+        decoder = self.model.decoder
         with no_grad():
-            x = self.model.decoder.encode_image(self.features)
-            state = self.model.decoder.initial_state(self.features.shape[0])
-            _, state = self.model.decoder.step(x, state)
+            x = decoder.encode_image(self.features)
+            _, state = decoder.step(x, decoder.initial_state(self.features.shape[0]))
         return (0, state)
 
-    def _logprobs(self, logits: np.ndarray) -> np.ndarray:
-        logits = logits.copy()
-        logits[:, list(BLOCKED_IDS)] = -np.inf
-        return log_softmax(logits)
-
     def step(self, state, tokens: np.ndarray):
-        raise NotImplementedError
-
-    def select(self, state, idx: np.ndarray):
         t, lstm_state = state
-        return (t, _select_lstm(lstm_state, idx))
-
-
-class BaselineStepper(_Stepper):
-    """Decoder head only; no language-model involvement."""
-
-    def step(self, state, tokens):
-        t, lstm_state = state
-        with no_grad():
-            x = self.model.decoder.embed_tokens(tokens)
-            h, lstm_state = self.model.decoder.step(x, lstm_state)
-            logits = self.model.decoder.head_logits(h, training=False)
-        return (t + 1, lstm_state), self._logprobs(logits.data)
-
-
-class SelfDraftStepper(_Stepper):
-    """Fusion decoding without a draft: the masked-LM state is built from the
-    forward encoder over the tokens emitted so far (no right context)."""
-
-    def __init__(self, model, mlm: MaskedLM, features):
-        super().__init__(model, features)
-        self.mlm = mlm
-
-    def start(self):
-        t, lstm_state = super().start()
-        batch = self.features.shape[0]
-        h = self.mlm.cfg.hidden_dim
-        fwd = [(Tensor(np.zeros((batch, h))), Tensor(np.zeros((batch, h))))
-               for _ in self.mlm.fwd]
-        return (t, lstm_state, fwd)
-
-    def step(self, state, tokens):
-        t, lstm_state, fwd = state
+        h_mlm = None
         with no_grad():
             x = self.model.decoder.embed_tokens(tokens)
             h_top, lstm_state = self.model.decoder.step(x, lstm_state)
-            xm = Tensor(self.mlm.embed.data[tokens])
-            new_fwd = []
-            inp = xm
-            for cell, (h, c) in zip(self.mlm.fwd, fwd):
-                h_new, c_new = cell.step(inp, h, c)
-                new_fwd.append((h_new, c_new))
-                inp = h_new
-            zeros = Tensor(np.zeros_like(inp.data))
-            h_mlm = self.mlm.combine(inp, zeros)
-            logits = self.model.fusion.fuse(h_top, h_mlm).logits
-        return (t + 1, lstm_state, new_fwd), self._logprobs(logits.data)
+            if self.rows is not None:
+                row = self.rows[min(t, self.rows.shape[0] - 1)]
+                h_mlm = Tensor(np.tile(row, (tokens.shape[0], 1)))
+            logits = self.model.step_logits(h_top, h_mlm).data
+        logits[:, list(BLOCKED_IDS)] = -np.inf
+        return (t + 1, lstm_state), log_softmax(logits)
 
-    def select(self, state, idx):
-        t, lstm_state, fwd = state
-        return (t, _select_lstm(lstm_state, idx), _select_lstm(fwd, idx))
+    def select(self, state, idx: np.ndarray):
+        t, lstm_state = state
+        return (t, [(Tensor(h.data[idx]), Tensor(c.data[idx])) for h, c in lstm_state])
 
 
 def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
@@ -145,100 +105,56 @@ def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
     return rows
 
 
-class EmendStepper(_Stepper):
-    """Fusion decoding against a fixed draft: at step t the masked-LM state
+class EmendStepper(Stepper):
+    """Fusion decoding against a wrapped draft: at step t the masked-LM state
     encodes the draft with position t+1 masked (mask appended past the end).
-    One state per step, shared across beam hypotheses."""
+    mlm_override replaces every row with one fixed state and skips the MLM."""
 
     def __init__(self, model, mlm: MaskedLM, features, wrapped_draft: list[int],
                  mlm_override: np.ndarray | None = None):
         super().__init__(model, features)
         if mlm is None:
             raise ConfigError("emending a draft needs the masked LM")
-        self.mlm = mlm
-        vocab = mlm.cfg.vocab_size
-        bad = [t for t in wrapped_draft if not 0 <= t < vocab]
-        if bad:
-            raise InputError(f"draft token id {bad[0]} is outside the masked "
-                             f"LM's vocabulary of {vocab}")
+        _check_ids(wrapped_draft, mlm.cfg.vocab_size, "draft token")
         if mlm_override is None:
             self.rows = draft_rows(mlm, wrapped_draft)
         else:
             self.rows = np.tile(np.asarray(mlm_override, dtype=np.float64),
                                 (len(wrapped_draft), 1))
 
-    def step(self, state, tokens):
-        t, lstm_state = state
-        with no_grad():
-            x = self.model.decoder.embed_tokens(tokens)
-            h_top, lstm_state = self.model.decoder.step(x, lstm_state)
-            row = self.rows[min(t, self.rows.shape[0] - 1)]
-            h_mlm = Tensor(np.tile(row, (tokens.shape[0], 1)))
-            logits = self.model.fusion.fuse(h_top, h_mlm).logits
-        return (t + 1, lstm_state), self._logprobs(logits.data)
+
+def _check_ids(ids, vocab: int, what: str):
+    bad = [t for t in ids if not 0 <= t < vocab]
+    if bad:
+        raise InputError(f"{what} id {bad[0]} is outside the vocabulary of {vocab}")
 
 
-def _make_stepper(model, features, mlm: MaskedLM | None):
+def strip_specials(tokens) -> list[int]:
+    return [int(t) for t in tokens if int(t) > MASK_ID]
+
+
+def _make_stepper(model, features, mlm: MaskedLM | None = None, draft=None,
+                  mlm_override: np.ndarray | None = None) -> Stepper:
+    """The stepper of a baseline model, or of a fusion model against the
+    draft stripped of special tokens and wrapped in <start> ... <eos>."""
+    if draft is None:
+        if model.needs_mlm():
+            raise ConfigError("a fusion model decodes only against a draft; use emend")
+        return Stepper(model, features)
     if not model.needs_mlm():
-        return BaselineStepper(model, features)
-    if mlm is None:
-        raise ConfigError("decoding a fusion model needs the masked LM")
-    return SelfDraftStepper(model, mlm, features)
+        raise ConfigError("emending a draft needs a fusion model")
+    words = strip_specials(draft)
+    if not words:
+        raise InputError("draft caption is empty")
+    return EmendStepper(model, mlm, features, [START_ID] + words + [EOS_ID],
+                        mlm_override)
 
 
-def _resolve_max_len(model, cfg: BeamConfig | None) -> int:
-    if cfg is not None and cfg.max_len is not None:
-        return cfg.max_len
-    return model.cfg.max_len
-
-
-# -- greedy -------------------------------------------------------------------
-
-
-def greedy_decode(model, features, mlm: MaskedLM | None = None,
-                  max_len: int | None = None) -> list[int]:
-    """Argmax decoding; the output ends with <eos> or has length max_len."""
-    stepper = _make_stepper(model, features, mlm)
-    return _greedy_loop(stepper, max_len or model.cfg.max_len)[0]
-
-
-def _greedy_loop(stepper, max_len: int) -> tuple[list[int], float]:
-    state = stepper.start()
-    tokens: list[int] = []
-    score = 0.0
-    current = START_ID
-    for _ in range(max_len):
-        state, logprobs = stepper.step(state, np.array([current]))
-        current = int(logprobs[0].argmax())
-        score += float(logprobs[0][current])
-        tokens.append(current)
-        if current == EOS_ID:
-            break
-    return tokens, score
-
-
-def greedy_decode_batch(model, features_matrix: np.ndarray,
-                        mlm: MaskedLM | None = None,
-                        max_len: int | None = None) -> list[list[int]]:
-    """Vectorized greedy decoding of many scenes at once (validation path)."""
-    stepper = _make_stepper(model, features_matrix, mlm)
-    limit = max_len or model.cfg.max_len
-    batch = features_matrix.shape[0]
-    state = stepper.start()
-    current = np.full(batch, START_ID, dtype=np.int64)
-    done = np.zeros(batch, dtype=bool)
-    out: list[list[int]] = [[] for _ in range(batch)]
-    for _ in range(limit):
-        state, logprobs = stepper.step(state, current)
-        current = logprobs.argmax(axis=1).astype(np.int64)
-        for i in range(batch):
-            if not done[i]:
-                out[i].append(int(current[i]))
-                if current[i] == EOS_ID:
-                    done[i] = True
-        if done.all():
-            break
-    return out
+def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]:
+    cfg = cfg or BeamConfig()
+    cfg.validate()
+    max_len = cfg.max_len or stepper.model.cfg.max_len
+    return beam_over(stepper, cfg.beam_width, max_len, cfg.length_normalization)
 
 
 # -- beam search ---------------------------------------------------------------
@@ -300,25 +216,18 @@ def beam_over(stepper, beam_width: int, max_len: int,
     return best.tokens, best.logprob
 
 
-def beam_search_scored(model, features, cfg: BeamConfig | None = None,
-                       mlm: MaskedLM | None = None) -> tuple[list[int], float]:
-    cfg = cfg or BeamConfig()
-    cfg.validate()
-    stepper = _make_stepper(model, features, mlm)
-    return beam_over(stepper, cfg.beam_width, _resolve_max_len(model, cfg),
-                     cfg.length_normalization)
+def beam_search_scored(model, features,
+                       cfg: BeamConfig | None = None) -> tuple[list[int], float]:
+    """Beam-decode a baseline model from the image alone; a fusion model
+    decodes only against a draft, through emend."""
+    return _decode(_make_stepper(model, features), cfg)
 
 
-def beam_search(model, features, cfg: BeamConfig | None = None,
-                mlm: MaskedLM | None = None) -> list[int]:
-    return beam_search_scored(model, features, cfg, mlm)[0]
+def beam_search(model, features, cfg: BeamConfig | None = None) -> list[int]:
+    return beam_search_scored(model, features, cfg)[0]
 
 
 # -- emendation -----------------------------------------------------------------
-
-
-def strip_specials(tokens) -> list[int]:
-    return [int(t) for t in tokens if int(t) > MASK_ID]
 
 
 def emend(model, mlm: MaskedLM, features, draft,
@@ -330,18 +239,7 @@ def emend(model, mlm: MaskedLM, features, draft,
     LM reads the draft with the next position masked. Returns the emended
     token sequence (ending in <eos> unless max_len was hit).
     """
-    if not model.needs_mlm():
-        raise ConfigError("emendation needs a fusion model")
-    cfg = cfg or BeamConfig()
-    cfg.validate()
-    words = strip_specials(draft)
-    if not words:
-        raise InputError("draft caption is empty")
-    wrapped = [START_ID] + words + [EOS_ID]
-    stepper = EmendStepper(model, mlm, features, wrapped, mlm_override)
-    tokens, _ = beam_over(stepper, cfg.beam_width, _resolve_max_len(model, cfg),
-                          cfg.length_normalization)
-    return tokens
+    return _decode(_make_stepper(model, features, mlm, draft, mlm_override), cfg)[0]
 
 
 # -- rescoring oracle -------------------------------------------------------------
@@ -357,12 +255,8 @@ def sequence_logprob(model, features, tokens: list[int],
     """
     if not tokens:
         raise InputError("cannot score an empty sequence")
-    if draft is not None:
-        words = strip_specials(draft)
-        wrapped = [START_ID] + words + [EOS_ID]
-        stepper = EmendStepper(model, mlm, features, wrapped)
-    else:
-        stepper = _make_stepper(model, features, mlm)
+    _check_ids(tokens, model.cfg.vocab_size, "token")
+    stepper = _make_stepper(model, features, mlm, draft)
     state = stepper.start()
     total = 0.0
     current = START_ID

@@ -116,6 +116,18 @@ def _zero_state(layers: int, batch: int, hidden: int):
             for _ in range(layers)]
 
 
+def _stack_step(cells: list[LstmCell], x: Tensor, state):
+    """Advance stacked LSTM layers one step; returns the top-layer hidden
+    state and the new per-layer (h, c) states."""
+    new_state = []
+    inp = x
+    for cell, (h, c) in zip(cells, state):
+        h_new, c_new = cell.step(inp, h, c)
+        new_state.append((h_new, c_new))
+        inp = h_new
+    return inp, new_state
+
+
 class CaptionDecoder(ParamStore):
     """Two-layer LSTM over token embeddings, conditioned on image features."""
 
@@ -151,13 +163,7 @@ class CaptionDecoder(ParamStore):
 
     def step(self, x: Tensor, state):
         """Advance all layers one step; returns the top-layer hidden state."""
-        new_state = []
-        inp = x
-        for cell, (h, c) in zip(self.cells, state):
-            h_new, c_new = cell.step(inp, h, c)
-            new_state.append((h_new, c_new))
-            inp = h_new
-        return inp, new_state
+        return _stack_step(self.cells, x, state)
 
     def head_logits(self, h_top: Tensor, training: bool, rng=None) -> Tensor:
         dropped = dropout(h_top, self.cfg.dropout, training, rng) if training else h_top
@@ -218,41 +224,12 @@ class MaskedLM(ParamStore):
         state = _zero_state(self.LAYERS, batch, self.cfg.hidden_dim)
         tops = []
         for t in range(steps):
-            x = gather_rows(self.embed, token_matrix[:, t])
-            new_state = []
-            inp = x
-            for cell, (h, c) in zip(cells, state):
-                h_new, c_new = cell.step(inp, h, c)
-                new_state.append((h_new, c_new))
-                inp = h_new
-            state = new_state
-            tops.append(inp)
+            top, state = _stack_step(cells, gather_rows(self.embed, token_matrix[:, t]), state)
+            tops.append(top)
         return tops
 
     def combine(self, fwd_ctx: Tensor, bwd_ctx: Tensor) -> Tensor:
         return affine(concat_last(fwd_ctx, bwd_ctx), self.comb_w, self.comb_b)
-
-    def encode_masked(self, tokens) -> Tensor:
-        """Hidden state at the single [MASK] position of a token sequence."""
-        tokens = list(tokens)
-        positions = [i for i, t in enumerate(tokens) if t == MASK_ID]
-        if len(positions) != 1:
-            raise InputError(
-                f"expected exactly one mask token, found {len(positions)}"
-            )
-        p = positions[0]
-        h = self.cfg.hidden_dim
-        prefix = tokens[:p]
-        suffix = tokens[p + 1:]
-        if prefix:
-            fwd_ctx = self._run_encoder(self.fwd, np.asarray([prefix]))[-1]
-        else:
-            fwd_ctx = Tensor(np.zeros((1, h)))
-        if suffix:
-            bwd_ctx = self._run_encoder(self.bwd, np.asarray([suffix[::-1]]))[-1]
-        else:
-            bwd_ctx = Tensor(np.zeros((1, h)))
-        return self.combine(fwd_ctx, bwd_ctx)
 
     def head_logits(self, state: Tensor) -> Tensor:
         return affine(state, self.head_w, self.head_b)
@@ -298,8 +275,12 @@ def _select_steps(tops: list[Tensor], idx: np.ndarray) -> Tensor:
     return out
 
 
+# sequences per padded batch of mlm_context_rows, bounding its [B x T x H] state arrays
+ROWS_CHUNK = 512
+
+
 def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
-                     append_row: bool = False, chunk: int = 512) -> list[np.ndarray]:
+                     append_row: bool = False) -> list[np.ndarray]:
     """Masked-position states for every maskable position of each sequence.
 
     For a sequence of length L the result has one row per mask position
@@ -309,8 +290,8 @@ def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
     Computed under no_grad; the outputs are plain arrays.
     """
     out: list[np.ndarray] = []
-    for lo in range(0, len(seqs), chunk):
-        out.extend(_context_rows_chunk(mlm, seqs[lo:lo + chunk], append_row))
+    for lo in range(0, len(seqs), ROWS_CHUNK):
+        out.extend(_context_rows_chunk(mlm, seqs[lo:lo + ROWS_CHUNK], append_row))
     return out
 
 

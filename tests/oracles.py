@@ -2,12 +2,19 @@
 
 These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
-edit distance by plain recursion, and edit alignments over the full table
-without the package's shared-suffix trim.
+edit distance by plain recursion, edit alignments over the full table
+without the package's shared-suffix trim, masked-LM states one masked
+sequence at a time, and greedy decoding by a plain argmax loop.
 """
 
 import math
 from functools import lru_cache
+
+import numpy as np
+
+from capfuse.autodiff import Tensor
+from capfuse.errors import InputError
+from capfuse.models import EOS_ID, MASK_ID, START_ID
 
 
 # -- BLEU -----------------------------------------------------------------------
@@ -197,3 +204,39 @@ def all_sequences(alphabet, max_len):
         frontier = [seq + [tok] for seq in frontier for tok in alphabet]
         out.extend(frontier)
     return out
+
+
+# -- masked LM and decoding -----------------------------------------------------------
+
+
+def encode_masked(mlm, tokens) -> Tensor:
+    """Masked-LM state at the single [MASK] position of one token sequence,
+    from the forward encoder over the tokens left of it and the backward
+    encoder over the tokens right of it; an empty side contributes zeros."""
+    tokens = list(tokens)
+    positions = [i for i, t in enumerate(tokens) if t == MASK_ID]
+    if len(positions) != 1:
+        raise InputError(f"expected exactly one mask token, found {len(positions)}")
+    p = positions[0]
+    prefix, suffix = tokens[:p], tokens[p + 1:]
+    zeros = Tensor(np.zeros((1, mlm.cfg.hidden_dim)))
+    fwd_ctx = mlm._run_encoder(mlm.fwd, np.asarray([prefix]))[-1] if prefix else zeros
+    bwd_ctx = mlm._run_encoder(mlm.bwd, np.asarray([suffix[::-1]]))[-1] if suffix else zeros
+    return mlm.combine(fwd_ctx, bwd_ctx)
+
+
+def greedy_oracle(stepper, max_len):
+    """Argmax decoding of one hypothesis; returns (tokens, summed log-prob).
+    The output ends with <eos> or has length max_len; ties go to the smaller id."""
+    state = stepper.start()
+    tokens = []
+    score = 0.0
+    current = START_ID
+    for _ in range(max_len):
+        state, logprobs = stepper.step(state, np.array([current]))
+        current = int(logprobs[0].argmax())
+        score += float(logprobs[0][current])
+        tokens.append(current)
+        if current == EOS_ID:
+            break
+    return tokens, score

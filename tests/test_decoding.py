@@ -8,12 +8,11 @@ from capfuse import decoding
 from capfuse.decoding import (
     BeamConfig,
     EmendStepper,
+    Stepper,
     beam_over,
     beam_search,
     beam_search_scored,
     emend,
-    greedy_decode,
-    greedy_decode_batch,
     sequence_logprob,
     strip_specials,
 )
@@ -28,6 +27,7 @@ from capfuse.models import (
     MlmConfig,
     ModelConfig,
 )
+from oracles import encode_masked, greedy_oracle
 
 V = 10
 
@@ -128,27 +128,47 @@ class TestBeamAgainstEnumeration:
             assert got_tokens == want_tokens
             assert got_score == pytest.approx(want_score, abs=1e-12)
 
+    def test_beam_one_breaks_ties_on_the_smaller_id(self):
+        # vocabulary 7: ids 3 and 5 tie at step 0, <eos> and 6 tie after 3
+        def row(probs):
+            out = np.full(7, -np.inf)
+            for tok, p in probs.items():
+                out[tok] = np.log(p)
+            return out
+
+        table = {(0, START_ID): row({EOS_ID: 0.2, 3: 0.4, 5: 0.4}),
+                 (1, 3): row({EOS_ID: 0.5, 6: 0.5}),
+                 (1, 5): row({EOS_ID: 0.5, 6: 0.5})}
+        got = beam_over(TableStepper(table), 1, 2)
+        assert got == greedy_oracle(TableStepper(table), 2)
+        assert got[0] == [3, EOS_ID]
+
 
 class TestGreedyAndBeam:
     def test_beam_one_equals_greedy_random_models(self):
-        for i in range(25):
+        draft = [START_ID, 5, 6, 7, EOS_ID]
+        for i in range(40):
             kind = ["none", "simple", "cold", "hier"][i % 4]
             model = tiny_model(kind, seed=i)
-            mlm = tiny_mlm(seed=i) if kind != "none" else None
             f = feats(seed=i)
-            g = greedy_decode(model, f, mlm=mlm)
-            b, _ = beam_search_scored(model, f, BeamConfig(beam_width=1), mlm=mlm)
-            assert g == b, f"mismatch for kind={kind} seed={i}"
+            if kind == "none":
+                stepper = Stepper(model, f)
+            else:
+                stepper = EmendStepper(model, tiny_mlm(seed=i), f, draft)
+            want = greedy_oracle(stepper, model.cfg.max_len)
+            assert beam_over(stepper, 1, model.cfg.max_len) == want, \
+                f"mismatch for kind={kind} seed={i}"
 
     def test_greedy_deterministic(self):
         model = tiny_model("none", seed=5)
         f = feats(3)
-        assert greedy_decode(model, f) == greedy_decode(model, f)
+        cfg = BeamConfig(beam_width=1)
+        assert beam_search(model, f, cfg) == beam_search(model, f, cfg)
 
     def test_termination_contract(self):
         for i in range(10):
             model = tiny_model("none", seed=100 + i)
-            seq = greedy_decode(model, feats(i))
+            seq = beam_search(model, feats(i), BeamConfig(beam_width=1))
             assert seq[-1] == EOS_ID or len(seq) == model.cfg.max_len
 
     def test_no_blocked_tokens_emitted(self):
@@ -164,35 +184,17 @@ class TestGreedyAndBeam:
             tokens, score = beam_search_scored(model, f, BeamConfig(beam_width=3))
             assert score == pytest.approx(sequence_logprob(model, f, tokens), abs=1e-9)
 
-    def test_beam_score_matches_rescoring_self_draft(self):
-        model = tiny_model("cold", seed=7)
-        mlm = tiny_mlm(seed=7)
-        f = feats(7)
-        tokens, score = beam_search_scored(model, f, BeamConfig(beam_width=4), mlm=mlm)
-        got = sequence_logprob(model, f, tokens, mlm=mlm)
-        assert score == pytest.approx(got, abs=1e-9)
-
-    def test_batched_greedy_matches_single(self):
-        model = tiny_model("none", seed=8)
-        fm = np.stack([feats(i) for i in range(6)])
-        batched = greedy_decode_batch(model, fm)
-        singles = [greedy_decode(model, fm[i]) for i in range(6)]
-        assert batched == singles
-
-    def test_batched_greedy_fusion_matches_single(self):
-        model = tiny_model("hier", seed=9)
-        mlm = tiny_mlm(seed=9)
-        fm = np.stack([feats(i) for i in range(4)])
-        batched = greedy_decode_batch(model, fm, mlm=mlm)
-        singles = [greedy_decode(model, fm[i], mlm=mlm) for i in range(4)]
-        assert batched == singles
+    def test_rescoring_rejects_ids_outside_the_vocabulary(self):
+        model = tiny_model("none", seed=7)
+        for tokens in ([-1, EOS_ID], [V, EOS_ID]):
+            with pytest.raises(InputError, match=f"id {tokens[0]}\\b"):
+                sequence_logprob(model, feats(7), tokens)
 
     def test_beam_deterministic(self):
-        model = tiny_model("simple", seed=10)
-        mlm = tiny_mlm(seed=10)
+        model = tiny_model("none", seed=10)
         f = feats(10)
-        a = beam_search(model, f, BeamConfig(beam_width=5), mlm=mlm)
-        b = beam_search(model, f, BeamConfig(beam_width=5), mlm=mlm)
+        a = beam_search(model, f, BeamConfig(beam_width=5))
+        b = beam_search(model, f, BeamConfig(beam_width=5))
         assert a == b
 
     def test_config_validation(self):
@@ -202,9 +204,12 @@ class TestGreedyAndBeam:
             BeamConfig(max_len=1).validate()
 
     def test_fusion_decode_requires_mlm(self):
+        # a fusion model decodes and rescores only against a draft
         model = tiny_model("cold", seed=11)
-        with pytest.raises(ConfigError):
-            greedy_decode(model, feats(0))
+        with pytest.raises(ConfigError, match="use emend"):
+            beam_search(model, feats(0), BeamConfig(beam_width=1))
+        with pytest.raises(ConfigError, match="use emend"):
+            sequence_logprob(model, feats(0), [5, EOS_ID], mlm=tiny_mlm(11))
 
 
 class TestEmend:
@@ -212,6 +217,8 @@ class TestEmend:
         model = tiny_model("cold", seed=12)
         with pytest.raises(InputError):
             emend(model, tiny_mlm(12), feats(0), [START_ID, EOS_ID])
+        with pytest.raises(InputError):
+            sequence_logprob(model, feats(0), [5, EOS_ID], mlm=tiny_mlm(12), draft=[EOS_ID])
 
     def test_missing_masked_lm_rejected(self):
         model = tiny_model("cold", seed=12)
@@ -272,9 +279,33 @@ class TestEmend:
         stepper = EmendStepper(model, mlm, feats(17), wrapped)
         assert stepper.rows.shape == (len(wrapped), mlm.cfg.hidden_dim)
 
+    def test_step_t_reads_draft_row_t_then_the_last_row(self):
+        model = tiny_model("hier", seed=26)
+        mlm = tiny_mlm(26)
+        f = feats(26)
+        wrapped = [START_ID, 5, 6, EOS_ID]
+        rows = EmendStepper(model, mlm, f, wrapped).rows
+        prefix = [START_ID, 5, 6, 7, 8, 9]  # two steps past the last row
+
+        def logprobs(stepper):
+            state, out = stepper.start(), []
+            for tok in prefix:
+                state, lp = stepper.step(state, np.array([tok]))
+                out.append(lp[0])
+            return out
+
+        got = logprobs(EmendStepper(model, mlm, f, wrapped))
+        for t in range(len(prefix)):
+            row = rows[min(t, len(rows) - 1)]
+            want = logprobs(EmendStepper(model, mlm, f, wrapped, mlm_override=row))[t]
+            assert np.array_equal(got[t], want), f"step {t}"
+
     def test_requires_fusion_model(self):
+        model = tiny_model("none", 18)
         with pytest.raises(ConfigError):
-            emend(tiny_model("none", 18), tiny_mlm(18), feats(0), [5, EOS_ID])
+            emend(model, tiny_mlm(18), feats(0), [5, EOS_ID])
+        with pytest.raises(ConfigError):
+            sequence_logprob(model, feats(0), [5, EOS_ID], mlm=tiny_mlm(18), draft=[5, EOS_ID])
 
     def test_out_of_vocabulary_draft_rejected(self):
         model = tiny_model("cold", seed=19)
@@ -332,7 +363,7 @@ class TestDraftRowsMemo:
         variants.append(wrapped[:-1] + [MASK_ID] + wrapped[-1:])
         assert len(variants) == len(rows)
         for row, masked in zip(rows, variants):
-            assert np.allclose(row, twin.encode_masked(masked).data[0], rtol=0, atol=1e-12)
+            assert np.allclose(row, encode_masked(twin, masked).data[0], rtol=0, atol=1e-12)
 
     def test_one_encoding_serves_every_fusion_kind_and_the_rescorer(self, monkeypatch):
         calls = count_context_rows(monkeypatch)

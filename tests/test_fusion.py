@@ -5,6 +5,7 @@ from capfuse.autodiff import Tensor, grad_check, softmax_xent_rows
 from capfuse.errors import ConfigError
 from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_model
 from capfuse.models import MaskedLM, MlmConfig, ModelConfig, START_ID
+from oracles import encode_masked
 
 V = 11
 
@@ -191,7 +192,7 @@ class TestProperties:
         fl = layer("cold", seed=26)
         h_lstm = Tensor(np.random.default_rng(27).uniform(-1, 1, (1, 6)),
                         requires_grad=True)
-        h_mlm = mlm.encode_masked([START_ID, 5, 4, 6])  # 4 is the mask id
+        h_mlm = encode_masked(mlm, [START_ID, 5, 4, 6])  # 4 is the mask id
         loss = softmax_xent_rows(fl.fuse(h_lstm, h_mlm).logits, np.array([1])).sum()
         loss.backward()
         for p in fl.parameters():
