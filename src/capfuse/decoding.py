@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, log_softmax, no_grad
 from .errors import ConfigError, InputError
-from .models import EOS_ID, MASK_ID, PAD_ID, START_ID, MaskedLM, mlm_context_rows
+from .models import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, MaskedLM, mlm_context_rows
 
 # tokens never emitted by a decoder
 BLOCKED_IDS = (PAD_ID, START_ID, MASK_ID)
@@ -130,7 +130,8 @@ def _check_ids(ids, vocab: int, what: str):
 
 
 def strip_specials(tokens) -> list[int]:
-    return [int(t) for t in tokens if int(t) > MASK_ID]
+    """The words of a caption: drops <pad>, <start>, <eos> and <mask>, keeps <unk>."""
+    return [int(t) for t in tokens if int(t) > MASK_ID or int(t) == UNK_ID]
 
 
 def _make_stepper(model, features, mlm: MaskedLM | None = None, draft=None,

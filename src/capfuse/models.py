@@ -5,6 +5,9 @@ token sequence; it exposes the top-layer hidden state at every step. The
 masked LM encodes a sequence with exactly one mask token by running a forward
 recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
+
+Every LstmCell step of both models, in drafting, emendation and pretraining,
+is one fused autodiff.lstm_step node (gates i, f, g, o; sigmoid through tanh).
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from .autodiff import (
     concat_last,
     dropout,
     gather_rows,
+    lstm_step,
     no_grad,
     params_checksum,
-    slice_last,
     softmax_xent_rows,
 )
 from .errors import ConfigError, InputError, StateError
@@ -88,11 +91,11 @@ class ParamStore:
 
 
 class LstmCell:
-    """Single LSTM layer; gate order is (input, forget, candidate, output)."""
+    """Single LSTM layer; each step is one fused autodiff.lstm_step node with
+    gate order (input, forget, candidate, output) and sigmoid through tanh."""
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
-        self.hidden = hidden
         self.wx = store._param(f"{prefix}.Wx", xavier_uniform(rng, in_dim, 4 * hidden))
         self.wh = store._param(f"{prefix}.Wh", xavier_uniform(rng, hidden, 4 * hidden))
         bias = np.zeros(4 * hidden)
@@ -100,15 +103,7 @@ class LstmCell:
         self.b = store._param(f"{prefix}.b", bias)
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        z = (x @ self.wx) + (h @ self.wh) + self.b
-        n = self.hidden
-        i = slice_last(z, 0, n).sigmoid()
-        f = slice_last(z, n, 2 * n).sigmoid()
-        g = slice_last(z, 2 * n, 3 * n).tanh()
-        o = slice_last(z, 3 * n, 4 * n).sigmoid()
-        c_new = (f * c) + (i * g)
-        h_new = o * c_new.tanh()
-        return h_new, c_new
+        return lstm_step(x, h, c, self.wx, self.wh, self.b)
 
 
 def _zero_state(layers: int, batch: int, hidden: int):

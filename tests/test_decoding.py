@@ -23,9 +23,11 @@ from capfuse.models import (
     MASK_ID,
     PAD_ID,
     START_ID,
+    UNK_ID,
     MaskedLM,
     MlmConfig,
     ModelConfig,
+    mlm_context_rows,
 )
 from oracles import encode_masked, greedy_oracle
 
@@ -277,6 +279,20 @@ class TestEmend:
         mlm = tiny_mlm(17)
         wrapped = [START_ID, 5, 6, EOS_ID]
         stepper = EmendStepper(model, mlm, feats(17), wrapped)
+        assert stepper.rows.shape == (len(wrapped), mlm.cfg.hidden_dim)
+
+    def test_strip_specials_keeps_unknown_words(self):
+        assert strip_specials([5, UNK_ID, 6, EOS_ID]) == [5, UNK_ID, 6]
+        assert strip_specials([START_ID, PAD_ID, MASK_ID, 5, EOS_ID]) == [5]
+
+    def test_unknown_word_keeps_its_draft_row(self):
+        # one row per masked position 1..4 of the wrapped draft, plus the appended row
+        model = tiny_model("cold", seed=27)
+        mlm = tiny_mlm(27)
+        stepper = decoding._make_stepper(model, feats(27), mlm, [5, UNK_ID, 6, EOS_ID])
+        wrapped = [START_ID, 5, UNK_ID, 6, EOS_ID]
+        assert np.array_equal(stepper.rows,
+                              mlm_context_rows(mlm, [wrapped], append_row=True)[0])
         assert stepper.rows.shape == (len(wrapped), mlm.cfg.hidden_dim)
 
     def test_step_t_reads_draft_row_t_then_the_last_row(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, grad_check, no_grad, softmax_xent
+from capfuse.autodiff import Tensor, grad_check, no_grad, params_checksum, softmax_xent
 from capfuse.errors import ConfigError, InputError, StateError
 from capfuse.models import (
     EOS_ID,
@@ -14,6 +14,9 @@ from capfuse.models import (
     MlmPretrainConfig,
     ModelConfig,
     ParamStore,
+    _masked_batch_loss,
+    _stack_step,
+    _zero_state,
     mlm_context_rows,
     mlm_masked_accuracy,
     mlm_pretrain,
@@ -211,7 +214,58 @@ class TestMaskedLM:
             assert np.allclose(b, s, atol=1e-12)
 
 
+def graph_size(root) -> int:
+    """Number of autodiff nodes reachable from `root` through _parents."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+class TestMlmGraph:
+    def test_frozen_mlm_unchanged_by_a_backward_through_it(self):
+        mlm = tiny_mlm(seed=15)
+        mlm.freeze()
+        before = params_checksum(mlm.parameters())
+        x = Tensor(np.random.default_rng(15).normal(size=(2, mlm.cfg.embed_dim)),
+                   requires_grad=True)
+        state = _zero_state(mlm.LAYERS, 2, mlm.cfg.hidden_dim)
+        for _ in range(3):
+            top, state = _stack_step(mlm.fwd, x, state)
+        (top * top).sum().backward()
+        assert x.grad is not None and np.abs(x.grad).sum() > 0
+        assert all(p.grad is None for p in mlm.parameters())
+        assert params_checksum(mlm.parameters()) == before
+
+    def test_masked_batch_loss_graph_size(self):
+        # 32 captions of width 19: the fused cell step records 337 nodes here,
+        # the 23-node composite cell 1265
+        rng = np.random.default_rng(19)
+        lens = [19] + [int(n) for n in rng.integers(3, 20, 31)]
+        seqs = [[START_ID] + [int(t) for t in rng.integers(5, V, n - 2)] + [EOS_ID]
+                for n in lens]
+        positions = np.array([int(rng.integers(1, n)) for n in lens])
+        loss = _masked_batch_loss(tiny_mlm(), seqs, positions)
+        assert graph_size(loss) < 400
+
+
 class TestMlmPretrain:
+    def test_two_epochs_reproduce_recorded_losses(self):
+        # recorded with the composite LSTM cell and the two-branch sigmoid;
+        # pins the arithmetic of the fused step's forward and backward
+        rng = np.random.default_rng(11)
+        corpus = [[START_ID] + [int(t) for t in rng.integers(5, V, int(rng.integers(1, 8)))]
+                  + [EOS_ID] for _ in range(40)]
+        _, report = mlm_pretrain(tiny_mlm(seed=12), corpus,
+                                 MlmPretrainConfig(epochs=2, lr=3e-3, batch_size=8, seed=1))
+        assert report.initial_loss == pytest.approx(2.483898762986212, rel=1e-9)
+        assert report.epoch_losses == pytest.approx(
+            [2.4809887422280865, 2.4669663251875464], rel=1e-9)
+
     def test_memorizes_repeated_sentence(self):
         mlm = tiny_mlm(seed=10)
         seq = [START_ID, 5, 6, 7, EOS_ID]
