@@ -4,8 +4,8 @@ A Tensor wraps a numpy array and records the operations that produced it;
 calling backward() on a scalar output walks the graph in reverse topological
 order and accumulates gradients into every tensor that requires them. The
 module also provides the Adam optimizer and a finite-difference gradient
-checker used as the independent oracle in tests. One primitive is fused:
-lstm_step records a whole LSTM cell step as one node plus two views.
+checker used as the independent oracle in tests, and lstm_step, a whole LSTM
+cell step in one numpy pass for steps that record no graph.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -342,41 +342,21 @@ def glu(x: Tensor) -> Tensor:
     return out
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
-              b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM cell step as one node over the packed [h_new | c_new] state,
-    returned as two views. z = x @ wx + h @ wh + b holds the gates in order
-    (input, forget, candidate, output), all four from one tanh with sigmoid as
-    0.5 * (tanh(z / 2) + 1); the backward is hand-written for all six inputs."""
-    z = x.data @ wx.data + h.data @ wh.data + b.data
-    n = h.data.shape[-1]
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, wx: np.ndarray,
+              wh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell step on plain arrays in one numpy pass; records no graph.
+
+    z = x @ wx + h @ wh + b holds the gates in order (input, forget,
+    candidate, output); all four come from one tanh, with each sigmoid as
+    0.5 * (tanh(z / 2) + 1). Returns (h_new, c_new).
+    """
+    z = x @ wx + h @ wh + b
+    n = h.shape[-1]
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], n)
-    t = np.tanh(z * scale)
-    act = t * scale + (1.0 - scale)
+    act = np.tanh(z * scale) * scale + (1.0 - scale)
     i, f, g, o = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
-    c_new = f * c.data + i * g
-    tc = np.tanh(c_new)
-    out = _result(np.concatenate([o * tc, c_new], axis=1), (x, h, c, wx, wh, b))
-    if out.requires_grad:
-        def back(grad):
-            gh, gc = grad[:, :n], grad[:, n:]
-            dc = gc + gh * o * (1.0 - tc * tc)
-            dz = np.concatenate([dc * g, dc * c.data, dc * i, gh * tc], axis=1)
-            dz *= scale * scale * (1.0 - t * t)
-            if x.requires_grad:
-                x._accum(dz @ wx.data.T)
-            if h.requires_grad:
-                h._accum(dz @ wh.data.T)
-            if c.requires_grad:
-                c._accum(dc * f)
-            if wx.requires_grad:
-                wx._accum(x.data.T @ dz)
-            if wh.requires_grad:
-                wh._accum(h.data.T @ dz)
-            if b.requires_grad:
-                b._accum(dz.sum(axis=0))
-        out._backward = back
-    return slice_last(out, 0, n), slice_last(out, n, 2 * n)
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

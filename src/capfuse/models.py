@@ -6,8 +6,11 @@ masked LM encodes a sequence with exactly one mask token by running a forward
 recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
 
-Every LstmCell step of both models, in drafting, emendation and pretraining,
-is one fused autodiff.lstm_step node (gates i, f, g, o; sigmoid through tanh).
+An LstmCell step that records no graph (drafting, emendation and the masked
+LM's context rows, all under no_grad) is one fused numpy pass,
+autodiff.lstm_step; a step inside a graph (pretraining) is built from
+elementary autodiff nodes. Both have gates (i, f, g, o), take each sigmoid
+through tanh, and give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from .autodiff import (
     concat_last,
     dropout,
     gather_rows,
+    grad_enabled,
     lstm_step,
     no_grad,
     params_checksum,
+    slice_last,
     softmax_xent_rows,
 )
 from .errors import ConfigError, InputError, StateError
@@ -91,11 +96,15 @@ class ParamStore:
 
 
 class LstmCell:
-    """Single LSTM layer; each step is one fused autodiff.lstm_step node with
-    gate order (input, forget, candidate, output) and sigmoid through tanh."""
+    """Single LSTM layer; gate order is (input, forget, candidate, output).
+
+    A step that records no graph is one autodiff.lstm_step pass over the
+    arrays; a step inside a graph is built from elementary autodiff nodes
+    with the same arithmetic, each sigmoid through tanh."""
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
+        self.hidden = hidden
         self.wx = store._param(f"{prefix}.Wx", xavier_uniform(rng, in_dim, 4 * hidden))
         self.wh = store._param(f"{prefix}.Wh", xavier_uniform(rng, hidden, 4 * hidden))
         bias = np.zeros(4 * hidden)
@@ -103,7 +112,19 @@ class LstmCell:
         self.b = store._param(f"{prefix}.b", bias)
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        return lstm_step(x, h, c, self.wx, self.wh, self.b)
+        inputs = (x, h, c, self.wx, self.wh, self.b)
+        if not (grad_enabled() and any(t.requires_grad for t in inputs)):
+            h_new, c_new = lstm_step(*(t.data for t in inputs))
+            return Tensor(h_new), Tensor(c_new)
+        z = (x @ self.wx) + (h @ self.wh) + self.b
+        n = self.hidden
+        i = slice_last(z, 0, n).sigmoid()
+        f = slice_last(z, n, 2 * n).sigmoid()
+        g = slice_last(z, 2 * n, 3 * n).tanh()
+        o = slice_last(z, 3 * n, 4 * n).sigmoid()
+        c_new = (f * c) + (i * g)
+        h_new = o * c_new.tanh()
+        return h_new, c_new
 
 
 def _zero_state(layers: int, batch: int, hidden: int):

@@ -4,8 +4,7 @@ These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, masked-LM states one masked
-sequence at a time, greedy decoding by a plain argmax loop, and the LSTM cell
-step as a composite of elementary autodiff nodes.
+sequence at a time, and greedy decoding by a plain argmax loop.
 """
 
 import math
@@ -13,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from capfuse.autodiff import Tensor, slice_last
+from capfuse.autodiff import Tensor
 from capfuse.errors import InputError
 from capfuse.models import EOS_ID, MASK_ID, START_ID
 
@@ -208,21 +207,6 @@ def all_sequences(alphabet, max_len):
 
 
 # -- masked LM and decoding -----------------------------------------------------------
-
-
-def lstm_step_composite(x, h, c, wx, wh, b):
-    """One LSTM cell step built from about 23 elementary autodiff nodes, gates
-    in order (input, forget, candidate, output): the reference for the fused
-    autodiff.lstm_step. Returns (h_new, c_new)."""
-    z = (x @ wx) + (h @ wh) + b
-    n = h.data.shape[-1]
-    i = slice_last(z, 0, n).sigmoid()
-    f = slice_last(z, n, 2 * n).sigmoid()
-    g = slice_last(z, 2 * n, 3 * n).tanh()
-    o = slice_last(z, 3 * n, 4 * n).sigmoid()
-    c_new = (f * c) + (i * g)
-    h_new = o * c_new.tanh()
-    return h_new, c_new
 
 
 def encode_masked(mlm, tokens) -> Tensor:

@@ -14,7 +14,6 @@ from capfuse.autodiff import (
     glu,
     grad_check,
     log_softmax,
-    lstm_step,
     matmul,
     no_grad,
     slice_last,
@@ -23,7 +22,6 @@ from capfuse.autodiff import (
     softmax_xent_rows,
 )
 from capfuse.errors import ConfigError, NumericError, ShapeError, StateError
-from oracles import lstm_step_composite
 
 
 def t(values, rg=True):
@@ -454,87 +452,6 @@ class TestGraphMechanics:
             return (out * out).sum()
 
         assert grad_check(f, [x, w, b]) <= 1e-4
-
-
-def lstm_inputs(seed, batch=3, in_dim=5, hidden=4, spread=2.0):
-    """(x, h, c, wx, wh, b) of one LSTM step, every input requiring a gradient."""
-    rng = np.random.default_rng(seed)
-    shapes = [(batch, in_dim), (batch, hidden), (batch, hidden),
-              (in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)]
-    return [Tensor(rng.uniform(-spread, spread, s), requires_grad=True) for s in shapes]
-
-
-def lstm_loss(step, seed=99):
-    """A scalar that weighs every element of both outputs of a step differently."""
-    def f(*inputs):
-        h_new, c_new = step(*inputs)
-        rng = np.random.default_rng(seed)
-        ph, pc = (Tensor(rng.normal(size=h_new.shape)) for _ in range(2))
-        return (h_new * ph).sum() + (c_new * pc).sum()
-    return f
-
-
-def grads_of(step, inputs):
-    for x in inputs:
-        x.grad = None
-    lstm_loss(step)(*inputs).backward()
-    return [x.grad.copy() for x in inputs]
-
-
-class TestLstmStep:
-    """The fused node against the composite cell in tests/oracles.py."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_forward_matches_composite(self, seed):
-        inputs = lstm_inputs(seed)
-        for fused, composite in zip(lstm_step(*inputs), lstm_step_composite(*inputs)):
-            assert np.allclose(fused.data, composite.data, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_gradients_match_composite(self, seed):
-        inputs = lstm_inputs(seed)
-        for fused, composite in zip(grads_of(lstm_step, inputs),
-                                    grads_of(lstm_step_composite, inputs)):
-            assert np.allclose(fused, composite, rtol=0.0, atol=1e-9)
-
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_grad_check(self, batch):
-        inputs = lstm_inputs(7 + batch, batch=batch, in_dim=3, hidden=2, spread=1.0)
-        assert grad_check(lstm_loss(lstm_step), inputs) <= 1e-6
-
-    def test_one_node_and_two_views(self):
-        inputs = lstm_inputs(3)
-        h_new, c_new = lstm_step(*inputs)
-        (node,) = h_new._parents
-        assert c_new._parents == (node,)
-        assert node._parents == tuple(inputs)
-        assert np.shares_memory(h_new.data, node.data)
-        assert np.shares_memory(c_new.data, node.data)
-
-    def test_frozen_weights_get_no_gradient(self):
-        x, h, c, wx, wh, b = lstm_inputs(4)
-        frozen = [Parameter(name, w.data.copy(), frozen=True)
-                  for name, w in (("wx", wx), ("wh", wh), ("b", b))]
-        lstm_loss(lstm_step)(x, h, c, *frozen).backward()
-        assert all(p.grad is None for p in frozen)
-        assert all(t.grad is not None for t in (x, h, c))
-
-    def test_no_graph_under_no_grad(self):
-        inputs = lstm_inputs(5)
-        with no_grad():
-            outs = lstm_step(*inputs)
-        assert all(o._parents == () and not o.requires_grad for o in outs)
-        outs = lstm_step(*[Tensor(t.data) for t in inputs])
-        assert all(o._parents == () and not o.requires_grad for o in outs)
-
-    def test_saturated_inputs_stay_finite(self):
-        inputs = lstm_inputs(6)
-        rng = np.random.default_rng(6)
-        for t_ in inputs:
-            t_.data = rng.choice([-1000.0, 1000.0], size=t_.data.shape)
-        outs = lstm_step(*inputs)
-        assert all(np.isfinite(o.data).all() for o in outs)
-        assert all(np.isfinite(g).all() for g in grads_of(lstm_step, inputs))
 
 
 def saturated_tanh_case():

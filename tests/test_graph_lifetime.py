@@ -6,7 +6,7 @@ import gc
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, lstm_step
+from capfuse.autodiff import Tensor
 from capfuse.models import MaskedLM, MlmConfig, _masked_batch_loss
 
 # deeper than the interpreter's recursion limit, so neither the topological
@@ -26,20 +26,6 @@ def chain():
     return build
 
 
-def lstm_chain():
-    rng = np.random.default_rng(0)
-    x, wx, wh, b = (Tensor(rng.normal(size=s), requires_grad=True)
-                    for s in ((2, 3), (3, 16), (4, 16), (16,)))
-
-    def build():
-        h = c = Tensor(np.zeros((2, 4)))
-        for _ in range(200):
-            h, c = lstm_step(x, h, c, wx, wh, b)
-        return h.sum() + c.sum()
-
-    return build
-
-
 def masked_batch():
     mlm = MaskedLM(MlmConfig(vocab_size=12, embed_dim=6, hidden_dim=7),
                    np.random.default_rng(0))
@@ -53,7 +39,7 @@ def tensors():
 
 
 @pytest.mark.parametrize("backprop", [True, False], ids=["backward", "no_backward"])
-@pytest.mark.parametrize("graph", [chain, lstm_chain, masked_batch])
+@pytest.mark.parametrize("graph", [chain, masked_batch])
 def test_dropping_the_loss_frees_its_graph_without_the_collector(graph, backprop):
     build = graph()
     was_enabled = gc.isenabled()
