@@ -4,8 +4,9 @@ A Tensor wraps a numpy array and records the operations that produced it;
 calling backward() on a scalar output walks the graph in reverse topological
 order and accumulates gradients into every tensor that requires them. The
 module also provides the Adam optimizer and a finite-difference gradient
-checker used as the independent oracle in tests, and lstm_step, a whole LSTM
-cell step in one numpy pass for steps that record no graph.
+checker used as the independent oracle in tests, and lstm_step(xp, h, c, wh,
+b), the one LSTM cell kernel for steps that record no graph; it takes the input
+already projected, xp = x @ Wx, so a caller can project a whole sequence at once.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -16,6 +17,7 @@ backward() ran, without waiting for the cyclic garbage collector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -176,10 +178,9 @@ class Tensor:
         return out
 
     def relu(self):
-        mask = self.data > 0.0
-        out = _result(np.where(mask, self.data, 0.0), (self,))
+        out = _result(np.maximum(self.data, 0.0), (self,))  # NaN stays NaN
         if out.requires_grad:
-            def back(g, a=self, m=mask):
+            def back(g, a=self, m=self.data > 0.0):
                 a._accum(g * m)
             out._backward = back
         return out
@@ -342,21 +343,33 @@ def glu(x: Tensor) -> Tensor:
     return out
 
 
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, wx: np.ndarray,
-              wh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell step on plain arrays in one numpy pass; records no graph.
+def lstm_step(xp: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
+              b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell step on plain arrays; records no graph.
 
-    z = x @ wx + h @ wh + b holds the gates in order (input, forget,
-    candidate, output); all four come from one tanh, with each sigmoid as
-    0.5 * (tanh(z / 2) + 1). Returns (h_new, c_new).
+    xp = x @ Wx is the projected input. z = xp + h @ wh, then z += b, holds the
+    gates in order (input, forget, candidate, output); all four come from one
+    in-place tanh, each sigmoid as 0.5 * (tanh(z / 2) + 1). Returns (h_new, c_new).
     """
-    z = x @ wx + h @ wh + b
+    z = xp + h @ wh
+    z += b
     n = h.shape[-1]
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], n)
-    act = np.tanh(z * scale) * scale + (1.0 - scale)
-    i, f, g, o = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+    scale, shift = _gate_scale(n)  # read-only rows
+    np.tanh(np.multiply(z, scale, out=z), out=z)
+    z *= scale
+    z += shift
+    i, f, g, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_scale(n: int) -> np.ndarray:
+    # rows (scale, shift): tanh(z * scale) * scale + shift is the sigmoid on
+    # gates i, f, o and tanh on g; shift = 1 - scale
+    rows = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], n, axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ of the surviving hypotheses. beam_over is the only decode loop; greedy decoding
 is beam width 1. A baseline model decodes from the image alone. A fusion model
 decodes only against a draft: at step t the frozen masked LM has read the draft
 with position t+1 masked, and that row is shared by every hypothesis in the
-beam. The MLM encodes each draft once: the steppers of every fusion kind that
-emends the draft, and of the rescoring oracle sequence_logprob(..., draft=),
-share the same read-only rows.
+beam. A frozen MLM encodes each distinct draft once per corpus and caches the
+read-only rows of up to ROWS_CACHE_SIZE drafts for every fusion kind, the
+rescoring oracle sequence_logprob(..., draft=) and every later example with
+that draft. A step whose logits hold NaN or +inf raises NumericError.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, log_softmax, no_grad
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericError
 from .models import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, MaskedLM, mlm_context_rows
 
 # tokens never emitted by a decoder
 BLOCKED_IDS = (PAD_ID, START_ID, MASK_ID)
+# distinct drafts whose rows draft_rows keeps on a frozen masked LM
+ROWS_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -76,6 +79,8 @@ class Stepper:
                 row = self.rows[min(t, self.rows.shape[0] - 1)]
                 h_mlm = Tensor(np.tile(row, (tokens.shape[0], 1)))
             logits = self.model.step_logits(h_top, h_mlm).data
+        if not (logits < np.inf).all():
+            raise NumericError(f"the logits of step {t} hold NaN or +inf")
         logits[:, list(BLOCKED_IDS)] = -np.inf
         return (t + 1, lstm_state), log_softmax(logits)
 
@@ -87,22 +92,25 @@ class Stepper:
 def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
     """Read-only masked-LM rows of one wrapped draft, appended row included.
 
-    A frozen MLM keeps the last draft's rows and hands them out again while
-    every parameter still holds the array the rows were computed from. Frozen
-    arrays are read-only, so only rebinding a parameter's data can change them.
+    A frozen MLM keeps the rows of up to ROWS_CACHE_SIZE drafts, keyed by
+    their ids, and drops the oldest first. The cache holds while every
+    parameter still holds the array the rows were computed from: frozen
+    arrays are read-only, so only rebinding a parameter's data can change
+    them, and that empties the cache. An unfrozen MLM keeps nothing.
     """
-    key = tuple(wrapped)
     arrays = [p.data for p in mlm.parameters()]
     frozen = mlm.frozen()
     memo = mlm.rows_memo
-    if (frozen and memo is not None and memo[0] == key
-            and all(a is b for a, b in zip(arrays, memo[1]))):
-        return memo[2]
-    rows = mlm_context_rows(mlm, [wrapped], append_row=True)[0]
-    rows.flags.writeable = False
-    if frozen:
-        mlm.rows_memo = (key, arrays, rows)
-    return rows
+    if frozen and (memo is None or not all(a is b for a, b in zip(arrays, memo[0]))):
+        mlm.rows_memo = memo = (arrays, {})
+    cache = memo[1] if frozen else {}
+    key = tuple(wrapped)
+    if key not in cache:
+        if len(cache) >= ROWS_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = mlm_context_rows(mlm, [wrapped], append_row=True)[0]
+        cache[key].flags.writeable = False
+    return cache[key]
 
 
 class EmendStepper(Stepper):

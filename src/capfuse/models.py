@@ -6,11 +6,13 @@ masked LM encodes a sequence with exactly one mask token by running a forward
 recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
 
-An LstmCell step that records no graph (drafting, emendation and the masked
-LM's context rows, all under no_grad) is one fused numpy pass,
-autodiff.lstm_step; a step inside a graph (pretraining) is built from
-elementary autodiff nodes. Both have gates (i, f, g, o), take each sigmoid
-through tanh, and give the same values bit for bit.
+An LSTM step that records no graph runs the one cell kernel,
+autodiff.lstm_step(x @ Wx, h, c, Wh, b): LstmCell.step for drafting,
+emendation and the masked LM's step-major _run_encoder outside a graph, and
+MaskedLM._encode_states, the layer-major encoder of mlm_context_rows (one
+[T*B x E] @ Wx per layer and direction, then a loop of h @ Wh and the kernel),
+whose context rows are gathered from the [T x B x H] states by one fancy index.
+Inside a graph (pretraining) a step is built from elementary autodiff nodes.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class LstmCell:
 
     A step that records no graph is one autodiff.lstm_step pass over the
     arrays; a step inside a graph is built from elementary autodiff nodes
-    with the same arithmetic, each sigmoid through tanh."""
+    with the same arithmetic, each sigmoid through tanh, bit for bit."""
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -114,7 +116,8 @@ class LstmCell:
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         inputs = (x, h, c, self.wx, self.wh, self.b)
         if not (grad_enabled() and any(t.requires_grad for t in inputs)):
-            h_new, c_new = lstm_step(*(t.data for t in inputs))
+            h_new, c_new = lstm_step(x.data @ self.wx.data, h.data, c.data,
+                                     self.wh.data, self.b.data)
             return Tensor(h_new), Tensor(c_new)
         z = (x @ self.wx) + (h @ self.wh) + self.b
         n = self.hidden
@@ -224,8 +227,8 @@ class MaskedLM(ParamStore):
         self.comb_b = self._param("mlm.combine.b", np.zeros(h))
         self.head_w = self._param("mlm.head.W", xavier_uniform(rng, h, v))
         self.head_b = self._param("mlm.head.b", np.zeros(v))
-        # (draft ids, parameter arrays, rows) of the last draft that
-        # decoding.draft_rows encoded while this MLM was frozen
+        # (parameter arrays, {draft ids: rows}) that decoding.draft_rows
+        # fills while this MLM is frozen
         self.rows_memo = None
 
     # -- core encoding ----------------------------------------------------
@@ -243,6 +246,22 @@ class MaskedLM(ParamStore):
             top, state = _stack_step(cells, gather_rows(self.embed, token_matrix[:, t]), state)
             tops.append(top)
         return tops
+
+    def _encode_states(self, cells, token_matrix: np.ndarray, out: np.ndarray):
+        """Graph-free, layer-major unroll of one direction over a [batch x T]
+        token matrix: per layer one [T*batch x E] @ Wx, then a loop of h @ Wh
+        and autodiff.lstm_step. Writes the top layer's state after each step
+        into out[:T], a time-major [T x batch x hidden] array; each lower
+        layer's states pass through out[:T] too."""
+        batch, steps = token_matrix.shape
+        x = self.embed.data[token_matrix.T]  # time-major [T x batch x E]
+        for cell in cells:
+            xp = (x.reshape(steps * batch, -1) @ cell.wx.data).reshape(steps, batch, -1)
+            h = c = np.zeros((batch, self.cfg.hidden_dim))
+            for t in range(steps):
+                h, c = lstm_step(xp[t], h, c, cell.wh.data, cell.b.data)
+                out[t] = h
+            x = out[:steps]
 
     def combine(self, fwd_ctx: Tensor, bwd_ctx: Tensor) -> Tensor:
         return affine(concat_last(fwd_ctx, bwd_ctx), self.comb_w, self.comb_b)
@@ -291,8 +310,8 @@ def _select_steps(tops: list[Tensor], idx: np.ndarray) -> Tensor:
     return out
 
 
-# sequences per padded batch of mlm_context_rows, bounding its [B x T x H] state arrays
-ROWS_CHUNK = 512
+# sequences per padded batch of mlm_context_rows; bounds its [T x B x 4H] projections
+ROWS_CHUNK = 128
 
 
 def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
@@ -312,41 +331,24 @@ def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
 
 
 def _context_rows_chunk(mlm: MaskedLM, seqs, append_row: bool) -> list[np.ndarray]:
-    if not seqs:
-        return []
-    h = mlm.cfg.hidden_dim
     with no_grad():
         toks, rev, lens = _padded_batch(seqs)
-        fwd_tops = mlm._run_encoder(mlm.fwd, toks)
-        bwd_tops = mlm._run_encoder(mlm.bwd, rev)
-        fwd_np = np.stack([t.data for t in fwd_tops], axis=1)  # [B x T x H]
-        bwd_np = np.stack([t.data for t in bwd_tops], axis=1)
-        pairs = []
-        counts = []
-        for i, n in enumerate(lens):
-            n = int(n)
-            rows = 0
-            for p in range(1, n):
-                f = fwd_np[i, p - 1]
-                b = bwd_np[i, n - 2 - p] if p <= n - 2 else np.zeros(h)
-                pairs.append(np.concatenate([f, b]))
-                rows += 1
-            if append_row and n >= 2:
-                # mask inserted after the final pre-end token: forward context
-                # is the whole prefix up to that token, backward context is the
-                # end token alone
-                pairs.append(np.concatenate([fwd_np[i, n - 2], bwd_np[i, 0]]))
-                rows += 1
-            counts.append(rows)
-        if not pairs:
-            return [np.zeros((0, h)) for _ in seqs]
-        combined = affine(Tensor(np.asarray(pairs)), mlm.comb_w, mlm.comb_b).data
-        out = []
-        offset = 0
-        for rows in counts:
-            out.append(combined[offset:offset + rows])
-            offset += rows
-    return out
+        # both directions' top-layer states, time-major, with a zero step
+        # appended so that step index -1 reads an empty context
+        both = np.zeros((2, toks.shape[1] + 1, len(seqs), mlm.cfg.hidden_dim))
+        mlm._encode_states(mlm.fwd, toks, both[0])
+        mlm._encode_states(mlm.bwd, rev, both[1])
+        # rows p = 1..n-1 of a length-n sequence, then p = n for the mask
+        # inserted after the final pre-end token: its forward context is the
+        # prefix up to that token, its backward context the end token alone
+        counts = np.maximum(lens - 1, 0) + (append_row & (lens >= 2))
+        owner = np.repeat(np.arange(len(seqs)), counts)
+        p = np.arange(1, len(owner) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        n = lens[owner]
+        steps = np.stack([np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)], axis=1)
+        pairs = both[[0, 1], steps, owner[:, None]].reshape(len(owner), 2 * mlm.cfg.hidden_dim)
+        combined = affine(Tensor(pairs), mlm.comb_w, mlm.comb_b).data
+    return np.split(combined, np.cumsum(counts)[:-1])
 
 
 @dataclass

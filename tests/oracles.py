@@ -4,7 +4,8 @@ These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, masked-LM states one masked
-sequence at a time, and greedy decoding by a plain argmax loop.
+sequence at a time, one step and one layer at a time, and greedy decoding by a
+plain argmax loop.
 """
 
 import math
@@ -209,6 +210,23 @@ def all_sequences(alphabet, max_len):
 # -- masked LM and decoding -----------------------------------------------------------
 
 
+def _unroll(cells, embed, tokens):
+    """Top-layer hidden state after the last token, one step and one layer at
+    a time in plain numpy, with the logistic sigmoid as exp(-log(1 + e^-z))."""
+    state = [(np.zeros(cell.hidden), np.zeros(cell.hidden)) for cell in cells]
+    for tok in tokens:
+        x = embed.data[tok]
+        for k, cell in enumerate(cells):
+            h, c = state[k]
+            z = x @ cell.wx.data + h @ cell.wh.data + cell.b.data
+            i, f, g, o = np.split(z, 4)
+            c = np.exp(-np.logaddexp(0.0, -f)) * c + np.exp(-np.logaddexp(0.0, -i)) * np.tanh(g)
+            h = np.exp(-np.logaddexp(0.0, -o)) * np.tanh(c)
+            state[k] = (h, c)
+            x = h
+    return state[-1][0]
+
+
 def encode_masked(mlm, tokens) -> Tensor:
     """Masked-LM state at the single [MASK] position of one token sequence,
     from the forward encoder over the tokens left of it and the backward
@@ -219,10 +237,10 @@ def encode_masked(mlm, tokens) -> Tensor:
         raise InputError(f"expected exactly one mask token, found {len(positions)}")
     p = positions[0]
     prefix, suffix = tokens[:p], tokens[p + 1:]
-    zeros = Tensor(np.zeros((1, mlm.cfg.hidden_dim)))
-    fwd_ctx = mlm._run_encoder(mlm.fwd, np.asarray([prefix]))[-1] if prefix else zeros
-    bwd_ctx = mlm._run_encoder(mlm.bwd, np.asarray([suffix[::-1]]))[-1] if suffix else zeros
-    return mlm.combine(fwd_ctx, bwd_ctx)
+    zeros = np.zeros(mlm.cfg.hidden_dim)
+    fwd_ctx = _unroll(mlm.fwd, mlm.embed, prefix) if prefix else zeros
+    bwd_ctx = _unroll(mlm.bwd, mlm.embed, suffix[::-1]) if suffix else zeros
+    return mlm.combine(Tensor(fwd_ctx[None]), Tensor(bwd_ctx[None]))
 
 
 def greedy_oracle(stepper, max_len):

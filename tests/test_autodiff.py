@@ -89,6 +89,29 @@ class TestAffine:
         err = grad_check(lambda *a: affine(*a).sum(), [x, w, b])
         assert err <= 1e-6
 
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 2), (2,)), ((4,), (4, 3), (3,)),
+                                        ((1, 4), (4, 5), (1, 5)), ((2, 4), (4, 3), (2, 3))])
+    def test_without_a_graph_equals_matmul_plus_add(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]) + shapes[1][1])
+        x, w, b = (Tensor(rng.normal(size=s)) for s in shapes)
+        out = affine(x, w, b)
+        assert out._parents == () and not out.requires_grad
+        assert out.data.tobytes() == (matmul(x, w) + b).data.tobytes()
+        recorded = [Tensor(a.data, requires_grad=True) for a in (x, w, b)]
+        assert affine(*recorded).data.tobytes() == out.data.tobytes()
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (2,)), ((3, 4), (4, 2), (3,)),
+                                        ((2, 3, 4), (4, 2), (2,)), ((3, 4), (4, 2, 2), (2,))])
+    def test_without_a_graph_raises_the_shape_errors_of_the_graph_path(self, shapes):
+        messages = []
+        for rg in (True, False):
+            with pytest.raises(ShapeError) as err:
+                affine(*(Tensor(np.ones(s), requires_grad=rg) for s in shapes))
+            messages.append(str(err.value))
+        with no_grad(), pytest.raises(ShapeError) as err:
+            affine(*(Tensor(np.ones(s), requires_grad=True) for s in shapes))
+        assert messages[0] == messages[1] == str(err.value)
+
 
 class TestConcat:
     def test_basic(self):
@@ -159,6 +182,24 @@ class TestActivations:
         y = x.relu().sum()
         y.backward()
         assert x.grad[0] == 0.0
+
+    @pytest.mark.parametrize("rg", [True, False])
+    def test_relu_propagates_nan(self, rg):
+        out = t([np.nan, -1.0, 2.0], rg=rg).relu()
+        assert np.isnan(out.data[0]) and np.array_equal(out.data[1:], [0.0, 2.0])
+
+    def test_relu_values_and_gradients_keep_their_bits(self):
+        rng = np.random.default_rng(8)
+        data = np.concatenate([rng.normal(size=60), [0.0, -0.0, 1e-300, -1e-300, 5e-324]])
+        g = rng.normal(size=data.shape)
+        x = t(data)
+        y = x.relu()
+        (y * Tensor(g)).sum().backward()
+        # the masked-select relu: np.where(x > 0, x, 0), gradient g * (x > 0)
+        assert y.data.tobytes() == np.where(data > 0.0, data, 0.0).tobytes()
+        assert x.grad.tobytes() == (np.zeros_like(data) + g * (data > 0.0)).tobytes()
+        with no_grad():
+            assert t(data).relu().data.tobytes() == y.data.tobytes()
 
 
 class TestGlu:

@@ -16,7 +16,8 @@ from capfuse.decoding import (
     sequence_logprob,
     strip_specials,
 )
-from capfuse.errors import ConfigError, InputError
+from capfuse.autodiff import Tensor
+from capfuse.errors import ConfigError, InputError, NumericError
 from capfuse.fusion import build_model
 from capfuse.models import (
     EOS_ID,
@@ -371,7 +372,7 @@ class TestDraftRowsMemo:
         model = tiny_model("cold", seed=21)
         EmendStepper(model, mlm, feats(21), wrapped)
         rows = EmendStepper(model, mlm, feats(21), wrapped).rows
-        assert rows is mlm.rows_memo[2]
+        assert rows is mlm.rows_memo[1][tuple(wrapped)]
         want = decoding.mlm_context_rows(twin, [wrapped], append_row=True)[0]
         assert rows.tobytes() == want.tobytes()
         # one row per masked position 1..L-1, then a mask inserted before <eos>
@@ -392,7 +393,32 @@ class TestDraftRowsMemo:
         sequence_logprob(tiny_model("hier", seed=22), f, outs["hier"], mlm=mlm, draft=draft)
         assert len(calls) == 1
         emend(tiny_model("simple", seed=22), mlm, f, [8, 9, EOS_ID])
-        assert len(calls) == 2  # a new draft replaces the single memo entry
+        assert len(calls) == 2  # a new draft is encoded once more
+
+    def test_a_repeated_draft_is_encoded_once_per_corpus(self, monkeypatch):
+        calls = count_context_rows(monkeypatch)
+        mlm = tiny_mlm(26)
+        mlm.freeze()
+        model = tiny_model("cold", seed=26)
+        first = EmendStepper(model, mlm, feats(26), [START_ID, 5, 6, EOS_ID]).rows
+        EmendStepper(model, mlm, feats(27), [START_ID, 7, EOS_ID])
+        again = EmendStepper(model, mlm, feats(28), [START_ID, 5, 6, EOS_ID]).rows
+        assert len(calls) == 2
+        assert again is first
+
+    def test_the_oldest_draft_is_evicted_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(decoding, "ROWS_CACHE_SIZE", 3)
+        mlm = tiny_mlm(27)
+        mlm.freeze()
+        drafts = [[START_ID, w, EOS_ID] for w in (5, 6, 7, 8)]
+        for d in drafts:
+            decoding.draft_rows(mlm, d)
+        assert list(mlm.rows_memo[1]) == [tuple(d) for d in drafts[1:]]
+        calls = count_context_rows(monkeypatch)
+        decoding.draft_rows(mlm, drafts[3])
+        decoding.draft_rows(mlm, drafts[0])
+        assert len(calls) == 1
+        assert list(mlm.rows_memo[1]) == [tuple(d) for d in drafts[2:] + drafts[:1]]
 
     def test_rebinding_a_frozen_parameter_forces_a_recompute(self, monkeypatch):
         calls = count_context_rows(monkeypatch)
@@ -401,10 +427,12 @@ class TestDraftRowsMemo:
         model = tiny_model("simple", seed=23)
         wrapped = [START_ID, 5, 6, EOS_ID]
         before = EmendStepper(model, mlm, feats(23), wrapped).rows
+        EmendStepper(model, mlm, feats(23), [START_ID, 7, EOS_ID])
         mlm.comb_b.data = mlm.comb_b.data + 1.0
         after = EmendStepper(model, mlm, feats(23), wrapped).rows
-        assert len(calls) == 2
+        assert len(calls) == 3
         assert np.allclose(after, before + 1.0, rtol=0, atol=1e-12)
+        assert list(mlm.rows_memo[1]) == [tuple(wrapped)]  # the rebinding emptied it
 
     def test_unfrozen_mlm_encodes_for_every_stepper(self, monkeypatch):
         calls = count_context_rows(monkeypatch)
@@ -425,3 +453,61 @@ class TestDraftRowsMemo:
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
+
+
+class TestNonFiniteLogits:
+    def test_nan_weight_raises_instead_of_an_empty_caption(self):
+        model = tiny_model("none", seed=40)
+        model.decoder.head_w.data[0, 5] = np.nan
+        with pytest.raises(NumericError, match="step 0"):
+            beam_search_scored(model, feats(40), BeamConfig(3, max_len=5))
+        with pytest.raises(NumericError):
+            sequence_logprob(model, feats(40), [5, EOS_ID])
+
+    def test_nan_fusion_weight_raises(self):
+        model = tiny_model("simple", seed=41)
+        model.fusion.gate_w.data[0, 0] = np.nan
+        mlm = tiny_mlm(41)
+        mlm.freeze()
+        with pytest.raises(NumericError):
+            emend(model, mlm, feats(41), [5, 6, EOS_ID], BeamConfig(3))
+        with pytest.raises(NumericError):
+            sequence_logprob(model, feats(41), [5, EOS_ID], mlm=mlm, draft=[5, 6, EOS_ID])
+
+    def test_plus_inf_raises_and_minus_inf_stays_legal(self):
+        model = tiny_model("none", seed=42)
+        model.decoder.head_b.data[7] = -np.inf
+        tokens, score = beam_search_scored(model, feats(42), BeamConfig(3, max_len=5))
+        assert tokens and 7 not in tokens and np.isfinite(score)
+        assert sequence_logprob(model, feats(42), tokens) == pytest.approx(score, abs=1e-9)
+        assert sequence_logprob(model, feats(42), [7, EOS_ID]) == -np.inf
+        model.decoder.head_b.data[8] = np.inf
+        with pytest.raises(NumericError):
+            beam_search_scored(model, feats(42), BeamConfig(3, max_len=5))
+        with pytest.raises(NumericError):
+            sequence_logprob(model, feats(42), tokens)
+
+
+def test_steps_and_context_rows_build_no_graph(monkeypatch):
+    created = []
+    init = Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    mlm = tiny_mlm(43)  # unfrozen: every parameter requires a gradient
+    wrapped = [START_ID, 5, 6, EOS_ID]
+    for kind in ("none", "simple", "cold", "hier"):
+        model = tiny_model(kind, seed=43)
+        stepper = (Stepper(model, feats(43)) if kind == "none"
+                   else EmendStepper(model, mlm, feats(43), wrapped))
+        state = stepper.start()
+        created.clear()
+        for tok in (START_ID, 5, 6):
+            state, _ = stepper.step(state, np.array([tok]))
+        assert created and all(t._parents == () and not t.requires_grad for t in created)
+    created.clear()
+    mlm_context_rows(mlm, [wrapped, [START_ID, 7, EOS_ID]], append_row=True)
+    assert created and all(t._parents == () and not t.requires_grad for t in created)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capfuse.autodiff import Tensor, grad_check, no_grad, params_checksum, softmax_xent
+from capfuse import models
 from capfuse.errors import ConfigError, InputError, StateError
 from capfuse.models import (
     EOS_ID,
@@ -14,6 +15,7 @@ from capfuse.models import (
     MlmPretrainConfig,
     ModelConfig,
     ParamStore,
+    _padded_batch,
     _stack_step,
     _zero_state,
     mlm_context_rows,
@@ -257,6 +259,73 @@ class TestMaskedLM:
         singles = [mlm_context_rows(mlm, [s])[0] for s in seqs]
         for b, s in zip(batched, singles):
             assert np.allclose(b, s, atol=1e-12)
+
+
+def ragged_batches():
+    rng = np.random.default_rng(30)
+    big = [int(n) for n in rng.integers(2, 12, 64)]
+    big[7] = 2
+    return [[2], [9], [5, 2, 8], big]
+
+
+def random_captions(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [[START_ID] + [int(t) for t in rng.integers(5, V, n - 2)] + [EOS_ID]
+            for n in lengths]
+
+
+class TestLayerMajorEncoder:
+    @pytest.mark.parametrize("lengths", ragged_batches(), ids=lambda n: f"B{len(n)}")
+    def test_matches_the_step_major_composite(self, lengths):
+        mlm = tiny_mlm(seed=31)  # unfrozen, so _run_encoder records a graph
+        toks, rev, _ = _padded_batch(random_captions(lengths, len(lengths)))
+        for cells, matrix in ((mlm.fwd, toks), (mlm.bwd, rev)):
+            tops = mlm._run_encoder(cells, matrix)
+            assert all(t._parents for t in tops)
+            states = np.full((matrix.shape[1] + 1, len(lengths), mlm.cfg.hidden_dim), 7.0)
+            mlm._encode_states(cells, matrix, states)
+            step_major = np.stack([t.data for t in tops])
+            assert np.allclose(states[:-1], step_major, rtol=0, atol=1e-12)
+            assert (states[-1] == 7.0).all()  # the row past T is left alone
+
+    @pytest.mark.parametrize("append_row", [False, True])
+    @pytest.mark.parametrize("lengths", ragged_batches(), ids=lambda n: f"B{len(n)}")
+    def test_batched_rows_equal_per_sequence_rows(self, lengths, append_row):
+        mlm = tiny_mlm(seed=32)
+        mlm.freeze()
+        seqs = random_captions(lengths, 100 + len(lengths))
+        batched = mlm_context_rows(mlm, seqs, append_row=append_row)
+        assert len(batched) == len(seqs)
+        for k, (seq, rows) in enumerate(zip(seqs, batched)):
+            single = mlm_context_rows(mlm, [seq], append_row=append_row)[0]
+            assert rows.shape == (len(seq) - 1 + append_row, mlm.cfg.hidden_dim)
+            assert np.allclose(rows, single, rtol=0, atol=1e-12)
+            if k < 3:
+                variants = [seq[:p] + [MASK_ID] + seq[p + 1:] for p in range(1, len(seq))]
+                if append_row:
+                    variants.append(seq[:-1] + [MASK_ID] + seq[-1:])
+                want = np.concatenate([encode_masked(mlm, v).data for v in variants])
+                assert np.allclose(rows, want, rtol=0, atol=1e-12)
+
+    def test_chunked_rows_equal_one_batch(self, monkeypatch):
+        mlm = tiny_mlm(seed=34)
+        mlm.freeze()
+        seqs = random_captions(ragged_batches()[-1], 34)
+        whole = mlm_context_rows(mlm, seqs, append_row=True)
+        monkeypatch.setattr(models, "ROWS_CHUNK", 7)
+        chunked = mlm_context_rows(mlm, seqs, append_row=True)
+        assert len(chunked) == len(whole) == len(seqs)
+        for a, b in zip(chunked, whole):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_context_rows_run_no_cell_step(self, monkeypatch):
+        def step(*_):
+            raise AssertionError("context rows stepped an LstmCell")
+
+        monkeypatch.setattr(LstmCell, "step", step)
+        mlm = tiny_mlm(seed=33)
+        rows = mlm_context_rows(mlm, [[START_ID, 5, 6, EOS_ID], [START_ID, EOS_ID]])
+        assert [r.shape[0] for r in rows] == [3, 1]
 
 
 class TestMlmGraph:
