@@ -186,7 +186,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        s = _sigmoid(self.data)
+        s = sigmoid(self.data)
         out = _result(s, (self,))
         if out.requires_grad:
             def back(g, a=self, v=s):
@@ -246,8 +246,9 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # through tanh, which saturates instead of overflowing
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid on plain arrays, through tanh, which saturates
+    instead of overflowing."""
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
@@ -331,7 +332,7 @@ def glu(x: Tensor) -> Tensor:
         raise ShapeError(f"glu needs an even last dimension, got {x.shape}")
     h = d // 2
     a = x.data[..., :h]
-    gate = _sigmoid(x.data[..., h:])
+    gate = sigmoid(x.data[..., h:])
     out = _result(a * gate, (x,))
     if out.requires_grad:
         def back(g, t=x, av=a, gv=gate, k=h):

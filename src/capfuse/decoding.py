@@ -3,8 +3,14 @@
 One stepper drives every decode: start() primes the decoder with the image
 features, step() consumes one token per hypothesis and returns the renewed
 state plus log-probabilities for the next token, and select() keeps the states
-of the surviving hypotheses. beam_over is the only decode loop; greedy decoding
-is beam width 1. A baseline model decodes from the image alone. A fusion model
+of the surviving hypotheses. A step records no graph and makes no Tensor: its
+state is plain arrays, (t, [(h, c) per decoder layer]), and it runs the
+embedding gather, CaptionDecoder.step (one autodiff.lstm_step per layer), the
+vocabulary head or FusionLayer.fuse, and log_softmax on arrays, bit for bit
+the arithmetic of the Tensor path that training records. beam_over is the
+only decode loop; greedy decoding is beam width 1. Each expansion ranks the
+[hypotheses x vocab] scores with one stable argsort of the token-major
+flattening. A baseline model decodes from the image alone. A fusion model
 decodes only against a draft: at step t the frozen masked LM has read the draft
 with position t+1 masked, and that row is shared by every hypothesis in the
 beam. A frozen MLM encodes each distinct draft once per corpus and caches the
@@ -15,12 +21,13 @@ that draft. A step whose logits hold NaN or +inf raises NumericError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, no_grad
-from .errors import ConfigError, InputError, NumericError
+from .autodiff import log_softmax, no_grad
+from .errors import ConfigError, InputError, NumericError, ShapeError
 from .models import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, MaskedLM, mlm_context_rows
 
 # tokens never emitted by a decoder
@@ -50,11 +57,11 @@ class Hypothesis:
 
 
 class Stepper:
-    """Steps a caption model over one image's hypotheses under no_grad.
+    """Steps a caption model over one image's hypotheses on plain arrays.
 
     `rows` holds one masked-LM state per step for a fusion model (set by
     EmendStepper), or None for a baseline model; past the last row the last
-    one is reused.
+    one is reused, tiled over the hypotheses.
     """
 
     def __init__(self, model, features: np.ndarray):
@@ -65,28 +72,28 @@ class Stepper:
     def start(self):
         decoder = self.model.decoder
         with no_grad():
-            x = decoder.encode_image(self.features)
-            _, state = decoder.step(x, decoder.initial_state(self.features.shape[0]))
+            x = decoder.encode_image(self.features).data
+        zeros = np.zeros((x.shape[0], decoder.cfg.hidden_dim))
+        _, state = decoder.step(x, [(zeros, zeros)] * decoder.LAYERS)
         return (0, state)
 
     def step(self, state, tokens: np.ndarray):
         t, lstm_state = state
-        h_mlm = None
-        with no_grad():
-            x = self.model.decoder.embed_tokens(tokens)
-            h_top, lstm_state = self.model.decoder.step(x, lstm_state)
-            if self.rows is not None:
-                row = self.rows[min(t, self.rows.shape[0] - 1)]
-                h_mlm = Tensor(np.tile(row, (tokens.shape[0], 1)))
-            logits = self.model.step_logits(h_top, h_mlm).data
-        if not (logits < np.inf).all():
+        decoder = self.model.decoder
+        h_top, lstm_state = decoder.step(decoder.embed.data[tokens], lstm_state)
+        if self.rows is None:
+            logits = h_top @ decoder.head_w.data + decoder.head_b.data
+        else:
+            row = self.rows[min(t, self.rows.shape[0] - 1)]
+            logits = self.model.fusion.fuse(h_top, np.tile(row, (len(tokens), 1))).logits
+        if not logits.max() < np.inf:  # the max of logits holding NaN is NaN
             raise NumericError(f"the logits of step {t} hold NaN or +inf")
         logits[:, list(BLOCKED_IDS)] = -np.inf
         return (t + 1, lstm_state), log_softmax(logits)
 
     def select(self, state, idx: np.ndarray):
         t, lstm_state = state
-        return (t, [(Tensor(h.data[idx]), Tensor(c.data[idx])) for h, c in lstm_state])
+        return (t, [(h[idx], c[idx]) for h, c in lstm_state])
 
 
 def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
@@ -116,19 +123,28 @@ def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
 class EmendStepper(Stepper):
     """Fusion decoding against a wrapped draft: at step t the masked-LM state
     encodes the draft with position t+1 masked (mask appended past the end).
-    mlm_override replaces every row with one fixed state and skips the MLM."""
+    mlm_override, one state of width mlm_hidden_dim, replaces every row and
+    skips the MLM. An MLM whose width is not the model's mlm_hidden_dim
+    raises ConfigError; an override of any other shape raises ShapeError."""
 
     def __init__(self, model, mlm: MaskedLM, features, wrapped_draft: list[int],
                  mlm_override: np.ndarray | None = None):
         super().__init__(model, features)
         if mlm is None:
             raise ConfigError("emending a draft needs the masked LM")
+        width = model.cfg.mlm_hidden_dim
+        if mlm.cfg.hidden_dim != width:
+            raise ConfigError(f"the masked LM's hidden_dim {mlm.cfg.hidden_dim} is not "
+                              f"the model's mlm_hidden_dim {width}")
         _check_ids(wrapped_draft, mlm.cfg.vocab_size, "draft token")
         if mlm_override is None:
             self.rows = draft_rows(mlm, wrapped_draft)
-        else:
-            self.rows = np.tile(np.asarray(mlm_override, dtype=np.float64),
-                                (len(wrapped_draft), 1))
+            return
+        override = np.array(mlm_override, dtype=np.float64)
+        if override.shape != (width,):
+            raise ShapeError(f"mlm_override must be one state of shape ({width},), "
+                             f"got {override.shape}")
+        self.rows = np.broadcast_to(override, (len(wrapped_draft), width))
 
 
 def _check_ids(ids, vocab: int, what: str):
@@ -169,6 +185,16 @@ def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]
 # -- beam search ---------------------------------------------------------------
 
 
+def best_cells(total: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parents, tokens) of the k highest cells of a [hypotheses x vocab]
+    score matrix, best first; ties go to the smaller token id, then to the
+    smaller parent. One stable argsort over the token-major flattening, whose
+    index order is exactly that tie order."""
+    order = np.argsort(-total.T.reshape(-1), kind="stable")[:k]
+    tokens, parents = np.divmod(order, total.shape[0])
+    return parents, tokens
+
+
 def beam_over(stepper, beam_width: int, max_len: int,
               length_normalization: bool = False) -> tuple[list[int], float]:
     """Beam search over any stepper; returns (tokens, summed log-prob).
@@ -184,19 +210,14 @@ def beam_over(stepper, beam_width: int, max_len: int,
     finished: list[Hypothesis] = []
     for _ in range(max_len):
         state, rows = stepper.step(state, inputs)
-        vocab = rows.shape[1]
         total = alive_scores[:, None] + rows
-        flat = total.reshape(-1)
-        tokens_key = np.tile(np.arange(vocab), len(alive_tokens))
-        parents_key = np.repeat(np.arange(len(alive_tokens)), vocab)
-        order = np.lexsort((parents_key, tokens_key, -flat))
+        parents, tokens = best_cells(total, beam_width)
         new_tokens, new_scores, new_parents, new_inputs = [], [], [], []
-        for idx in order[:beam_width]:
-            parent, tok = int(parents_key[idx]), int(tokens_key[idx])
-            cand = alive_tokens[parent] + [tok]
-            score = float(flat[idx])
-            if not np.isfinite(score):
+        scores = total[parents, tokens]
+        for parent, tok, score in zip(parents.tolist(), tokens.tolist(), scores.tolist()):
+            if not math.isfinite(score):
                 continue
+            cand = alive_tokens[parent] + [tok]
             if tok == EOS_ID:
                 finished.append(Hypothesis(cand, score, True))
             else:

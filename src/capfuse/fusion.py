@@ -6,6 +6,11 @@ it with a learned relu gate, and re-projects the concatenation. Hierarchical
 fusion applies two elementwise relu gates to the concatenated states and
 stacks two gated-linear-unit layers. Every scheme ends in the same
 dropout + vocabulary head, and all gates use relu.
+
+FusionLayer.fuse takes Tensors, recording a graph when training, or plain
+arrays, as a beam step does, recording none. On arrays each scheme runs in
+numpy with the products, operand shapes and addition order of its Tensor form,
+so both give the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat_last, dropout, glu
+from .autodiff import Tensor, affine, concat_last, dropout, glu, sigmoid
 from .errors import ConfigError
 from .models import (
     CaptionDecoder,
@@ -44,8 +49,8 @@ class FusionKind(str, Enum):
 
 @dataclass
 class FusionOutput:
-    features: Tensor  # fused representation fed to the vocabulary head
-    logits: Tensor
+    features: Tensor | np.ndarray  # fused representation fed to the vocabulary head
+    logits: Tensor | np.ndarray
 
 
 class FusionLayer(ParamStore):
@@ -118,13 +123,45 @@ class FusionLayer(ParamStore):
         g_f = glu(affine(g_c, self.expand_w, self.expand_b))
         return FusionOutput(g_f, self._head(g_f, training, rng))
 
-    def fuse(self, h_lstm: Tensor, h_mlm: Tensor,
-             training: bool = False, rng=None) -> FusionOutput:
+    def fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
+        """The scheme's features and logits: Tensors from Tensors, plain
+        arrays from plain arrays (inference only, no dropout)."""
+        if not isinstance(h_lstm, Tensor):
+            return self._fuse_arrays(h_lstm, h_mlm)
         if self.kind == FusionKind.SIMPLE:
             return self.simple_fuse(h_lstm, h_mlm, training, rng)
         if self.kind == FusionKind.COLD:
             return self.cold_fuse(h_lstm, h_mlm, training, rng)
         return self.hier_fuse(h_lstm, h_mlm, training, rng)
+
+    def _fuse_arrays(self, h_lstm: np.ndarray, h_mlm: np.ndarray) -> FusionOutput:
+        """simple_fuse, cold_fuse or hier_fuse on plain arrays."""
+        if self.kind == FusionKind.SIMPLE:
+            fused = _relu_affine(_concat(h_lstm, h_mlm), self.gate_w, self.gate_b)
+        elif self.kind == FusionKind.COLD:
+            h_lm = _relu_affine(h_mlm, self.lm_w, self.lm_b)
+            gate = _relu_affine(_concat(h_lstm, h_lm), self.gate_w, self.gate_b)
+            fused = _relu_affine(_concat(h_lstm, gate * h_lm), self.merge_w, self.merge_b)
+        else:
+            h_c = _concat(h_mlm, h_lstm)
+            g_left = _relu_affine(h_c, self.left_w, self.left_b) * h_c
+            g_right = h_c * _relu_affine(h_c, self.right_w, self.right_b)
+            g_c = _glu(_concat(g_left, g_right))
+            fused = _glu(g_c @ self.expand_w.data + self.expand_b.data)
+        return FusionOutput(fused, fused @ self.out_w.data + self.out_b.data)
+
+
+def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, b], axis=-1)
+
+
+def _relu_affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    return np.maximum(x @ w.data + b.data, 0.0)
+
+
+def _glu(x: np.ndarray) -> np.ndarray:
+    k = x.shape[-1] // 2
+    return x[..., :k] * sigmoid(x[..., k:])
 
 
 class CaptionModel:

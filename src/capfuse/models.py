@@ -7,8 +7,10 @@ recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
 
 An LSTM step that records no graph runs the one cell kernel,
-autodiff.lstm_step(x @ Wx, h, c, Wh, b): LstmCell.step for drafting,
-emendation and the masked LM's step-major _run_encoder outside a graph, and
+autodiff.lstm_step(x @ Wx, h, c, Wh, b). Three callers use it:
+CaptionDecoder.step on plain arrays, once per layer, which is every beam step
+of drafting and emendation; LstmCell.step outside a graph, which is the masked
+LM's step-major _run_encoder under no_grad and a decoder step on Tensors; and
 MaskedLM._encode_states, the layer-major encoder of mlm_context_rows (one
 [T*B x E] @ Wx per layer and direction, then a loop of h @ Wh and the kernel),
 whose context rows are gathered from the [T x B x H] states by one fancy index.
@@ -180,9 +182,22 @@ class CaptionDecoder(ParamStore):
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.embed, ids)
 
-    def step(self, x: Tensor, state):
-        """Advance all layers one step; returns the top-layer hidden state."""
-        return _stack_step(self.cells, x, state)
+    def step(self, x, state):
+        """Advance all layers one step; returns the top-layer hidden state and
+        the new per-layer (h, c) states.
+
+        On Tensors each layer is an LstmCell.step. On plain arrays, which
+        record no graph, each layer is one autodiff.lstm_step and the result
+        is plain arrays too.
+        """
+        if isinstance(x, Tensor):
+            return _stack_step(self.cells, x, state)
+        new_state = []
+        for cell, (h, c) in zip(self.cells, state):
+            h, c = lstm_step(x @ cell.wx.data, h, c, cell.wh.data, cell.b.data)
+            new_state.append((h, c))
+            x = h
+        return x, new_state
 
     def head_logits(self, h_top: Tensor, training: bool, rng=None) -> Tensor:
         dropped = dropout(h_top, self.cfg.dropout, training, rng) if training else h_top

@@ -4,8 +4,8 @@ These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, masked-LM states one masked
-sequence at a time, one step and one layer at a time, and greedy decoding by a
-plain argmax loop.
+sequence at a time, one step and one layer at a time, greedy decoding by a
+plain argmax loop, and beam expansion order by a three-key lexsort.
 """
 
 import math
@@ -258,3 +258,15 @@ def greedy_oracle(stepper, max_len):
         if current == EOS_ID:
             break
     return tokens, score
+
+
+def lexsort_cells(total, k):
+    """(parent, token) pairs of the k highest cells of a [hypotheses x vocab]
+    score matrix, best first, ranked by np.lexsort on explicit keys: score
+    descending, then token id, then parent, each ascending."""
+    hyps, vocab = total.shape
+    flat = total.reshape(-1)
+    tokens_key = np.tile(np.arange(vocab), hyps)
+    parents_key = np.repeat(np.arange(hyps), vocab)
+    order = np.lexsort((parents_key, tokens_key, -flat))[:k]
+    return [(int(parents_key[i]), int(tokens_key[i])) for i in order]

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capfuse import decoding
 from capfuse.decoding import (
@@ -16,8 +17,8 @@ from capfuse.decoding import (
     sequence_logprob,
     strip_specials,
 )
-from capfuse.autodiff import Tensor
-from capfuse.errors import ConfigError, InputError, NumericError
+from capfuse.autodiff import Tensor, log_softmax
+from capfuse.errors import ConfigError, InputError, NumericError, ShapeError
 from capfuse.fusion import build_model
 from capfuse.models import (
     EOS_ID,
@@ -30,7 +31,7 @@ from capfuse.models import (
     ModelConfig,
     mlm_context_rows,
 )
-from oracles import encode_masked, greedy_oracle
+from oracles import encode_masked, greedy_oracle, lexsort_cells
 
 V = 10
 
@@ -145,6 +146,98 @@ class TestBeamAgainstEnumeration:
         got = beam_over(TableStepper(table), 1, 2)
         assert got == greedy_oracle(TableStepper(table), 2)
         assert got[0] == [3, EOS_ID]
+
+    def test_impossible_cells_never_enter_the_beam(self):
+        # only token 5 can follow <start>; a beam of 3 stays one hypothesis
+        # wide, so the table needs no row for any other prefix
+        def only(tok):
+            return np.where(np.arange(7) == tok, 0.0, -np.inf)
+
+        table = {(0, START_ID): only(5), (1, 5): only(EOS_ID)}
+        assert beam_over(TableStepper(table), 3, 2) == ([5, EOS_ID], 0.0)
+
+
+# scores with many exact ties (signed zeros included) and impossible cells
+TIED_SCORES = st.sampled_from([-np.inf, -3.0, -1.5, -0.5, -0.0, 0.0]) | st.floats(-4.0, 0.0)
+
+
+class TestExpansionOrder:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_best_cells_match_the_lexsort_oracle(self, data):
+        hyps, vocab = data.draw(st.integers(1, 25)), data.draw(st.integers(2, 9))
+        total = np.array(data.draw(st.lists(TIED_SCORES, min_size=hyps * vocab,
+                                            max_size=hyps * vocab))).reshape(hyps, vocab)
+        k = data.draw(st.integers(1, hyps * vocab))
+        parents, tokens = decoding.best_cells(total, k)
+        assert list(zip(parents.tolist(), tokens.tolist())) == lexsort_cells(total, k)
+
+    def test_ties_go_to_the_smaller_token_then_the_smaller_parent(self):
+        total = np.array([[0.0, -1.0, -np.inf], [-1.0, 0.0, -1.0]])
+        parents, tokens = decoding.best_cells(total, 6)
+        assert list(zip(parents.tolist(), tokens.tolist())) == \
+            [(0, 0), (1, 1), (1, 0), (0, 1), (1, 2), (0, 2)]
+
+
+class TestArrayStep:
+    """A beam step on plain arrays against the Tensor composite that training
+    records: the embedding gather, CaptionDecoder.step on Tensors and
+    CaptionModel.step_logits, with every parameter trainable."""
+
+    @staticmethod
+    def model(kind):
+        cfg = ModelConfig(vocab_size=V, feature_dim=4, embed_dim=9, hidden_dim=16,
+                          mlm_embed_dim=5, mlm_hidden_dim=11, fusion_dim=12,
+                          fusion_kind=kind, dropout=0.0, max_len=8)
+        return build_model(cfg, 60)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
+    def test_array_step_equals_the_graph_composite(self, kind, k, monkeypatch):
+        seen = []  # the logits the step hands to log_softmax: log-probs alone
+        # can round a last-bit difference in small logits away
+
+        def recording(logits):
+            seen.append(logits.copy())
+            return log_softmax(logits)
+
+        monkeypatch.setattr(decoding, "log_softmax", recording)
+        model = self.model(kind)
+        mlm = MaskedLM(MlmConfig(vocab_size=V, embed_dim=5, hidden_dim=11),
+                       np.random.default_rng(61))
+        stepper = (Stepper(model, feats(62)) if kind == "none"
+                   else EmendStepper(model, mlm, feats(62), [START_ID, 5, 6, EOS_ID]))
+        rng = np.random.default_rng(k)
+        t = 2
+        arrays = [(rng.uniform(-1, 1, (k, 16)), rng.uniform(-1, 1, (k, 16)))
+                  for _ in range(model.decoder.LAYERS)]
+        tokens = rng.integers(0, V, size=k)
+        (t_next, got_state), got = stepper.step((t, arrays), tokens)
+
+        decoder = model.decoder
+        tensors = [(Tensor(h, requires_grad=True), Tensor(c, requires_grad=True))
+                   for h, c in arrays]
+        h_top, want_state = decoder.step(decoder.embed_tokens(tokens), tensors)
+        h_mlm = None if kind == "none" else Tensor(np.tile(stepper.rows[t], (k, 1)))
+        logits = model.step_logits(h_top, h_mlm)
+        assert logits._parents  # the composite recorded a graph
+        want = logits.data.copy()
+        want[:, list(decoding.BLOCKED_IDS)] = -np.inf
+        assert t_next == t + 1
+        assert np.array_equal(seen[0], want)
+        assert np.array_equal(got, log_softmax(want))
+        for (h, c), (h_want, c_want) in zip(got_state, want_state):
+            assert np.array_equal(h, h_want.data) and np.array_equal(c, c_want.data)
+
+    def test_select_keeps_the_chosen_rows_of_every_layer(self):
+        stepper = Stepper(self.model("none"), feats(63))
+        state, _ = stepper.step(stepper.start(), np.array([START_ID]))
+        state, _ = stepper.step(stepper.select(state, np.zeros(3, dtype=int)),
+                                np.array([5, 6, 7]))
+        t, layers = stepper.select(state, np.array([2, 0]))
+        assert t == 2
+        for (h, c), (h_all, c_all) in zip(layers, state[1]):
+            assert np.array_equal(h, h_all[[2, 0]]) and np.array_equal(c, c_all[[2, 0]])
 
 
 class TestGreedyAndBeam:
@@ -335,6 +428,32 @@ class TestEmend:
             sequence_logprob(model, f, [5, EOS_ID], mlm=mlm, draft=[V + 3, 6, EOS_ID])
         assert mlm.rows_memo is None
 
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    def test_override_must_be_one_state_of_the_masked_lm_width(self, kind):
+        model = tiny_model(kind, seed=28)
+        mlm = tiny_mlm(28)
+        f = feats(28)
+        wrapped = [START_ID, 5, 6, EOS_ID]
+        for bad in (np.zeros((2, 6)), np.zeros((1, 6)), np.zeros(7), np.zeros(5), 0.0):
+            with pytest.raises(ShapeError, match="mlm_override"):
+                EmendStepper(model, mlm, f, wrapped, mlm_override=bad)
+            with pytest.raises(ShapeError, match="mlm_override"):
+                emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=bad)
+        assert emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=[0.5] * 6)
+
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    def test_masked_lm_of_another_width_is_rejected(self, kind):
+        model = tiny_model(kind, seed=29)
+        wide = MaskedLM(MlmConfig(vocab_size=V, embed_dim=5, hidden_dim=7),
+                        np.random.default_rng(29))
+        f = feats(29)
+        with pytest.raises(ConfigError, match="hidden_dim 7 .* mlm_hidden_dim 6"):
+            EmendStepper(model, wide, f, [START_ID, 5, 6, EOS_ID])
+        with pytest.raises(ConfigError, match="hidden_dim 7"):
+            emend(model, wide, f, [5, 6, EOS_ID], mlm_override=np.zeros(6))
+        with pytest.raises(ConfigError, match="hidden_dim 7"):
+            sequence_logprob(model, f, [5, EOS_ID], mlm=wide, draft=[5, 6, EOS_ID])
+
     def test_override_skips_the_masked_lm(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the masked LM ran despite an override")
@@ -507,7 +626,9 @@ def test_steps_and_context_rows_build_no_graph(monkeypatch):
         created.clear()
         for tok in (START_ID, 5, 6):
             state, _ = stepper.step(state, np.array([tok]))
-        assert created and all(t._parents == () and not t.requires_grad for t in created)
+        state = stepper.select(state, np.array([0, 0, 0]))
+        state, _ = stepper.step(state, np.array([5, 6, 7]))
+        assert created == []
     created.clear()
     mlm_context_rows(mlm, [wrapped, [START_ID, 7, EOS_ID]], append_row=True)
     assert created and all(t._parents == () and not t.requires_grad for t in created)
