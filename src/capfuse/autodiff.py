@@ -8,6 +8,14 @@ checker used as the independent oracle in tests, and lstm_step(xp, h, c, wh,
 b), the one LSTM cell kernel for steps that record no graph; it takes the input
 already projected, xp = x @ Wx, so a caller can project a whole sequence at once.
 
+The forward ops affine, concat_last, dropout, glu and relu take activations as
+Tensors or as plain arrays, and weights as Parameters either way. An array
+activation gives a plain array and records no graph; a Tensor activation gives
+a Tensor and records a graph, so a caller who trains passes Tensors. Both kinds
+compute the same products in the same order, bit for bit. Mixing a Tensor and
+a plain array in one op raises TypeError, as numpy arithmetic between the two
+does.
+
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
 passes each closure its node's gradient. A graph is therefore freed by
@@ -50,6 +58,10 @@ class Tensor:
     """Dense float64 array with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # None makes numpy hand `array op tensor` to the Tensor's reflected
+    # operator, which rejects an array operand, instead of building an
+    # object array of Tensors
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -258,10 +270,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product for 2D x 2D, 1D x 2D, and 2D x 1D operands."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.ndim > 2 or bd.ndim > 2:
-        raise ShapeError(f"matmul supports 1D/2D operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
+    _check_matmul(ad, bd)
     out = _result(ad @ bd, (a, b))
     if out.requires_grad:
         def back(g, x=a, y=b):
@@ -281,25 +290,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _check_matmul(ad: np.ndarray, bd: np.ndarray):
+    if ad.ndim == 0 or bd.ndim == 0 or ad.ndim > 2 or bd.ndim > 2:
+        raise ShapeError(f"matmul supports 1D/2D operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
+
+
+def affine(x, w: Tensor, b: Tensor):
     """x @ w + b, with the bias broadcast over leading rows."""
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"affine input dim {x.data.shape} does not match weight {w.data.shape}")
+    xd = x.data if isinstance(x, Tensor) else x
+    if xd.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"affine input dim {xd.shape} does not match weight {w.data.shape}")
     if w.data.shape[1] != b.data.shape[-1]:
         raise ShapeError(f"affine bias {b.data.shape} does not match weight {w.data.shape}")
-    return matmul(x, w) + b
+    if isinstance(x, Tensor):
+        return matmul(x, w) + b
+    _check_matmul(xd, w.data)
+    return xd @ w.data + b.data
 
 
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
+def relu(x):
+    """max(x, 0): Tensor.relu on a Tensor, np.maximum on a plain array."""
+    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+
+
+def concat_last(a, b):
     """Concatenate along the last axis; the backward pass splits the gradient."""
-    ad, bd = a.data, b.data
+    tensors = isinstance(a, Tensor)
+    if tensors != isinstance(b, Tensor):
+        raise TypeError("concat_last takes two Tensors or two plain arrays, not one of each")
+    ad, bd = (a.data, b.data) if tensors else (a, b)
     if ad.ndim == 0 or bd.ndim == 0:
         raise ShapeError("concat_last requires at least 1-dimensional tensors")
     if ad.ndim != bd.ndim or ad.shape[:-1] != bd.shape[:-1]:
         raise ShapeError(f"concat_last shapes differ off the last axis: {ad.shape} vs {bd.shape}")
     if ad.shape[-1] == 0 or bd.shape[-1] == 0:
         raise ShapeError("concat_last rejects a zero-sized last axis")
-    out = _result(np.concatenate([ad, bd], axis=-1), (a, b))
+    out = np.concatenate([ad, bd], axis=-1)
+    if not tensors:
+        return out
+    out = _result(out, (a, b))
     if out.requires_grad:
         split = ad.shape[-1]
         def back(g, x=a, y=b, k=split):
@@ -325,14 +356,17 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def glu(x: Tensor) -> Tensor:
+def glu(x):
     """Gated linear unit: split the last axis in half, return a * sigmoid(b)."""
-    d = x.data.shape[-1]
+    xd = x.data if isinstance(x, Tensor) else x
+    d = xd.shape[-1]
     if d % 2 != 0:
-        raise ShapeError(f"glu needs an even last dimension, got {x.shape}")
+        raise ShapeError(f"glu needs an even last dimension, got {xd.shape}")
     h = d // 2
-    a = x.data[..., :h]
-    gate = sigmoid(x.data[..., h:])
+    a = xd[..., :h]
+    gate = sigmoid(xd[..., h:])
+    if not isinstance(x, Tensor):
+        return a * gate
     out = _result(a * gate, (x,))
     if out.requires_grad:
         def back(g, t=x, av=a, gv=gate, k=h):
@@ -425,14 +459,17 @@ def softmax_xent_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x, rate: float, training: bool, rng: np.random.Generator):
     """Inverted dropout: identity at inference, rescaled mask in training."""
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = _result(x.data * keep, (x,))
+    xd = x.data if isinstance(x, Tensor) else x
+    keep = (rng.random(xd.shape) >= rate) / (1.0 - rate)
+    if not isinstance(x, Tensor):
+        return xd * keep
+    out = _result(xd * keep, (x,))
     if out.requires_grad:
         def back(g, a=x, m=keep):
             a._accum(g * m)

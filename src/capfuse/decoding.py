@@ -4,19 +4,19 @@ One stepper drives every decode: start() primes the decoder with the image
 features, step() consumes one token per hypothesis and returns the renewed
 state plus log-probabilities for the next token, and select() keeps the states
 of the surviving hypotheses. A step records no graph and makes no Tensor: its
-state is plain arrays, (t, [(h, c) per decoder layer]), and it runs the
-embedding gather, CaptionDecoder.step (one autodiff.lstm_step per layer), the
-vocabulary head or FusionLayer.fuse, and log_softmax on arrays, bit for bit
-the arithmetic of the Tensor path that training records. beam_over is the
-only decode loop; greedy decoding is beam width 1. Each expansion ranks the
-[hypotheses x vocab] scores with one stable argsort of the token-major
-flattening. A baseline model decodes from the image alone. A fusion model
-decodes only against a draft: at step t the frozen masked LM has read the draft
-with position t+1 masked, and that row is shared by every hypothesis in the
-beam. A frozen MLM encodes each distinct draft once per corpus and caches the
-read-only rows of up to ROWS_CACHE_SIZE drafts for every fusion kind, the
-rescoring oracle sequence_logprob(..., draft=) and every later example with
-that draft. A step whose logits hold NaN or +inf raises NumericError.
+state is plain arrays, (t, [(h, c) per decoder layer]), and it passes arrays
+to the embedding gather, CaptionDecoder.step and CaptionModel.step_logits (the
+vocabulary head or FusionLayer.fuse), the code that training runs on Tensors,
+then takes log_softmax of the logits. beam_over is the only decode loop;
+greedy decoding is beam width 1. Each expansion ranks the [hypotheses x vocab]
+scores with one stable argsort of the token-major flattening. A baseline model
+decodes from the image alone. A fusion model decodes only against a draft: at
+step t the frozen masked LM has read the draft with position t+1 masked, and
+that row is shared by every hypothesis in the beam. A frozen MLM encodes each
+distinct draft once per corpus and caches the read-only rows of up to
+ROWS_CACHE_SIZE drafts for every fusion kind, the rescoring oracle
+sequence_logprob(..., draft=) and every later example with that draft. A step
+whose logits hold NaN or +inf raises NumericError.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 
 from .autodiff import log_softmax, no_grad
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .models import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, MaskedLM, mlm_context_rows
+from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID
+from .models import MaskedLM, mlm_context_rows
 
 # tokens never emitted by a decoder
 BLOCKED_IDS = (PAD_ID, START_ID, MASK_ID)
@@ -61,7 +62,7 @@ class Stepper:
 
     `rows` holds one masked-LM state per step for a fusion model (set by
     EmendStepper), or None for a baseline model; past the last row the last
-    one is reused, tiled over the hypotheses.
+    one is reused, repeated for every hypothesis.
     """
 
     def __init__(self, model, features: np.ndarray):
@@ -81,11 +82,8 @@ class Stepper:
         t, lstm_state = state
         decoder = self.model.decoder
         h_top, lstm_state = decoder.step(decoder.embed.data[tokens], lstm_state)
-        if self.rows is None:
-            logits = h_top @ decoder.head_w.data + decoder.head_b.data
-        else:
-            row = self.rows[min(t, self.rows.shape[0] - 1)]
-            logits = self.model.fusion.fuse(h_top, np.tile(row, (len(tokens), 1))).logits
+        rows = None if self.rows is None else self.rows[[min(t, len(self.rows) - 1)] * len(tokens)]
+        logits = self.model.step_logits(h_top, rows)
         if not logits.max() < np.inf:  # the max of logits holding NaN is NaN
             raise NumericError(f"the logits of step {t} hold NaN or +inf")
         logits[:, list(BLOCKED_IDS)] = -np.inf

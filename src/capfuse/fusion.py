@@ -7,10 +7,9 @@ fusion applies two elementwise relu gates to the concatenated states and
 stacks two gated-linear-unit layers. Every scheme ends in the same
 dropout + vocabulary head, and all gates use relu.
 
-FusionLayer.fuse takes Tensors, recording a graph when training, or plain
-arrays, as a beam step does, recording none. On arrays each scheme runs in
-numpy with the products, operand shapes and addition order of its Tensor form,
-so both give the same bits.
+Each scheme is written once over the forward ops of autodiff: given plain
+arrays, as a beam step passes, it returns arrays and records no graph; given
+Tensors, as training passes, it records a graph.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat_last, dropout, glu, sigmoid
+from .autodiff import Tensor, affine, concat_last, dropout, glu, relu
 from .errors import ConfigError
 from .models import (
     CaptionDecoder,
@@ -91,77 +90,43 @@ class FusionLayer(ParamStore):
 
     # -- schemes ------------------------------------------------------------
 
-    def _head(self, features: Tensor, training: bool, rng) -> Tensor:
+    def _head(self, features, training: bool, rng):
         dropped = dropout(features, self.cfg.dropout, training, rng) if training else features
         return affine(dropped, self.out_w, self.out_b)
 
-    def simple_fuse(self, h_lstm: Tensor, h_mlm: Tensor,
-                    training: bool = False, rng=None) -> FusionOutput:
+    def simple_fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
         """Relu-gated projection of the concatenated hidden states."""
-        fused = affine(concat_last(h_lstm, h_mlm), self.gate_w, self.gate_b).relu()
+        fused = relu(affine(concat_last(h_lstm, h_mlm), self.gate_w, self.gate_b))
         return FusionOutput(fused, self._head(fused, training, rng))
 
-    def cold_fuse(self, h_lstm: Tensor, h_mlm: Tensor,
-                  training: bool = False, rng=None) -> FusionOutput:
+    def cold_fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
         """Gated modulation of a projected LM state, then a merge projection."""
-        h_lm = affine(h_mlm, self.lm_w, self.lm_b).relu()
-        gate = affine(concat_last(h_lstm, h_lm), self.gate_w, self.gate_b).relu()
+        h_lm = relu(affine(h_mlm, self.lm_w, self.lm_b))
+        gate = relu(affine(concat_last(h_lstm, h_lm), self.gate_w, self.gate_b))
         h_cf = concat_last(h_lstm, gate * h_lm)
-        r_cf = affine(h_cf, self.merge_w, self.merge_b).relu()
+        r_cf = relu(affine(h_cf, self.merge_w, self.merge_b))
         return FusionOutput(r_cf, self._head(r_cf, training, rng))
 
-    def hier_fuse(self, h_lstm: Tensor, h_mlm: Tensor,
-                  training: bool = False, rng=None) -> FusionOutput:
+    def hier_fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
         """Dual relu gates over the concatenation, then two GLU stages.
 
         Note the concatenation order here puts the LM state first.
         """
         h_c = concat_last(h_mlm, h_lstm)
-        g_left = affine(h_c, self.left_w, self.left_b).relu() * h_c
-        g_right = h_c * affine(h_c, self.right_w, self.right_b).relu()
+        g_left = relu(affine(h_c, self.left_w, self.left_b)) * h_c
+        g_right = h_c * relu(affine(h_c, self.right_w, self.right_b))
         g_c = glu(concat_last(g_left, g_right))
         g_f = glu(affine(g_c, self.expand_w, self.expand_b))
         return FusionOutput(g_f, self._head(g_f, training, rng))
 
     def fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
         """The scheme's features and logits: Tensors from Tensors, plain
-        arrays from plain arrays (inference only, no dropout)."""
-        if not isinstance(h_lstm, Tensor):
-            return self._fuse_arrays(h_lstm, h_mlm)
+        arrays from plain arrays."""
         if self.kind == FusionKind.SIMPLE:
             return self.simple_fuse(h_lstm, h_mlm, training, rng)
         if self.kind == FusionKind.COLD:
             return self.cold_fuse(h_lstm, h_mlm, training, rng)
         return self.hier_fuse(h_lstm, h_mlm, training, rng)
-
-    def _fuse_arrays(self, h_lstm: np.ndarray, h_mlm: np.ndarray) -> FusionOutput:
-        """simple_fuse, cold_fuse or hier_fuse on plain arrays."""
-        if self.kind == FusionKind.SIMPLE:
-            fused = _relu_affine(_concat(h_lstm, h_mlm), self.gate_w, self.gate_b)
-        elif self.kind == FusionKind.COLD:
-            h_lm = _relu_affine(h_mlm, self.lm_w, self.lm_b)
-            gate = _relu_affine(_concat(h_lstm, h_lm), self.gate_w, self.gate_b)
-            fused = _relu_affine(_concat(h_lstm, gate * h_lm), self.merge_w, self.merge_b)
-        else:
-            h_c = _concat(h_mlm, h_lstm)
-            g_left = _relu_affine(h_c, self.left_w, self.left_b) * h_c
-            g_right = h_c * _relu_affine(h_c, self.right_w, self.right_b)
-            g_c = _glu(_concat(g_left, g_right))
-            fused = _glu(g_c @ self.expand_w.data + self.expand_b.data)
-        return FusionOutput(fused, fused @ self.out_w.data + self.out_b.data)
-
-
-def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, b], axis=-1)
-
-
-def _relu_affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    return np.maximum(x @ w.data + b.data, 0.0)
-
-
-def _glu(x: np.ndarray) -> np.ndarray:
-    k = x.shape[-1] // 2
-    return x[..., :k] * sigmoid(x[..., k:])
 
 
 class CaptionModel:
@@ -193,8 +158,9 @@ class CaptionModel:
         params.extend(self.fusion.parameters())
         return params
 
-    def step_logits(self, h_top: Tensor, h_mlm: Tensor | None,
-                    training: bool = False, rng=None) -> Tensor:
+    def step_logits(self, h_top, h_mlm, training: bool = False, rng=None):
+        """Next-token logits of the top decoder state, through the fusion
+        layer with masked-LM state h_mlm or through the decoder's own head."""
         if self.fusion is None:
             return self.decoder.head_logits(h_top, training, rng)
         if h_mlm is None:

@@ -6,15 +6,15 @@ masked LM encodes a sequence with exactly one mask token by running a forward
 recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
 
-An LSTM step that records no graph runs the one cell kernel,
-autodiff.lstm_step(x @ Wx, h, c, Wh, b). Three callers use it:
-CaptionDecoder.step on plain arrays, once per layer, which is every beam step
-of drafting and emendation; LstmCell.step outside a graph, which is the masked
-LM's step-major _run_encoder under no_grad and a decoder step on Tensors; and
-MaskedLM._encode_states, the layer-major encoder of mlm_context_rows (one
+Steps, heads and affine layers follow the rule of autodiff's forward ops: a
+plain-array activation gives plain arrays and records no graph, and a Tensor
+activation records a graph. An LSTM step that records no graph is the one cell
+kernel, autodiff.lstm_step(x @ Wx, h, c, Wh, b); inside a graph (pretraining)
+it is built from elementary autodiff nodes. MaskedLM._encode_states, the
+layer-major encoder of mlm_context_rows, runs the kernel too (one
 [T*B x E] @ Wx per layer and direction, then a loop of h @ Wh and the kernel),
-whose context rows are gathered from the [T x B x H] states by one fancy index.
-Inside a graph (pretraining) a step is built from elementary autodiff nodes.
+and the context rows are gathered from its [T x B x H] states by one fancy
+index.
 """
 
 from __future__ import annotations
@@ -39,13 +39,8 @@ from .autodiff import (
     slice_last,
     softmax_xent_rows,
 )
+from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID  # noqa: F401 (re-exported)
 from .errors import ConfigError, InputError, StateError
-
-PAD_ID = 0
-START_ID = 1
-EOS_ID = 2
-UNK_ID = 3
-MASK_ID = 4
 
 
 @dataclass
@@ -102,9 +97,10 @@ class ParamStore:
 class LstmCell:
     """Single LSTM layer; gate order is (input, forget, candidate, output).
 
-    A step that records no graph is one autodiff.lstm_step pass over the
-    arrays; a step inside a graph is built from elementary autodiff nodes
-    with the same arithmetic, each sigmoid through tanh, bit for bit."""
+    A step on plain arrays, or on Tensors outside a graph, is one
+    autodiff.lstm_step pass; a step inside a graph is built from elementary
+    autodiff nodes with the same arithmetic, each sigmoid through tanh, bit
+    for bit."""
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -115,7 +111,10 @@ class LstmCell:
         bias[hidden:2 * hidden] = 1.0  # forget gate open at init
         self.b = store._param(f"{prefix}.b", bias)
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    def step(self, x, h, c):
+        """(h_new, c_new): plain arrays from plain arrays, Tensors from Tensors."""
+        if not isinstance(x, Tensor):
+            return lstm_step(x @ self.wx.data, h, c, self.wh.data, self.b.data)
         inputs = (x, h, c, self.wx, self.wh, self.b)
         if not (grad_enabled() and any(t.requires_grad for t in inputs)):
             h_new, c_new = lstm_step(x.data @ self.wx.data, h.data, c.data,
@@ -183,23 +182,11 @@ class CaptionDecoder(ParamStore):
         return gather_rows(self.embed, ids)
 
     def step(self, x, state):
-        """Advance all layers one step; returns the top-layer hidden state and
-        the new per-layer (h, c) states.
+        """Advance all layers one step, one LstmCell.step each; returns the
+        top-layer hidden state and the new per-layer (h, c) states."""
+        return _stack_step(self.cells, x, state)
 
-        On Tensors each layer is an LstmCell.step. On plain arrays, which
-        record no graph, each layer is one autodiff.lstm_step and the result
-        is plain arrays too.
-        """
-        if isinstance(x, Tensor):
-            return _stack_step(self.cells, x, state)
-        new_state = []
-        for cell, (h, c) in zip(self.cells, state):
-            h, c = lstm_step(x @ cell.wx.data, h, c, cell.wh.data, cell.b.data)
-            new_state.append((h, c))
-            x = h
-        return x, new_state
-
-    def head_logits(self, h_top: Tensor, training: bool, rng=None) -> Tensor:
+    def head_logits(self, h_top, training: bool, rng=None):
         dropped = dropout(h_top, self.cfg.dropout, training, rng) if training else h_top
         return affine(dropped, self.head_w, self.head_b)
 
@@ -271,7 +258,8 @@ class MaskedLM(ParamStore):
         batch, steps = token_matrix.shape
         x = self.embed.data[token_matrix.T]  # time-major [T x batch x E]
         for cell in cells:
-            xp = (x.reshape(steps * batch, -1) @ cell.wx.data).reshape(steps, batch, -1)
+            wx = cell.wx.data  # explicit widths, not -1, so that T = 0 reshapes too
+            xp = (x.reshape(steps * batch, wx.shape[0]) @ wx).reshape(steps, batch, wx.shape[1])
             h = c = np.zeros((batch, self.cfg.hidden_dim))
             for t in range(steps):
                 h, c = lstm_step(xp[t], h, c, cell.wh.data, cell.b.data)
@@ -281,7 +269,7 @@ class MaskedLM(ParamStore):
     def combine(self, fwd_ctx: Tensor, bwd_ctx: Tensor) -> Tensor:
         return affine(concat_last(fwd_ctx, bwd_ctx), self.comb_w, self.comb_b)
 
-    def head_logits(self, state: Tensor) -> Tensor:
+    def head_logits(self, state):
         return affine(state, self.head_w, self.head_b)
 
     # -- lifecycle ----------------------------------------------------------
@@ -337,7 +325,7 @@ def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
     p = 1..L-1 (position 0 is never masked in training or emendation). With
     append_row=True an extra final row encodes the variant where the mask is
     inserted between the last content token and the trailing end token.
-    Computed under no_grad; the outputs are plain arrays.
+    An empty sequence gives zero rows. The outputs are plain arrays.
     """
     out: list[np.ndarray] = []
     for lo in range(0, len(seqs), ROWS_CHUNK):
@@ -346,24 +334,22 @@ def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
 
 
 def _context_rows_chunk(mlm: MaskedLM, seqs, append_row: bool) -> list[np.ndarray]:
-    with no_grad():
-        toks, rev, lens = _padded_batch(seqs)
-        # both directions' top-layer states, time-major, with a zero step
-        # appended so that step index -1 reads an empty context
-        both = np.zeros((2, toks.shape[1] + 1, len(seqs), mlm.cfg.hidden_dim))
-        mlm._encode_states(mlm.fwd, toks, both[0])
-        mlm._encode_states(mlm.bwd, rev, both[1])
-        # rows p = 1..n-1 of a length-n sequence, then p = n for the mask
-        # inserted after the final pre-end token: its forward context is the
-        # prefix up to that token, its backward context the end token alone
-        counts = np.maximum(lens - 1, 0) + (append_row & (lens >= 2))
-        owner = np.repeat(np.arange(len(seqs)), counts)
-        p = np.arange(1, len(owner) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        n = lens[owner]
-        steps = np.stack([np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)], axis=1)
-        pairs = both[[0, 1], steps, owner[:, None]].reshape(len(owner), 2 * mlm.cfg.hidden_dim)
-        combined = affine(Tensor(pairs), mlm.comb_w, mlm.comb_b).data
-    return np.split(combined, np.cumsum(counts)[:-1])
+    toks, rev, lens = _padded_batch(seqs)
+    # both directions' top-layer states, time-major, with a zero step
+    # appended so that step index -1 reads an empty context
+    both = np.zeros((2, toks.shape[1] + 1, len(seqs), mlm.cfg.hidden_dim))
+    mlm._encode_states(mlm.fwd, toks, both[0])
+    mlm._encode_states(mlm.bwd, rev, both[1])
+    # rows p = 1..n-1 of a length-n sequence, then p = n for the mask
+    # inserted after the final pre-end token: its forward context is the
+    # prefix up to that token, its backward context the end token alone
+    counts = np.maximum(lens - 1, 0) + (append_row & (lens >= 2))
+    owner = np.repeat(np.arange(len(seqs)), counts)
+    p = np.arange(1, len(owner) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    n = lens[owner]
+    steps = np.stack([np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)], axis=1)
+    pairs = both[[0, 1], steps, owner[:, None]].reshape(len(owner), 2 * mlm.cfg.hidden_dim)
+    return np.split(affine(pairs, mlm.comb_w, mlm.comb_b), np.cumsum(counts)[:-1])
 
 
 @dataclass
@@ -449,14 +435,8 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
 def mlm_masked_accuracy(mlm: MaskedLM, corpus: list[list[int]]) -> float:
     """Fraction of maskable positions whose token the head predicts exactly."""
     hits, total = 0, 0
-    rows_per_seq = mlm_context_rows(mlm, [list(s) for s in corpus])
-    with no_grad():
-        for seq, rows in zip(corpus, rows_per_seq):
-            if len(seq) < 2:
-                continue
-            logits = affine(Tensor(rows), mlm.head_w, mlm.head_b).data
-            pred = logits.argmax(axis=1)
-            for p in range(1, len(seq)):
-                hits += int(pred[p - 1] == seq[p])
-                total += 1
+    for seq, rows in zip(corpus, mlm_context_rows(mlm, [list(s) for s in corpus])):
+        pred = mlm.head_logits(rows).argmax(axis=1)  # positions 1..L-1
+        hits += int((pred == np.asarray(seq[1:])).sum())
+        total += len(pred)
     return hits / max(total, 1)

@@ -4,8 +4,9 @@ These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, masked-LM states one masked
-sequence at a time, one step and one layer at a time, greedy decoding by a
-plain argmax loop, and beam expansion order by a three-key lexsort.
+sequence at a time, one step and one layer at a time, fusion logits from each
+scheme's equations in plain numpy, greedy decoding by a plain argmax loop, and
+beam expansion order by a three-key lexsort.
 """
 
 import math
@@ -241,6 +242,33 @@ def encode_masked(mlm, tokens) -> Tensor:
     fwd_ctx = _unroll(mlm.fwd, mlm.embed, prefix) if prefix else zeros
     bwd_ctx = _unroll(mlm.bwd, mlm.embed, suffix[::-1]) if suffix else zeros
     return mlm.combine(Tensor(fwd_ctx[None]), Tensor(bwd_ctx[None]))
+
+
+def fusion_logits(layer, h_lstm, h_mlm):
+    """Logits of a FusionLayer from its scheme's equations, on plain arrays:
+    relu gates, [a; b] as np.hstack, the GLU's sigmoid as 1 / (1 + e^-z)."""
+    def lin(x, w, b):
+        return x @ w.data + b.data
+
+    def relu(x):
+        return np.maximum(x, 0.0)
+
+    def glu(x):
+        a, g = np.split(x, 2, axis=-1)
+        return a / (1.0 + np.exp(-g))
+
+    if layer.kind.value == "simple":
+        fused = relu(lin(np.hstack([h_lstm, h_mlm]), layer.gate_w, layer.gate_b))
+    elif layer.kind.value == "cold":
+        h_lm = relu(lin(h_mlm, layer.lm_w, layer.lm_b))
+        gate = relu(lin(np.hstack([h_lstm, h_lm]), layer.gate_w, layer.gate_b))
+        fused = relu(lin(np.hstack([h_lstm, gate * h_lm]), layer.merge_w, layer.merge_b))
+    else:  # hierarchical: the LM state comes first
+        h_c = np.hstack([h_mlm, h_lstm])
+        left = relu(lin(h_c, layer.left_w, layer.left_b)) * h_c
+        right = relu(lin(h_c, layer.right_w, layer.right_b)) * h_c
+        fused = glu(lin(glu(np.hstack([left, right])), layer.expand_w, layer.expand_b))
+    return lin(fused, layer.out_w, layer.out_b)
 
 
 def greedy_oracle(stepper, max_len):

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from capfuse.autodiff import (
     log_softmax,
     matmul,
     no_grad,
+    relu,
     slice_last,
     softmax,
     softmax_xent,
@@ -222,6 +225,74 @@ class TestGlu:
         rng = np.random.default_rng(7)
         x = rand(rng, 2, 6)
         assert grad_check(lambda a: glu(a).sum(), [x]) <= 1e-6
+
+
+# (op, activation shapes, weight shapes): ops whose activations may be Tensors
+# or plain arrays
+ARRAY_OP_VALUES = [
+    (affine, [(3, 4)], [(4, 2), (2,)]), (affine, [(4,)], [(4, 3), (3,)]),
+    (affine, [(2, 4)], [(4, 3), (2, 3)]),
+    (concat_last, [(2, 3), (2, 2)], []), (concat_last, [(3,), (1,)], []),
+    (concat_last, [(2, 1, 3), (2, 1, 4)], []),
+    (glu, [(4,)], []), (glu, [(3, 8)], []), (glu, [(2, 1, 6)], []),
+    (relu, [(70,)], []), (relu, [(4, 5)], []),
+]
+ARRAY_OP_SHAPE_ERRORS = [
+    (affine, [(3, 4)], [(5, 2), (2,)]), (affine, [(3, 4)], [(4, 2), (3,)]),
+    (affine, [(2, 3, 4)], [(4, 2), (2,)]), (affine, [(3, 4)], [(4, 2, 2), (2,)]),
+    (concat_last, [(), (2,)], []), (concat_last, [(2, 3), (3, 3)], []),
+    (concat_last, [(2, 3), (2, 1, 3)], []), (concat_last, [(2, 3), (2, 0)], []),
+    (glu, [(3,)], []), (glu, [(2, 5)], []),
+]
+
+
+def _case_id(case):
+    op, acts, weights = case
+    return f"{op.__name__}-{'-'.join(map(str, acts + weights))}"
+
+
+class TestArrayActivations:
+    """An op given plain-array activations returns the plain array that the
+    graph path computes, bit for bit, and raises its ShapeError messages."""
+
+    @pytest.mark.parametrize("case", ARRAY_OP_VALUES, ids=_case_id)
+    def test_values_equal_the_graph_path(self, case):
+        op, act_shapes, weight_shapes = case
+        rng = np.random.default_rng(len(_case_id(case)))
+        acts = [rng.normal(size=s) for s in act_shapes]
+        acts[0].flat[:4] = [0.0, -0.0, np.nan, 5e-324]
+        weights = [Parameter(f"w{i}", rng.normal(size=s)) for i, s in enumerate(weight_shapes)]
+        got = op(*acts, *weights)
+        want = op(*(Tensor(a, requires_grad=True) for a in acts), *weights)
+        assert type(got) is np.ndarray and want._parents
+        assert got.shape == want.shape and got.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("case", ARRAY_OP_SHAPE_ERRORS, ids=_case_id)
+    def test_shape_errors_equal_the_graph_path(self, case):
+        op, act_shapes, weight_shapes = case
+        weights = [Parameter(f"w{i}", np.ones(s)) for i, s in enumerate(weight_shapes)]
+        messages = []
+        for wrap in (np.asarray, lambda a: Tensor(a, requires_grad=True)):
+            with pytest.raises(ShapeError) as err:
+                op(*(wrap(np.ones(s)) for s in act_shapes), *weights)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_dropout_draws_the_mask_of_the_graph_path(self):
+        x = np.random.default_rng(9).normal(size=(3, 4))
+        got = dropout(x, 0.5, True, np.random.default_rng(10))
+        want = dropout(Tensor(x, requires_grad=True), 0.5, True, np.random.default_rng(10))
+        assert type(got) is np.ndarray and want._parents
+        assert got.tobytes() == want.data.tobytes() and (got == 0.0).any()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul, concat_last])
+    def test_a_tensor_and_an_array_raise_type_error_in_either_order(self, op):
+        array = np.ones((2, 3))
+        tensor = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(TypeError):
+            op(array, tensor)
+        with pytest.raises(TypeError):
+            op(tensor, array)
 
 
 class TestSoftmaxXent:

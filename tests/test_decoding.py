@@ -631,4 +631,4 @@ def test_steps_and_context_rows_build_no_graph(monkeypatch):
         assert created == []
     created.clear()
     mlm_context_rows(mlm, [wrapped, [START_ID, 7, EOS_ID]], append_row=True)
-    assert created and all(t._parents == () and not t.requires_grad for t in created)
+    assert created == []

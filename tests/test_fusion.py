@@ -5,7 +5,7 @@ from capfuse.autodiff import Tensor, grad_check, softmax_xent_rows
 from capfuse.errors import ConfigError
 from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_model
 from capfuse.models import MaskedLM, MlmConfig, ModelConfig, START_ID
-from oracles import encode_masked
+from oracles import encode_masked, fusion_logits
 
 V = 11
 
@@ -174,6 +174,19 @@ class TestDispatch:
             assert FusionKind.from_name(kind.value) is kind
         with pytest.raises(ConfigError, match="simple"):
             FusionKind.from_name("bogus")
+
+
+class TestEquations:
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    def test_arrays_and_tensors_give_the_logits_of_the_equations(self, kind, rows):
+        fl = layer(kind, seed=30 + rows)
+        rng = np.random.default_rng(rows)
+        h_lstm, h_mlm = rng.uniform(-1, 1, (rows, 6)), rng.uniform(-1, 1, (rows, 7))
+        on_arrays = fl.fuse(h_lstm, h_mlm).logits
+        on_tensors = fl.fuse(Tensor(h_lstm, requires_grad=True), Tensor(h_mlm)).logits
+        assert np.allclose(on_arrays, fusion_logits(fl, h_lstm, h_mlm), rtol=0, atol=1e-12)
+        assert on_tensors._parents and np.array_equal(on_tensors.data, on_arrays)
 
 
 class TestProperties:

@@ -318,6 +318,20 @@ class TestLayerMajorEncoder:
         for a, b in zip(chunked, whole):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk", [models.ROWS_CHUNK, 1])
+    def test_an_empty_sequence_gives_no_rows(self, chunk, monkeypatch):
+        mlm = tiny_mlm(seed=35)
+        monkeypatch.setattr(models, "ROWS_CHUNK", chunk)
+        seq, width = [START_ID, 5, EOS_ID], mlm.cfg.hidden_dim
+        for append_row in (False, True):
+            (alone,) = mlm_context_rows(mlm, [[]], append_row)
+            empty, rows = mlm_context_rows(mlm, [[], seq], append_row)
+            assert alone.shape == empty.shape == (0, width)
+            single = mlm_context_rows(mlm, [seq], append_row)[0]
+            assert rows.shape == single.shape == (len(seq) - 1 + append_row, width)
+            assert np.allclose(rows, single, rtol=0, atol=1e-12)
+        assert mlm_masked_accuracy(mlm, [[]]) == 0.0
+
     def test_context_rows_run_no_cell_step(self, monkeypatch):
         def step(*_):
             raise AssertionError("context rows stepped an LstmCell")
