@@ -74,15 +74,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -138,17 +131,6 @@ class Tensor:
         return out
 
     __radd__ = __add__
-
-    def __neg__(self):
-        out = _result(-self.data, (self,))
-        if out.requires_grad:
-            def back(g, a=self):
-                a._accum(-g)
-            out._backward = back
-        return out
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Tensor) else -float(other))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -268,32 +250,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2D x 2D, 1D x 2D, and 2D x 1D operands."""
+    """Matrix product of two 2D operands."""
     ad, bd = a.data, b.data
     _check_matmul(ad, bd)
     out = _result(ad @ bd, (a, b))
     if out.requires_grad:
         def back(g, x=a, y=b):
             if x.requires_grad:
-                if x.data.ndim == 1:
-                    gx = y.data @ g if y.data.ndim == 2 else g * y.data
-                else:
-                    gx = np.outer(g, y.data) if y.data.ndim == 1 else g @ y.data.T
-                x._accum(gx)
+                x._accum(g @ y.data.T)
             if y.requires_grad:
-                if y.data.ndim == 1:
-                    gy = x.data.T @ g if x.data.ndim == 2 else g * x.data
-                else:
-                    gy = np.outer(x.data, g) if x.data.ndim == 1 else x.data.T @ g
-                y._accum(gy)
+                y._accum(x.data.T @ g)
         out._backward = back
     return out
 
 
 def _check_matmul(ad: np.ndarray, bd: np.ndarray):
-    if ad.ndim == 0 or bd.ndim == 0 or ad.ndim > 2 or bd.ndim > 2:
-        raise ShapeError(f"matmul supports 1D/2D operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul needs 2D operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
 
 
@@ -413,30 +387,6 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(x))
-
-
-def softmax_xent(logits: Tensor, target: int) -> Tensor:
-    """Cross-entropy of a single target against a vector of logits."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_xent expects 1D logits, got {logits.shape}")
-    v = logits.data.shape[0]
-    if v < 2:
-        raise ShapeError(f"softmax_xent needs at least 2 classes, got {v}")
-    if not (0 <= target < v):
-        raise IndexError(f"target {target} out of range for {v} classes")
-    logp = log_softmax(logits.data)
-    out = _result(np.asarray(-logp[target]), (logits,))
-    if out.requires_grad:
-        def back(g, a=logits, p=np.exp(logp), t=target):
-            d = p.copy()
-            d[t] -= 1.0
-            a._accum(d * float(g))
-        out._backward = back
-    return out
-
-
 def softmax_xent_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Per-row cross-entropy for a batch of logits and integer targets."""
     if logits.data.ndim != 2:
@@ -459,12 +409,15 @@ def softmax_xent_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     return out
 
 
-def dropout(x, rate: float, training: bool, rng: np.random.Generator):
-    """Inverted dropout: identity at inference, rescaled mask in training."""
+def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
+    """Inverted dropout: identity at inference, rescaled mask in training,
+    which needs `rng` when rate > 0."""
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
+    if rng is None:
+        raise ConfigError("dropout in training needs a random generator")
     xd = x.data if isinstance(x, Tensor) else x
     keep = (rng.random(xd.shape) >= rate) / (1.0 - rate)
     if not isinstance(x, Tensor):
@@ -499,18 +452,19 @@ class Adam:
     Frozen parameters are skipped entirely, so their values stay bit-identical
     across any number of steps. step() clears all gradients afterwards. A
     missing or non-finite gradient raises before the step counter, the moments
-    or any parameter changes.
+    or any parameter changes. The moment rates and eps are fixed at the
+    defaults of Kingma and Ba (arXiv:1412.6980).
     """
 
-    def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float = 5e-4):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -525,22 +479,18 @@ class Adam:
             if not np.isfinite(p.grad).all():
                 raise NumericError(f"parameter {name} has a non-finite gradient")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         for i, p in enumerate(self.params):
             if p.frozen:
                 p.grad = None
                 continue
             g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            self._m[i] = self.BETA1 * self._m[i] + (1.0 - self.BETA1) * g
+            self._v[i] = self.BETA2 * self._v[i] + (1.0 - self.BETA2) * (g * g)
             m_hat = self._m[i] / b1t
             v_hat = self._v[i] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
             p.grad = None
 
 

@@ -41,20 +41,12 @@ ROWS_CACHE_SIZE = 1024
 class BeamConfig:
     beam_width: int = 5
     max_len: int | None = None  # defaults to the model's configured cap
-    length_normalization: bool = False
 
     def validate(self):
         if self.beam_width < 1:
             raise ConfigError(f"beam_width must be at least 1, got {self.beam_width}")
         if self.max_len is not None and self.max_len < 2:
             raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
-
-
-@dataclass
-class Hypothesis:
-    tokens: list[int]
-    logprob: float
-    finished: bool
 
 
 class Stepper:
@@ -123,7 +115,9 @@ class EmendStepper(Stepper):
     encodes the draft with position t+1 masked (mask appended past the end).
     mlm_override, one state of width mlm_hidden_dim, replaces every row and
     skips the MLM. An MLM whose width is not the model's mlm_hidden_dim
-    raises ConfigError; an override of any other shape raises ShapeError."""
+    raises ConfigError; an override of any other shape raises ShapeError; a
+    wrapped draft of fewer than 2 tokens, which gives no row, raises
+    InputError."""
 
     def __init__(self, model, mlm: MaskedLM, features, wrapped_draft: list[int],
                  mlm_override: np.ndarray | None = None):
@@ -134,6 +128,8 @@ class EmendStepper(Stepper):
         if mlm.cfg.hidden_dim != width:
             raise ConfigError(f"the masked LM's hidden_dim {mlm.cfg.hidden_dim} is not "
                               f"the model's mlm_hidden_dim {width}")
+        if len(wrapped_draft) < 2:
+            raise InputError(f"a wrapped draft needs at least 2 tokens, got {len(wrapped_draft)}")
         _check_ids(wrapped_draft, mlm.cfg.vocab_size, "draft token")
         if mlm_override is None:
             self.rows = draft_rows(mlm, wrapped_draft)
@@ -177,7 +173,7 @@ def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]
     cfg = cfg or BeamConfig()
     cfg.validate()
     max_len = cfg.max_len or stepper.model.cfg.max_len
-    return beam_over(stepper, cfg.beam_width, max_len, cfg.length_normalization)
+    return beam_over(stepper, cfg.beam_width, max_len)
 
 
 # -- beam search ---------------------------------------------------------------
@@ -193,19 +189,22 @@ def best_cells(total: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return parents, tokens
 
 
-def beam_over(stepper, beam_width: int, max_len: int,
-              length_normalization: bool = False) -> tuple[list[int], float]:
+def beam_over(stepper, beam_width: int, max_len: int) -> tuple[list[int], float]:
     """Beam search over any stepper; returns (tokens, summed log-prob).
 
-    Finished hypotheses are frozen when they leave the beam; the result is the
-    best finished hypothesis, or the best unfinished one at max_len. Ties break
-    on smaller token id at expansion and shorter sequence at the end.
+    Finished hypotheses are frozen when they leave the beam, and the search
+    stops once the best of them scores at least the best live one. One rule
+    ranks the result, with no length normalization: of the finished
+    hypotheses, or of the live ones if none finished by max_len, the least in
+    (-summed log-prob, length, tokens) wins, so ties go to the shorter
+    sequence, then to the smaller token ids. Ties at expansion go to the
+    smaller token id (best_cells).
     """
     state = stepper.start()
     alive_tokens: list[list[int]] = [[]]
     alive_scores = np.zeros(1)
     inputs = np.array([START_ID])
-    finished: list[Hypothesis] = []
+    finished: list[tuple[list[int], float]] = []
     for _ in range(max_len):
         state, rows = stepper.step(state, inputs)
         total = alive_scores[:, None] + rows
@@ -217,7 +216,7 @@ def beam_over(stepper, beam_width: int, max_len: int,
                 continue
             cand = alive_tokens[parent] + [tok]
             if tok == EOS_ID:
-                finished.append(Hypothesis(cand, score, True))
+                finished.append((cand, score))
             else:
                 new_tokens.append(cand)
                 new_scores.append(score)
@@ -225,23 +224,14 @@ def beam_over(stepper, beam_width: int, max_len: int,
                 new_inputs.append(tok)
         if not new_tokens:
             break
-        if (finished and not length_normalization
-                and max(h.logprob for h in finished) >= max(new_scores)):
+        if finished and max(s for _, s in finished) >= max(new_scores):
             break
         state = stepper.select(state, np.array(new_parents))
         alive_tokens = new_tokens
         alive_scores = np.array(new_scores)
         inputs = np.array(new_inputs)
-    pool = finished if finished else [
-        Hypothesis(t, s, False) for t, s in zip(alive_tokens, alive_scores)
-    ]
-
-    def rank(h: Hypothesis):
-        score = h.logprob / len(h.tokens) if length_normalization else h.logprob
-        return (-score, len(h.tokens), tuple(h.tokens))
-
-    best = min(pool, key=rank)
-    return best.tokens, best.logprob
+    pool = finished or list(zip(alive_tokens, alive_scores))
+    return min(pool, key=lambda h: (-h[1], len(h[0]), h[0]))
 
 
 def beam_search_scored(model, features,

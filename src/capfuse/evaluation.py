@@ -5,6 +5,14 @@ brevity penalty, ROUGE-L as an LCS F-measure, and the CIDEr-D consensus
 scorer (tf-idf n-gram cosine with count clipping and a Gaussian length
 penalty). Every scorer has an independent brute-force twin in the test suite.
 
+The metrics are the standard ones, with their constants fixed: BLEU up to
+order MAX_N = 4, unsmoothed (K. Papineni et al., "BLEU: a method for automatic
+evaluation of machine translation", ACL 2002); ROUGE-L with ROUGE_BETA = 1.2
+(C.-Y. Lin, "ROUGE: a package for automatic evaluation of summaries", 2004);
+CIDEr-D over n-grams of orders n <= MAX_N with the length penalty's
+CIDER_SIGMA = 6 (R. Vedantam et al., "CIDEr: consensus-based image description
+evaluation", arXiv:1411.5726).
+
 BLEU and CIDEr-D read one n-gram index per corpus (`_NgramIndex`): each
 distinct caption's n-grams of orders 1-4 are counted once, and each n-gram is
 numbered once, so clipping and tf-idf dot products hash ints. CIDEr-D
@@ -39,6 +47,10 @@ from .errors import InputError
 
 Tokens = list[str]
 
+MAX_N = 4  # n-gram orders of BLEU and CIDEr-D
+ROUGE_BETA = 1.2  # recall weight of the ROUGE-L F-measure
+CIDER_SIGMA = 6.0  # width of CIDEr-D's Gaussian length penalty
+
 
 def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]],
                   metric: str):
@@ -51,26 +63,25 @@ def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]],
 
 
 class _NgramIndex:
-    """N-gram counts of orders 1..max_n for the captions of one corpus.
+    """N-gram counts of orders 1..MAX_N for the captions of one corpus.
 
     Each distinct token list is counted once, on first request, and kept
     under its tuple. Each n-gram gets an int id the first time it is seen, so
     BLEU clipping and CIDEr-D dot products hash ints, not tuples of strings.
     """
 
-    def __init__(self, max_n: int = 4):
-        self.max_n = max_n
+    def __init__(self):
         self._ids: dict[tuple[str, ...], int] = {}
         self._counts: dict[tuple[str, ...], list[dict[int, int]]] = {}
 
     def counts(self, tokens: Tokens) -> list[dict[int, int]]:
-        """One dict per order 1..max_n: n-gram id -> count in `tokens`."""
+        """One dict per order 1..MAX_N: n-gram id -> count in `tokens`."""
         key = tuple(tokens)
         found = self._counts.get(key)
         if found is None:
             ids = self._ids
             found = []
-            for n in range(1, self.max_n + 1):
+            for n in range(1, MAX_N + 1):
                 order: dict[int, int] = {}
                 for i in range(len(key) - n + 1):
                     gram = ids.setdefault(key[i:i + n], len(ids))
@@ -83,29 +94,27 @@ class _NgramIndex:
 # -- BLEU ----------------------------------------------------------------------
 
 
-def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]],
-             max_n: int = 4, smooth: bool = False, *,
+def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]], *,
              index: _NgramIndex | None = None) -> list[float]:
-    """Corpus BLEU for every order 1..max_n, on a 0-100 scale.
+    """Corpus BLEU for every order 1..MAX_N, on a 0-100 scale.
 
     Clipped n-gram counts are pooled over the corpus; the brevity penalty uses
     the closest reference length per hypothesis (ties going to the shorter).
-    With smooth=True, one is added to the matched and total counts of orders
-    above 1 (zero-count protection at tiny scales; off by default). `index`
-    shares n-gram counts with other metrics of the same corpus.
+    An order with no match scores 0, and so does every order above it.
+    `index` shares n-gram counts with other metrics of the same corpus.
     """
     _check_corpus(hypotheses, references, "BLEU")
-    if index is None or index.max_n < max_n:
-        index = _NgramIndex(max_n)
-    matched = [0] * max_n
-    total = [0] * max_n
+    if index is None:
+        index = _NgramIndex()
+    matched = [0] * MAX_N
+    total = [0] * MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, refs in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
         ref_counts = [index.counts(r) for r in refs]
-        for n, counts in enumerate(index.counts(hyp)[:max_n]):
+        for n, counts in enumerate(index.counts(hyp)):
             per_ref = [rc[n] for rc in ref_counts]
             for gram, c in counts.items():
                 best = 0
@@ -116,28 +125,20 @@ def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]],
                 matched[n] += c if c < best else best
             total[n] += max(0, len(hyp) - n)
     if hyp_len == 0:
-        return [0.0] * max_n
+        return [0.0] * MAX_N
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     scores = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         log_sum = 0.0
         degenerate = False
         for k in range(n):
             m, t = matched[k], total[k]
-            if smooth and k > 0:
-                m, t = m + 1, t + 1
             if m == 0 or t == 0:
                 degenerate = True
                 break
             log_sum += math.log(m / t)
         scores.append(0.0 if degenerate else 100.0 * bp * math.exp(log_sum / n))
     return scores
-
-
-def bleu(hypotheses: list[Tokens], references: list[list[Tokens]], n: int = 4,
-         smooth: bool = False) -> float:
-    """Corpus BLEU-n (see bleu_all)."""
-    return bleu_all(hypotheses, references, max_n=n, smooth=smooth)[n - 1]
 
 
 # -- ROUGE-L --------------------------------------------------------------------
@@ -170,12 +171,13 @@ def _lcs_length(a: Tokens, b: Tokens, masks: dict[str, int] | None = None) -> in
     return len(a) - v.bit_count()
 
 
-def rouge_l_single(hypothesis: Tokens, references: list[Tokens],
-                   beta: float = 1.2) -> float:
-    """LCS F-measure against the best-matching reference, 0-100 scale."""
+def rouge_l_single(hypothesis: Tokens, references: list[Tokens]) -> float:
+    """LCS F-measure, recall weighted by ROUGE_BETA, against the
+    best-matching reference, 0-100 scale."""
     if not references:
         raise InputError("ROUGE-L needs at least one reference")
     masks = _symbol_masks(hypothesis)
+    beta2 = ROUGE_BETA * ROUGE_BETA
     best = 0.0
     for ref in references:
         lcs = _lcs_length(hypothesis, ref, masks)
@@ -183,32 +185,30 @@ def rouge_l_single(hypothesis: Tokens, references: list[Tokens],
             continue
         p = lcs / len(hypothesis)
         r = lcs / len(ref)
-        f = (1 + beta * beta) * p * r / (r + beta * beta * p)
+        f = (1 + beta2) * p * r / (r + beta2 * p)
         best = max(best, f)
     return 100.0 * best
 
 
-def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]],
-            beta: float = 1.2) -> float:
+def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]]) -> float:
     """Corpus ROUGE-L: mean of the per-example scores."""
     _check_corpus(hypotheses, references, "ROUGE-L")
-    return sum(rouge_l_single(h, r, beta) for h, r in zip(hypotheses, references)) \
-        / len(hypotheses)
+    return sum(rouge_l_single(h, r) for h, r in zip(hypotheses, references)) / len(hypotheses)
 
 
 # -- CIDEr-D ---------------------------------------------------------------------
 
 
-def cider(hypotheses: list[Tokens], references: list[list[Tokens]],
-          max_n: int = 4, sigma: float = 6.0, *,
+def cider(hypotheses: list[Tokens], references: list[list[Tokens]], *,
           index: _NgramIndex | None = None) -> float:
     """CIDEr-D on the conventional 0-10 scale.
 
     idf comes from the reference corpus (document = one example's reference
     set); per-reference similarity is the count-clipped tf-idf cosine per
-    n-gram order, damped by a Gaussian penalty on the length difference,
-    averaged over orders and references, then scaled by 10. `index` shares
-    n-gram counts with other metrics of the same corpus.
+    n-gram order, damped by a Gaussian penalty (width CIDER_SIGMA) on the
+    length difference, averaged over orders 1..MAX_N and references, then
+    scaled by 10. `index` shares n-gram counts with other metrics of the same
+    corpus.
     """
     _check_corpus(hypotheses, references, "CIDEr")
     if len(hypotheses) < 2:
@@ -216,13 +216,13 @@ def cider(hypotheses: list[Tokens], references: list[list[Tokens]],
             "CIDEr needs at least 2 examples: with a single-document corpus "
             "every idf is log(1/1) = 0 and all vectors are degenerate"
         )
-    if index is None or index.max_n < max_n:
-        index = _NgramIndex(max_n)
+    if index is None:
+        index = _NgramIndex()
     doc_freq: Counter = Counter()
     for refs in references:
         seen: set[int] = set()
         for ref in refs:
-            for counts in index.counts(ref)[:max_n]:
+            for counts in index.counts(ref):
                 seen.update(counts)
         doc_freq.update(seen)
     log_docs = math.log(len(references))
@@ -234,7 +234,7 @@ def cider(hypotheses: list[Tokens], references: list[list[Tokens]],
         found = vectors.get(key)
         if found is None:
             vecs = [{gram: c * idf.get(gram, log_docs) for gram, c in counts.items()}
-                    for counts in index.counts(tokens)[:max_n]]
+                    for counts in index.counts(tokens)]
             norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs]
             found = vectors[key] = (vecs, norms)
         return found
@@ -246,7 +246,7 @@ def cider(hypotheses: list[Tokens], references: list[list[Tokens]],
         for ref in refs:
             r_vecs, r_norms = tfidf(ref)
             delta = float(len(hyp) - len(ref))
-            penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+            penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
             sim_sum = 0.0
             for h_vec, h_norm, r_vec, r_norm in zip(h_vecs, h_norms, r_vecs, r_norms):
                 if h_norm == 0.0 or r_norm == 0.0:
@@ -259,7 +259,7 @@ def cider(hypotheses: list[Tokens], references: list[list[Tokens]],
                     if r_val is not None:
                         dot += (h_val if h_val < r_val else r_val) * r_val
                 sim_sum += penalty * dot / (h_norm * r_norm)
-            total += sim_sum / max_n
+            total += sim_sum / MAX_N
         scores.append(10.0 * total / len(refs))
     return sum(scores) / len(scores)
 

@@ -88,26 +88,20 @@ class FusionLayer(ParamStore):
         self.out_w = self._param("fusion.out.W", xavier_uniform(rng, out_dim, v))
         self.out_b = self._param("fusion.out.b", np.zeros(v))
 
-    # -- schemes ------------------------------------------------------------
+    # -- schemes: each returns the fused features -------------------------------
 
-    def _head(self, features, training: bool, rng):
-        dropped = dropout(features, self.cfg.dropout, training, rng) if training else features
-        return affine(dropped, self.out_w, self.out_b)
-
-    def simple_fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
+    def _simple(self, h_lstm, h_mlm):
         """Relu-gated projection of the concatenated hidden states."""
-        fused = relu(affine(concat_last(h_lstm, h_mlm), self.gate_w, self.gate_b))
-        return FusionOutput(fused, self._head(fused, training, rng))
+        return relu(affine(concat_last(h_lstm, h_mlm), self.gate_w, self.gate_b))
 
-    def cold_fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
+    def _cold(self, h_lstm, h_mlm):
         """Gated modulation of a projected LM state, then a merge projection."""
         h_lm = relu(affine(h_mlm, self.lm_w, self.lm_b))
         gate = relu(affine(concat_last(h_lstm, h_lm), self.gate_w, self.gate_b))
         h_cf = concat_last(h_lstm, gate * h_lm)
-        r_cf = relu(affine(h_cf, self.merge_w, self.merge_b))
-        return FusionOutput(r_cf, self._head(r_cf, training, rng))
+        return relu(affine(h_cf, self.merge_w, self.merge_b))
 
-    def hier_fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
+    def _hier(self, h_lstm, h_mlm):
         """Dual relu gates over the concatenation, then two GLU stages.
 
         Note the concatenation order here puts the LM state first.
@@ -116,17 +110,17 @@ class FusionLayer(ParamStore):
         g_left = relu(affine(h_c, self.left_w, self.left_b)) * h_c
         g_right = h_c * relu(affine(h_c, self.right_w, self.right_b))
         g_c = glu(concat_last(g_left, g_right))
-        g_f = glu(affine(g_c, self.expand_w, self.expand_b))
-        return FusionOutput(g_f, self._head(g_f, training, rng))
+        return glu(affine(g_c, self.expand_w, self.expand_b))
+
+    _SCHEMES = {FusionKind.SIMPLE: _simple, FusionKind.COLD: _cold, FusionKind.HIER: _hier}
 
     def fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
-        """The scheme's features and logits: Tensors from Tensors, plain
-        arrays from plain arrays."""
-        if self.kind == FusionKind.SIMPLE:
-            return self.simple_fuse(h_lstm, h_mlm, training, rng)
-        if self.kind == FusionKind.COLD:
-            return self.cold_fuse(h_lstm, h_mlm, training, rng)
-        return self.hier_fuse(h_lstm, h_mlm, training, rng)
+        """The scheme's features and the vocabulary head's logits over them,
+        after dropout in training: Tensors from Tensors, plain arrays from
+        plain arrays."""
+        features = self._SCHEMES[self.kind](self, h_lstm, h_mlm)
+        dropped = dropout(features, self.cfg.dropout, training, rng)
+        return FusionOutput(features, affine(dropped, self.out_w, self.out_b))
 
 
 class CaptionModel:

@@ -187,7 +187,7 @@ class CaptionDecoder(ParamStore):
         return _stack_step(self.cells, x, state)
 
     def head_logits(self, h_top, training: bool, rng=None):
-        dropped = dropout(h_top, self.cfg.dropout, training, rng) if training else h_top
+        dropped = dropout(h_top, self.cfg.dropout, training, rng)
         return affine(dropped, self.head_w, self.head_b)
 
 
@@ -313,6 +313,15 @@ def _select_steps(tops: list[Tensor], idx: np.ndarray) -> Tensor:
     return out
 
 
+def _context_steps(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward) encoder steps whose top-layer states are the
+    context of mask position p in a sequence of length n; step -1 is the empty
+    context. p = 1..n-1 masks a token; p = n is the mask inserted after the
+    final pre-end token, whose forward context is the prefix up to that token
+    and whose backward context is the end token alone."""
+    return np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)
+
+
 # sequences per padded batch of mlm_context_rows; bounds its [T x B x 4H] projections
 ROWS_CHUNK = 128
 
@@ -340,14 +349,11 @@ def _context_rows_chunk(mlm: MaskedLM, seqs, append_row: bool) -> list[np.ndarra
     both = np.zeros((2, toks.shape[1] + 1, len(seqs), mlm.cfg.hidden_dim))
     mlm._encode_states(mlm.fwd, toks, both[0])
     mlm._encode_states(mlm.bwd, rev, both[1])
-    # rows p = 1..n-1 of a length-n sequence, then p = n for the mask
-    # inserted after the final pre-end token: its forward context is the
-    # prefix up to that token, its backward context the end token alone
+    # rows p = 1..n-1 of a length-n sequence, then p = n if appended
     counts = np.maximum(lens - 1, 0) + (append_row & (lens >= 2))
     owner = np.repeat(np.arange(len(seqs)), counts)
     p = np.arange(1, len(owner) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    n = lens[owner]
-    steps = np.stack([np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)], axis=1)
+    steps = np.stack(_context_steps(p, lens[owner]), axis=1)
     pairs = both[[0, 1], steps, owner[:, None]].reshape(len(owner), 2 * mlm.cfg.hidden_dim)
     return np.split(affine(pairs, mlm.comb_w, mlm.comb_b), np.cumsum(counts)[:-1])
 
@@ -358,6 +364,12 @@ class MlmPretrainConfig:
     lr: float = 1e-3
     batch_size: int = 32
     seed: int = 0
+
+    def validate(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -374,8 +386,7 @@ def _masked_batch_loss(mlm: MaskedLM, seqs: list[list[int]],
     toks, rev, lens = _padded_batch(seqs)
     fwd_tops = mlm._run_encoder(mlm.fwd, toks)
     bwd_tops = mlm._run_encoder(mlm.bwd, rev)
-    fwd_idx = positions - 1
-    bwd_idx = np.where(positions <= lens - 2, lens - 2 - positions, -1)
+    fwd_idx, bwd_idx = _context_steps(positions, lens)
     fwd_ctx = _select_steps(fwd_tops, fwd_idx)
     bwd_ctx = _select_steps(bwd_tops, bwd_idx)
     state = mlm.combine(fwd_ctx, bwd_ctx)
@@ -393,6 +404,7 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
     downstream). Returns (mlm, report).
     """
     cfg = cfg or MlmPretrainConfig()
+    cfg.validate()
     corpus = [list(s) for s in corpus if len(s) >= 2]
     if not corpus:
         raise InputError("masked LM pretraining needs a non-empty corpus "

@@ -147,6 +147,19 @@ class TestBeamAgainstEnumeration:
         assert got == greedy_oracle(TableStepper(table), 2)
         assert got[0] == [3, EOS_ID]
 
+    def test_a_tie_in_summed_log_prob_goes_to_the_shorter_sequence(self):
+        # [6, <eos>] and [5, 5, <eos>] both sum to -1.0 exactly; the longer
+        # one has the smaller ids, so only the length decides
+        def row(scores):
+            out = np.full(7, -np.inf)
+            out[list(scores)] = list(scores.values())
+            return out
+
+        table = {(0, START_ID): row({5: 0.0, 6: -1.0}),
+                 (1, 5): row({5: -0.5}), (1, 6): row({EOS_ID: 0.0}),
+                 (2, 5): row({EOS_ID: -0.5})}
+        assert beam_over(TableStepper(table), 2, 3) == ([6, EOS_ID], -1.0)
+
     def test_impossible_cells_never_enter_the_beam(self):
         # only token 5 can follow <start>; a beam of 3 stays one hypothesis
         # wide, so the table needs no row for any other prefix
@@ -440,6 +453,21 @@ class TestEmend:
             with pytest.raises(ShapeError, match="mlm_override"):
                 emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=bad)
         assert emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=[0.5] * 6)
+
+    @pytest.mark.parametrize("wrapped", [[], [START_ID]])
+    def test_a_wrapped_draft_of_fewer_than_2_tokens_is_rejected(self, wrapped):
+        model = tiny_model("cold", seed=30)
+        mlm = tiny_mlm(30)
+        mlm.freeze()
+        f = feats(30)
+        for override in (None, np.zeros(6)):
+            with pytest.raises(InputError, match=f"at least 2 tokens, got {len(wrapped)}"):
+                EmendStepper(model, mlm, f, wrapped, mlm_override=override)
+        assert mlm.rows_memo is None
+        shortest = EmendStepper(model, mlm, f, [START_ID, EOS_ID])
+        assert shortest.rows.shape == (2, 6)
+        tokens, score = beam_over(shortest, 2, 3)
+        assert tokens and np.isfinite(score)
 
     @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
     def test_masked_lm_of_another_width_is_rejected(self, kind):

@@ -10,7 +10,6 @@ from capfuse.evaluation import (
     _NgramIndex,
     aggregate_seeds,
     apply_edits,
-    bleu,
     bleu_all,
     cider,
     compute_metrics,
@@ -52,38 +51,34 @@ class TestBleu:
         hyps = [["a", "red", "circle", "here"], ["two", "blue", "stars", "shine"]]
         refs = [[h] for h in hyps]
         for n in range(1, 5):
-            assert bleu(hyps, refs, n) == pytest.approx(100.0, abs=1e-9)
+            assert bleu_all(hyps, refs)[n - 1] == pytest.approx(100.0, abs=1e-9)
 
     def test_worked_clipped_unigram_example(self):
         hyp = "the the the the the the the".split()
         ref = "the cat is on the mat".split()
-        score = bleu([hyp], [[ref]], n=1)
+        score = bleu_all([hyp], [[ref]])[0]
         assert score == pytest.approx(100.0 * 2.0 / 7.0, abs=1e-9)
 
     def test_brevity_penalty_applies_to_short_hypothesis(self):
         hyp = ["the", "cat"]
         ref = ["the", "cat", "is", "here"]
         expect = 100.0 * np.exp(1.0 - 4.0 / 2.0)  # precisions are 1
-        assert bleu([hyp], [[ref]], n=1) == pytest.approx(expect, abs=1e-9)
+        assert bleu_all([hyp], [[ref]])[0] == pytest.approx(expect, abs=1e-9)
 
     def test_closest_reference_tie_prefers_shorter(self):
         hyp = ["a", "b", "c"]
         refs = [["a", "b"], ["a", "b", "c", "d"]]  # both at distance 1
         # shorter wins the tie, so r=2 < c=3 and BP is 1
-        assert bleu([hyp], [refs], n=1) == pytest.approx(100.0 * 3.0 / 3.0, abs=1e-9)
+        assert bleu_all([hyp], [refs])[0] == pytest.approx(100.0 * 3.0 / 3.0, abs=1e-9)
 
     def test_zero_ngram_matches_scores_zero(self):
-        assert bleu([["x"]], [[["y"]]], n=1) == 0.0
-
-    def test_smoothing_switch(self):
-        hyp = [["a", "b"]]
-        ref = [[["a", "c"]]]
-        assert bleu(hyp, ref, n=2) == 0.0
-        assert bleu(hyp, ref, n=2, smooth=True) > 0.0
+        assert bleu_all([["x"]], [[["y"]]]) == [0.0] * 4
+        # unsmoothed: no bigram match zeroes BLEU-2 and above
+        assert bleu_all([["a", "b"]], [[["a", "c"]]]) == [50.0, 0.0, 0.0, 0.0]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
-            bleu([], [], n=4)
+            bleu_all([], [])
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, grad_check, softmax_xent_rows
+from capfuse.autodiff import Tensor, affine, dropout, grad_check, softmax_xent_rows
 from capfuse.errors import ConfigError
 from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_model
 from capfuse.models import MaskedLM, MlmConfig, ModelConfig, START_ID
@@ -65,7 +65,7 @@ class TestSimpleFusion:
         rng = np.random.default_rng(3)
         h_lstm = Tensor(rng.uniform(0, 1, size=(1, 6)))
         h_mlm = Tensor(rng.uniform(0, 1, size=(1, 7)))
-        out = fl.simple_fuse(h_lstm, h_mlm)
+        out = fl.fuse(h_lstm, h_mlm)
         expect = np.concatenate([h_lstm.data, h_mlm.data], axis=-1)
         assert np.array_equal(out.features.data, expect)
 
@@ -75,7 +75,7 @@ class TestSimpleFusion:
         inputs = [h_lstm, h_mlm] + fl.parameters()
 
         def f(*args):
-            out = fl.simple_fuse(args[0], args[1])
+            out = fl.fuse(args[0], args[1])
             loss = softmax_xent_rows(out.logits, np.array([3])).sum()
             for p in args:
                 loss = loss + p.sum() * 1e-3
@@ -89,10 +89,10 @@ class TestColdFusion:
         fl = layer("cold", seed=6)
         fl.gate_b.data[...] = -1e6  # relu gate forced shut
         h_lstm, h_mlm = states(7)
-        out = fl.cold_fuse(h_lstm, h_mlm)
+        out = fl.fuse(h_lstm, h_mlm)
         # with the gate closed, swapping the MLM state changes nothing
         other = Tensor(np.random.default_rng(8).uniform(-1, 1, size=(1, 7)))
-        out2 = fl.cold_fuse(h_lstm, other)
+        out2 = fl.fuse(h_lstm, other)
         assert np.array_equal(out.logits.data, out2.logits.data)
 
     def test_end_to_end_gradient(self):
@@ -101,7 +101,7 @@ class TestColdFusion:
         inputs = [h_lstm, h_mlm] + fl.parameters()
 
         def f(*args):
-            out = fl.cold_fuse(args[0], args[1])
+            out = fl.fuse(args[0], args[1])
             loss = softmax_xent_rows(out.logits, np.array([2])).sum()
             for p in args:
                 loss = loss + p.sum() * 1e-3
@@ -119,14 +119,14 @@ class TestHierFusion:
         rng = np.random.default_rng(12)
         a = Tensor(rng.uniform(-1, 1, size=(1, 6)))
         b = Tensor(rng.uniform(-1, 1, size=(1, 6)))
-        out_ab = fl.hier_fuse(a, b).logits.data
-        out_ba = fl.hier_fuse(b, a).logits.data
+        out_ab = fl.fuse(a, b).logits.data
+        out_ba = fl.fuse(b, a).logits.data
         assert not np.array_equal(out_ab, out_ba)
 
     def test_glu_dimension_contract(self):
         fl = layer("hier", seed=13)
         h_lstm, h_mlm = states(14)
-        out = fl.hier_fuse(h_lstm, h_mlm)
+        out = fl.fuse(h_lstm, h_mlm)
         assert out.features.shape == (1, 6 + 7)
 
     def test_end_to_end_gradient(self):
@@ -135,7 +135,7 @@ class TestHierFusion:
         inputs = [h_lstm, h_mlm] + fl.parameters()
 
         def f(*args):
-            out = fl.hier_fuse(args[0], args[1])
+            out = fl.fuse(args[0], args[1])
             loss = softmax_xent_rows(out.logits, np.array([5])).sum()
             for p in args:
                 loss = loss + p.sum() * 1e-3
@@ -146,11 +146,24 @@ class TestHierFusion:
 
 class TestDispatch:
     def test_dispatch_matches_scheme(self):
-        fl = layer("simple", seed=17)
         h_lstm, h_mlm = states(18)
-        a = fl.fuse(h_lstm, h_mlm).logits.data
-        b = fl.simple_fuse(h_lstm, h_mlm).logits.data
-        assert np.array_equal(a, b)
+        for kind in ("simple", "cold", "hier"):
+            fl = layer(kind, seed=17)
+            out = fl.fuse(h_lstm, h_mlm)
+            features = getattr(fl, f"_{kind}")(h_lstm, h_mlm)
+            assert np.array_equal(out.features.data, features.data)
+            assert np.array_equal(out.logits.data, affine(features, fl.out_w, fl.out_b).data)
+
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    def test_training_drops_out_the_features_once_before_the_head(self, kind):
+        fl = FusionLayer(FusionKind(kind), tiny_cfg(kind, dropout=0.5),
+                         np.random.default_rng(31))
+        h_lstm, h_mlm = (s.data for s in states(32))
+        out = fl.fuse(h_lstm, h_mlm, True, np.random.default_rng(33))
+        dropped = dropout(out.features, 0.5, True, np.random.default_rng(33))
+        assert (dropped == 0.0).any()
+        assert np.array_equal(out.logits, affine(dropped, fl.out_w, fl.out_b))
+        assert np.array_equal(out.features, fl.fuse(h_lstm, h_mlm).features)
 
     def test_all_schemes_emit_vocab_logits(self):
         h_lstm, h_mlm = states(19)
@@ -248,3 +261,12 @@ class TestCaptionModel:
         h = Tensor(np.zeros((1, 6)))
         with pytest.raises(ConfigError):
             model.step_logits(h, None)
+
+    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
+    def test_step_logits_in_training_needs_an_rng(self, kind):
+        model = build_model(tiny_cfg(kind, dropout=0.5), seed=5)
+        h, m = np.zeros((2, 6)), np.zeros((2, 7))
+        with pytest.raises(ConfigError, match="random generator"):
+            model.step_logits(h, m, training=True)
+        logits = model.step_logits(h, m, training=True, rng=np.random.default_rng(0))
+        assert logits.shape == (2, V)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, grad_check, no_grad, params_checksum, softmax_xent
+from capfuse.autodiff import Tensor, grad_check, no_grad, params_checksum, softmax_xent_rows
 from capfuse import models
 from capfuse.errors import ConfigError, InputError, StateError
 from capfuse.models import (
@@ -15,6 +15,7 @@ from capfuse.models import (
     MlmPretrainConfig,
     ModelConfig,
     ParamStore,
+    _masked_batch_loss,
     _padded_batch,
     _stack_step,
     _zero_state,
@@ -342,6 +343,34 @@ class TestLayerMajorEncoder:
         assert [r.shape[0] for r in rows] == [3, 1]
 
 
+class TestMaskedLossReadsTheContextRows:
+    """Pretraining and decoding read the same MLM state for a masked position:
+    _masked_batch_loss equals the head's cross-entropy over row p - 1 of
+    mlm_context_rows, on the graph path and the graph-free one."""
+
+    @pytest.mark.parametrize("on_eos", [False, True])
+    @pytest.mark.parametrize("lengths", [n for n in ragged_batches() if len(n) >= 2],
+                             ids=lambda n: f"B{len(n)}")
+    def test_loss_equals_the_cross_entropy_of_the_rows(self, lengths, on_eos):
+        mlm = tiny_mlm(seed=36)
+        seqs = random_captions(lengths, 200 + len(lengths))
+        rng = np.random.default_rng(len(lengths))
+        positions = np.array([len(s) - 1 if on_eos else int(rng.integers(1, len(s)))
+                              for s in seqs])
+        positions[0] = len(seqs[0]) - 1  # the mask on <eos>
+        rows = mlm_context_rows(mlm, seqs)
+        states = np.stack([r[p - 1] for r, p in zip(rows, positions)])
+        targets = np.array([s[p] for s, p in zip(seqs, positions)])
+        assert targets[0] == EOS_ID
+        xent = softmax_xent_rows(Tensor(mlm.head_logits(states)), targets).data
+        want = xent.sum() * (1.0 / len(seqs))
+        graph = _masked_batch_loss(mlm, seqs, positions)
+        assert graph._parents
+        with no_grad():
+            kernel = _masked_batch_loss(mlm, seqs, positions)
+        assert abs(graph.item() - want) <= 1e-12 and abs(kernel.item() - want) <= 1e-12
+
+
 class TestMlmGraph:
     def test_frozen_mlm_unchanged_by_a_backward_through_it(self):
         mlm = tiny_mlm(seed=15)
@@ -401,6 +430,17 @@ class TestMlmPretrain:
         mlm, _ = mlm_pretrain(mlm, corpus, MlmPretrainConfig(epochs=1, batch_size=4))
         assert mlm.frozen()
         assert all(not p.requires_grad for p in mlm.parameters())
+
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
+                                              ("batch_size", 0), ("batch_size", -2)])
+    def test_epochs_or_batch_size_below_one_rejected(self, field, value):
+        mlm = tiny_mlm(seed=16)
+        before = mlm.checksum()
+        cfg = MlmPretrainConfig(epochs=1, batch_size=4)
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
+            mlm_pretrain(mlm, [[START_ID, 5, 6, EOS_ID]] * 4, cfg)
+        assert not mlm.frozen() and mlm.checksum() == before
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
