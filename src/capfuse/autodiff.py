@@ -19,8 +19,10 @@ does.
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
 passes each closure its node's gradient. A graph is therefore freed by
-reference counting as soon as its last reference drops, whether or not
-backward() ran, without waiting for the cyclic garbage collector.
+reference counting as soon as its last reference drops, without waiting for
+the cyclic garbage collector. backward() does not wait for that: it releases
+each node as soon as the node's own backward has run, so the graph is freed
+while the walk goes on.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .errors import ConfigError, NumericError, ShapeError, StateError
 
 # Nesting counter for no_grad(); graph recording is active when it is zero.
 _GRAD_OFF = 0
+
+# _backward of a node that backward() has freed
+_FREED = object()
 
 
 class no_grad:
@@ -79,11 +84,32 @@ class Tensor:
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
+            # g + 0.0 into a fresh array: the bits of zeros + g (-0.0 becomes
+            # +0.0), broadcast alike; fresh because an op may pass one g to
+            # both of its parents
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
+
+    def _grad_buffer(self) -> np.ndarray:
+        """.grad, zero-filled on first use, for ops that add into part of it."""
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        return self.grad
 
     def backward(self):
-        """Backpropagate from a scalar output through the recorded graph."""
+        """Backpropagate from a scalar output through the recorded graph.
+
+        Every leaf that requires a gradient, Parameters included, adds its
+        gradient into .grad. backward() frees the graph as it goes: once a
+        node's own backward has run, the node drops its gradient, its
+        backward closure (with the arrays that closure saved) and its parent
+        links, so reference counting frees each intermediate the caller does
+        not hold while the walk goes on. Non-leaf gradients are therefore not
+        kept (their .grad is None afterwards), and a second backward() that
+        reaches any node of a freed graph raises StateError before any
+        gradient moves.
+        """
         if self.data.size != 1:
             raise StateError(f"backward() requires a scalar, got shape {self.shape}")
         topo = []
@@ -96,15 +122,22 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _FREED:
+                raise StateError("backward() through a graph that an earlier backward() freed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # pop, so that topo holds no reference to a node already walked
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._backward = _FREED
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -323,9 +356,7 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     out = _result(x.data[..., start:stop], (x,))
     if out.requires_grad:
         def back(g, a=x, s=start, e=stop):
-            full = np.zeros_like(a.data)
-            full[..., s:e] = g
-            a._accum(full)
+            a._grad_buffer()[..., s:e] += g
         out._backward = back
     return out
 
@@ -431,14 +462,20 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Select rows of an embedding table; backward scatter-adds."""
+    """Select rows of an embedding table; backward scatter-adds.
+
+    The backward sums the gradients of each distinct id from zero, in the
+    order the ids come, into one buffer row per distinct id, then adds those
+    rows into the table's gradient: the rounding of a zero-filled full-size
+    scatter plus one addition, without the full-size array."""
     ids = np.asarray(ids, dtype=np.int64)
     out = _result(table.data[ids], (table,))
     if out.requires_grad:
         def back(g, t=table, ix=ids):
-            full = np.zeros_like(t.data)
-            np.add.at(full, ix, g)
-            t._accum(full)
+            rows, inv = np.unique(ix.ravel(), return_inverse=True)
+            part = np.zeros((rows.size,) + t.data.shape[1:])
+            np.add.at(part, inv, g.reshape(-1, *t.data.shape[1:]))
+            t._grad_buffer()[rows] += part
         out._backward = back
     return out
 

@@ -437,7 +437,6 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
             opt.step()
             total += loss.item() * len(seqs)
             count += len(seqs)
-            del loss  # free this step's graph before the next one is built
         report.epoch_losses.append(total / count)
     mlm.freeze()
     report.wall_clock_sec = time.perf_counter() - started

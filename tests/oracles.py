@@ -3,7 +3,8 @@
 These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
-without the package's shared-suffix trim, masked-LM states one masked
+without the package's shared-suffix trim, view and gather gradients as
+zero-filled full-size arrays, masked-LM states one masked
 sequence at a time, one step and one layer at a time, fusion logits from each
 scheme's equations in plain numpy, greedy decoding by a plain argmax loop, and
 beam expansion order by a three-key lexsort.
@@ -206,6 +207,25 @@ def all_sequences(alphabet, max_len):
         frontier = [seq + [tok] for seq in frontier for tok in alphabet]
         out.extend(frontier)
     return out
+
+
+# -- autodiff -------------------------------------------------------------------------
+
+
+def gather_rows_grad_full(shape, ids, g):
+    """One gather_rows backward as a zero-filled array of the table's full
+    shape, with g scatter-added at the row ids."""
+    full = np.zeros(shape)
+    np.add.at(full, ids, g)
+    return full
+
+
+def slice_last_grad_full(shape, start, stop, g):
+    """One slice_last backward as a zero-filled array of the parent's full
+    shape, with g written at [start, stop) of the last axis."""
+    full = np.zeros(shape)
+    full[..., start:stop] = g
+    return full
 
 
 # -- masked LM and decoding -----------------------------------------------------------

@@ -24,6 +24,8 @@ from capfuse.autodiff import (
 )
 from capfuse.errors import ConfigError, NumericError, ShapeError, StateError
 
+from oracles import gather_rows_grad_full, slice_last_grad_full
+
 
 def t(values, rg=True):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=rg)
@@ -545,6 +547,53 @@ class TestGraphMechanics:
         expect[1] = 2.0
         expect[3] = 1.0
         assert np.array_equal(table.grad, expect)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gather_and_slice_gradients_match_full_size_accumulation_bit_for_bit(self, seed):
+        # the reference adds one full-size array per backward into the
+        # gradient; repeated ids must be summed before they reach it
+        rng = np.random.default_rng(seed)
+        table = Parameter("e", rng.normal(size=(5, 3)))
+        z = t(rng.normal(size=(2, 6)))
+        want_table, want_z = np.zeros(table.shape), np.zeros(z.shape)
+        for _ in range(4):
+            ids = rng.integers(0, 5, 8)
+            lo, hi = sorted(rng.integers(0, 7, 2))
+            g_rows, g_view = rng.normal(size=(8, 3)), rng.normal(size=(2, hi - lo))
+            ((gather_rows(table, ids) * Tensor(g_rows)).sum()
+             + (slice_last(z, lo, hi) * Tensor(g_view)).sum()).backward()
+            want_table = want_table + gather_rows_grad_full(table.shape, ids, g_rows)
+            want_z = want_z + slice_last_grad_full(z.shape, lo, hi, g_view)
+        assert table.grad.tobytes() == want_table.tobytes()
+        assert z.grad.tobytes() == want_z.tobytes()
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_parents_of_one_sum_get_separate_gradient_arrays(self, add_first):
+        a, b = t([1.0, 2.0]), t([3.0, 4.0])
+        terms = [(a + b).sum(), (a * a).sum()]
+        (terms[0] + terms[1] if add_first else terms[1] + terms[0]).backward()
+        assert np.array_equal(a.grad, [3.0, 5.0])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+    def test_second_backward_raises_and_keeps_the_first_gradients(self):
+        x = t([3.0])
+        y = (x * x).sum()
+        y.backward()
+        assert x.grad[0] == 6.0
+        with pytest.raises(StateError):
+            y.backward()
+        assert x.grad[0] == 6.0
+
+    def test_backward_through_a_freed_node_raises_before_any_gradient_moves(self):
+        x = t([2.0])
+        h = x * x
+        first, second = h.sum(), (h * h).sum() + x.sum()
+        first.backward()
+        assert h.grad is None and first.grad is None
+        x.grad = None
+        with pytest.raises(StateError):
+            second.backward()
+        assert x.grad is None
 
     def test_deep_graph_iterative_topo(self):
         x = t([1.0])
