@@ -2,19 +2,22 @@
 
 A Tensor wraps a numpy array and records the operations that produced it;
 calling backward() on a scalar output walks the graph in reverse topological
-order and accumulates gradients into every tensor that requires them. The
-module also provides the Adam optimizer and a finite-difference gradient
-checker used as the independent oracle in tests, and lstm_step(xp, h, c, wh,
-b), the one LSTM cell kernel for steps that record no graph; it takes the input
-already projected, xp = x @ Wx, so a caller can project a whole sequence at once.
+order and accumulates gradients into every tensor that requires them. An op
+records a node if and only if one of its parents requires a gradient; no
+switch turns recording off, and a caller who wants no graph passes plain
+arrays. The module also provides the Adam optimizer and a finite-difference
+gradient checker used as the independent oracle in tests, and lstm_step(xp,
+h, c, wh, b), the one LSTM cell kernel for steps that record no graph; it
+takes the input already projected, xp = x @ Wx, so a caller can project a
+whole sequence at once.
 
-The forward ops affine, concat_last, dropout, glu and relu take activations as
-Tensors or as plain arrays, and weights as Parameters either way. An array
-activation gives a plain array and records no graph; a Tensor activation gives
-a Tensor and records a graph, so a caller who trains passes Tensors. Both kinds
-compute the same products in the same order, bit for bit. Mixing a Tensor and
-a plain array in one op raises TypeError, as numpy arithmetic between the two
-does.
+The forward ops affine, concat_last, dropout, glu, relu and softmax_xent_rows
+take activations as Tensors or as plain arrays, and weights as Parameters
+either way. An array activation gives a plain array and records no graph; a
+Tensor activation gives a Tensor and records a graph, so a caller who trains
+passes Tensors. Both kinds compute the same products in the same order, bit
+for bit. Mixing a Tensor and a plain array in one op raises TypeError, as
+numpy arithmetic between the two does.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -34,29 +37,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, StateError
 
-# Nesting counter for no_grad(); graph recording is active when it is zero.
-_GRAD_OFF = 0
-
 # _backward of a node that backward() has freed
 _FREED = object()
-
-
-class no_grad:
-    """Context manager that disables graph recording inside its block."""
-
-    def __enter__(self):
-        global _GRAD_OFF
-        _GRAD_OFF += 1
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_OFF
-        _GRAD_OFF -= 1
-        return False
-
-
-def grad_enabled() -> bool:
-    return _GRAD_OFF == 0
 
 
 class Tensor:
@@ -256,7 +238,7 @@ class Parameter(Tensor):
 
 
 def _result(data: np.ndarray, parents) -> Tensor:
-    track = grad_enabled() and any(p.requires_grad for p in parents)
+    track = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
@@ -418,18 +400,21 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_xent_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
+def softmax_xent_rows(logits, targets: np.ndarray):
     """Per-row cross-entropy for a batch of logits and integer targets."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_xent_rows expects 2D logits, got {logits.shape}")
-    n, v = logits.data.shape
+    ld = logits.data if isinstance(logits, Tensor) else logits
+    if ld.ndim != 2:
+        raise ShapeError(f"softmax_xent_rows expects 2D logits, got {ld.shape}")
+    n, v = ld.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (n,):
         raise ShapeError(f"targets shape {targets.shape} does not match {n} rows")
     if targets.min() < 0 or targets.max() >= v:
         raise IndexError(f"target out of range for {v} classes")
-    logp = log_softmax(logits.data)
+    logp = log_softmax(ld)
     rows = np.arange(n)
+    if not isinstance(logits, Tensor):
+        return -logp[rows, targets]
     out = _result(-logp[rows, targets], (logits,))
     if out.requires_grad:
         def back(g, a=logits, p=np.exp(logp), t=targets, r=rows):
@@ -522,12 +507,24 @@ class Adam:
             if p.frozen:
                 p.grad = None
                 continue
-            g = p.grad
-            self._m[i] = self.BETA1 * self._m[i] + (1.0 - self.BETA1) * g
-            self._v[i] = self.BETA2 * self._v[i] + (1.0 - self.BETA2) * (g * g)
-            m_hat = self._m[i] / b1t
-            v_hat = self._v[i] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            # in place with two scratch arrays, in the operation order of
+            # m = BETA1 * m + (1 - BETA1) * g, v = BETA2 * v + (1 - BETA2) * (g * g),
+            # data -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)
+            g, m, v = p.grad, self._m[i], self._v[i]
+            step = np.multiply(g, 1.0 - self.BETA1)
+            m *= self.BETA1
+            m += step
+            denom = np.multiply(g, g)
+            denom *= 1.0 - self.BETA2
+            v *= self.BETA2
+            v += denom
+            np.divide(m, b1t, out=step)
+            step *= self.lr
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            step /= denom
+            p.data -= step
             p.grad = None
 
 

@@ -309,13 +309,21 @@ def read_jsonl(path) -> list[CaptionExample]:
                 continue
             try:
                 record = json.loads(line)
+                features, references = record["features"], record["references"]
+                if not (isinstance(features, list)
+                        and all(isinstance(x, (int, float)) for x in features)):
+                    raise ValueError("features must be a list of numbers")
+                if not (isinstance(references, list)
+                        and all(isinstance(r, str) for r in references)):
+                    raise ValueError("references must be a list of strings")
                 examples.append(CaptionExample(
                     id=record["id"],
                     split=record["split"],
-                    features=np.asarray(record["features"], dtype=np.float64),
-                    references=list(record["references"]),
+                    features=np.asarray(features, dtype=np.float64),
+                    references=references,
                 ))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # json.JSONDecodeError is a ValueError
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: malformed record at line {lineno}: {exc}") from None
     return examples
 

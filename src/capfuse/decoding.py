@@ -3,8 +3,9 @@
 One stepper drives every decode: start() primes the decoder with the image
 features, step() consumes one token per hypothesis and returns the renewed
 state plus log-probabilities for the next token, and select() keeps the states
-of the surviving hypotheses. A step records no graph and makes no Tensor: its
-state is plain arrays, (t, [(h, c) per decoder layer]), and it passes arrays
+of the surviving hypotheses. No call records a graph or makes a Tensor: the
+state is plain arrays, (t, [(h, c) per decoder layer]), start() passes the
+features as an array to CaptionDecoder.encode_image, and step() passes arrays
 to the embedding gather, CaptionDecoder.step and CaptionModel.step_logits (the
 vocabulary head or FusionLayer.fuse), the code that training runs on Tensors,
 then takes log_softmax of the logits. beam_over is the only decode loop;
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import log_softmax, no_grad
+from .autodiff import log_softmax
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID
-from .models import MaskedLM, mlm_context_rows
+from .models import MaskedLM, _check_ids, mlm_context_rows
 
 # tokens never emitted by a decoder
 BLOCKED_IDS = (PAD_ID, START_ID, MASK_ID)
@@ -64,8 +65,7 @@ class Stepper:
 
     def start(self):
         decoder = self.model.decoder
-        with no_grad():
-            x = decoder.encode_image(self.features).data
+        x = decoder.encode_image(self.features)
         zeros = np.zeros((x.shape[0], decoder.cfg.hidden_dim))
         _, state = decoder.step(x, [(zeros, zeros)] * decoder.LAYERS)
         return (0, state)
@@ -139,12 +139,6 @@ class EmendStepper(Stepper):
             raise ShapeError(f"mlm_override must be one state of shape ({width},), "
                              f"got {override.shape}")
         self.rows = np.broadcast_to(override, (len(wrapped_draft), width))
-
-
-def _check_ids(ids, vocab: int, what: str):
-    bad = [t for t in ids if not 0 <= t < vocab]
-    if bad:
-        raise InputError(f"{what} id {bad[0]} is outside the vocabulary of {vocab}")
 
 
 def strip_specials(tokens) -> list[int]:

@@ -14,12 +14,11 @@ Tensors, as training passes, it records a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat_last, dropout, glu, relu
+from .autodiff import affine, concat_last, dropout, glu, relu
 from .errors import ConfigError
 from .models import (
     CaptionDecoder,
@@ -44,12 +43,6 @@ class FusionKind(str, Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise ConfigError(f"unknown fusion kind {name!r}; valid: {valid}") from None
-
-
-@dataclass
-class FusionOutput:
-    features: Tensor | np.ndarray  # fused representation fed to the vocabulary head
-    logits: Tensor | np.ndarray
 
 
 class FusionLayer(ParamStore):
@@ -114,13 +107,13 @@ class FusionLayer(ParamStore):
 
     _SCHEMES = {FusionKind.SIMPLE: _simple, FusionKind.COLD: _cold, FusionKind.HIER: _hier}
 
-    def fuse(self, h_lstm, h_mlm, training: bool = False, rng=None) -> FusionOutput:
-        """The scheme's features and the vocabulary head's logits over them,
-        after dropout in training: Tensors from Tensors, plain arrays from
-        plain arrays."""
+    def fuse(self, h_lstm, h_mlm, training: bool = False, rng=None):
+        """The vocabulary head's logits over the scheme's features, after
+        dropout in training: a Tensor from Tensors, a plain array from plain
+        arrays."""
         features = self._SCHEMES[self.kind](self, h_lstm, h_mlm)
         dropped = dropout(features, self.cfg.dropout, training, rng)
-        return FusionOutput(features, affine(dropped, self.out_w, self.out_b))
+        return affine(dropped, self.out_w, self.out_b)
 
 
 class CaptionModel:
@@ -159,7 +152,7 @@ class CaptionModel:
             return self.decoder.head_logits(h_top, training, rng)
         if h_mlm is None:
             raise ConfigError("fusion model needs a masked-LM state per step")
-        return self.fusion.fuse(h_top, h_mlm, training, rng).logits
+        return self.fusion.fuse(h_top, h_mlm, training, rng)
 
     def needs_mlm(self) -> bool:
         return self.fusion is not None

@@ -6,21 +6,24 @@ masked LM encodes a sequence with exactly one mask token by running a forward
 recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
 
-Steps, heads and affine layers follow the rule of autodiff's forward ops: a
-plain-array activation gives plain arrays and records no graph, and a Tensor
-activation records a graph. An LSTM step that records no graph is the one cell
-kernel, autodiff.lstm_step(x @ Wx, h, c, Wh, b); inside a graph (pretraining)
-it is built from elementary autodiff nodes. MaskedLM._encode_states, the
-layer-major encoder of mlm_context_rows, runs the kernel too (one
-[T*B x E] @ Wx per layer and direction, then a loop of h @ Wh and the kernel),
-and the context rows are gathered from its [T x B x H] states by one fancy
-index.
+Image projections, steps, heads and affine layers follow the rule of
+autodiff's forward ops: a plain-array activation gives plain arrays and
+records no graph, and a Tensor activation records a graph. An LSTM step on
+arrays is the one cell kernel, autodiff.lstm_step(x @ Wx, h, c, Wh, b); a step
+on Tensors (pretraining) is built from elementary autodiff nodes.
+mlm_pretrain builds a graph only for its updates; its initial loss, like every
+read of a frozen MLM, comes from mlm_context_rows on arrays.
+MaskedLM._encode_states, the layer-major encoder of mlm_context_rows, runs the
+kernel too (one [T*B x E] @ Wx per layer and direction, then a loop of h @ Wh
+and the kernel), and the context rows are gathered from its [T x B x H]
+states by one fancy index.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -32,9 +35,7 @@ from .autodiff import (
     concat_last,
     dropout,
     gather_rows,
-    grad_enabled,
     lstm_step,
-    no_grad,
     params_checksum,
     slice_last,
     softmax_xent_rows,
@@ -97,10 +98,9 @@ class ParamStore:
 class LstmCell:
     """Single LSTM layer; gate order is (input, forget, candidate, output).
 
-    A step on plain arrays, or on Tensors outside a graph, is one
-    autodiff.lstm_step pass; a step inside a graph is built from elementary
-    autodiff nodes with the same arithmetic, each sigmoid through tanh, bit
-    for bit."""
+    A step on plain arrays is one autodiff.lstm_step pass and records no
+    graph; a step on Tensors is built from elementary autodiff nodes with the
+    same arithmetic, each sigmoid through tanh, bit for bit."""
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -115,11 +115,6 @@ class LstmCell:
         """(h_new, c_new): plain arrays from plain arrays, Tensors from Tensors."""
         if not isinstance(x, Tensor):
             return lstm_step(x @ self.wx.data, h, c, self.wh.data, self.b.data)
-        inputs = (x, h, c, self.wx, self.wh, self.b)
-        if not (grad_enabled() and any(t.requires_grad for t in inputs)):
-            h_new, c_new = lstm_step(x.data @ self.wx.data, h.data, c.data,
-                                     self.wh.data, self.b.data)
-            return Tensor(h_new), Tensor(c_new)
         z = (x @ self.wx) + (h @ self.wh) + self.b
         n = self.hidden
         i = slice_last(z, 0, n).sigmoid()
@@ -169,14 +164,17 @@ class CaptionDecoder(ParamStore):
     def initial_state(self, batch: int):
         return _zero_state(self.LAYERS, batch, self.cfg.hidden_dim)
 
-    def encode_image(self, features: np.ndarray) -> Tensor:
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if feats.shape[-1] != self.cfg.feature_dim:
+    def encode_image(self, features):
+        """Project image features, one row per image: a plain array from
+        plain features, a Tensor that records a graph from a Tensor."""
+        if not isinstance(features, Tensor):
+            features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if features.shape[-1] != self.cfg.feature_dim:
             raise ConfigError(
-                f"feature dim {feats.shape[-1]} does not match model "
+                f"feature dim {features.shape[-1]} does not match model "
                 f"feature_dim {self.cfg.feature_dim}"
             )
-        return affine(Tensor(feats), self.img_w, self.img_b)
+        return affine(features, self.img_w, self.img_b)
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.embed, ids)
@@ -322,6 +320,12 @@ def _context_steps(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)
 
 
+def _check_ids(ids, vocab: int, what: str):
+    bad = [t for t in ids if not 0 <= t < vocab]
+    if bad:
+        raise InputError(f"{what} id {bad[0]} is outside the vocabulary of {vocab}")
+
+
 # sequences per padded batch of mlm_context_rows; bounds its [T x B x 4H] projections
 ROWS_CHUNK = 128
 
@@ -334,8 +338,10 @@ def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
     p = 1..L-1 (position 0 is never masked in training or emendation). With
     append_row=True an extra final row encodes the variant where the mask is
     inserted between the last content token and the trailing end token.
-    An empty sequence gives zero rows. The outputs are plain arrays.
+    An empty sequence gives zero rows. The outputs are plain arrays. A token
+    id outside the vocabulary raises InputError.
     """
+    _check_ids(chain.from_iterable(seqs), mlm.cfg.vocab_size, "token")
     out: list[np.ndarray] = []
     for lo in range(0, len(seqs), ROWS_CHUNK):
         out.extend(_context_rows_chunk(mlm, seqs[lo:lo + ROWS_CHUNK], append_row))
@@ -401,7 +407,11 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
 
     Each epoch visits every sequence once, masking one uniformly chosen
     position per sequence (excluding position 0, which is never queried
-    downstream). Returns (mlm, report).
+    downstream). A parameter that a batch's loss does not reach (the backward
+    encoder, when every mask of the batch falls on the last token) gets
+    gradient zero for that step, so Adam still moves it by its decayed
+    moments. A token id outside the vocabulary raises InputError before
+    anything changes. Returns (mlm, report).
     """
     cfg = cfg or MlmPretrainConfig()
     cfg.validate()
@@ -411,17 +421,19 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
                          "of sequences with at least 2 tokens")
     if mlm.frozen():
         raise StateError("masked LM is already frozen")
+    _check_ids(chain.from_iterable(corpus), mlm.cfg.vocab_size, "token")
     started = time.perf_counter()
     seed_seq = np.random.SeedSequence(cfg.seed)
     shuffle_rng, mask_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    opt = Adam(mlm.parameters(), lr=cfg.lr)
+    params = mlm.parameters()
+    opt = Adam(params, lr=cfg.lr)
 
-    with no_grad():
-        probe = corpus[: min(len(corpus), cfg.batch_size)]
-        pos = np.asarray([1] * len(probe))
-        initial_loss = _masked_batch_loss(mlm, probe, pos).item()
-
-    report = MlmPretrainReport(initial_loss=initial_loss)
+    # the loss at mask position 1 of the first batch, from row 0 of each
+    # caption's context rows, before any update
+    probe = corpus[:cfg.batch_size]
+    states = np.stack([rows[0] for rows in mlm_context_rows(mlm, probe)])
+    xent = softmax_xent_rows(mlm.head_logits(states), [s[1] for s in probe])
+    report = MlmPretrainReport(initial_loss=float(xent.sum() * (1.0 / len(probe))))
     order = np.arange(len(corpus))
     for _ in range(cfg.epochs):
         shuffle_rng.shuffle(order)
@@ -434,6 +446,9 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
             )
             loss = _masked_batch_loss(mlm, seqs, positions)
             loss.backward()
+            for p in params:
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
             opt.step()
             total += loss.item() * len(seqs)
             count += len(seqs)

@@ -17,7 +17,6 @@ from capfuse.autodiff import (
     grad_check,
     log_softmax,
     matmul,
-    no_grad,
     relu,
     slice_last,
     softmax_xent_rows,
@@ -105,8 +104,9 @@ class TestAffine:
             with pytest.raises(ShapeError) as err:
                 affine(*(Tensor(np.ones(s), requires_grad=rg) for s in shapes))
             messages.append(str(err.value))
-        with no_grad(), pytest.raises(ShapeError) as err:
-            affine(*(Tensor(np.ones(s), requires_grad=True) for s in shapes))
+        with pytest.raises(ShapeError) as err:
+            affine(np.ones(shapes[0]), *(Tensor(np.ones(s), requires_grad=True)
+                                         for s in shapes[1:]))
         assert messages[0] == messages[1] == str(err.value)
 
 
@@ -195,8 +195,7 @@ class TestActivations:
         # the masked-select relu: np.where(x > 0, x, 0), gradient g * (x > 0)
         assert y.data.tobytes() == np.where(data > 0.0, data, 0.0).tobytes()
         assert x.grad.tobytes() == (np.zeros_like(data) + g * (data > 0.0)).tobytes()
-        with no_grad():
-            assert t(data).relu().data.tobytes() == y.data.tobytes()
+        assert relu(data).tobytes() == y.data.tobytes()
 
 
 class TestGlu:
@@ -221,6 +220,10 @@ class TestGlu:
         assert grad_check(lambda a: glu(a).sum(), [x]) <= 1e-6
 
 
+def xent_to_class_1(logits):
+    return softmax_xent_rows(logits, np.ones(logits.shape[0], dtype=np.int64))
+
+
 # (op, activation shapes, weight shapes): ops whose activations may be Tensors
 # or plain arrays
 ARRAY_OP_VALUES = [
@@ -229,6 +232,7 @@ ARRAY_OP_VALUES = [
     (concat_last, [(2, 1, 3), (2, 1, 4)], []),
     (glu, [(4,)], []), (glu, [(3, 8)], []), (glu, [(2, 1, 6)], []),
     (relu, [(70,)], []), (relu, [(4, 5)], []),
+    (xent_to_class_1, [(1, 3)], []), (xent_to_class_1, [(4, 6)], []),
 ]
 ARRAY_OP_SHAPE_ERRORS = [
     (affine, [(3, 4)], [(5, 2), (2,)]), (affine, [(3, 4)], [(4, 2), (3,)]),
@@ -237,6 +241,7 @@ ARRAY_OP_SHAPE_ERRORS = [
     (concat_last, [(), (2,)], []), (concat_last, [(2, 3), (3, 3)], []),
     (concat_last, [(2, 3), (2, 1, 3)], []), (concat_last, [(2, 3), (2, 0)], []),
     (glu, [(3,)], []), (glu, [(2, 5)], []),
+    (xent_to_class_1, [(4,)], []), (xent_to_class_1, [(2, 3, 4)], []),
 ]
 
 
@@ -445,6 +450,30 @@ class TestAdam:
             shadow -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.allclose(p.data, shadow, atol=1e-15)
 
+    def test_in_place_update_keeps_the_bits_of_the_formula(self):
+        rng = np.random.default_rng(17)
+        params = [Parameter("a", rng.normal(size=(3, 5))), Parameter("b", rng.normal(size=7))]
+        shadow = [p.data.copy() for p in params]
+        m = [np.zeros_like(w) for w in shadow]
+        v = [np.zeros_like(w) for w in shadow]
+        opt = Adam(params, lr=3e-3)
+        for step in range(1, 31):
+            grads = [rng.normal(size=w.shape) * 10.0 ** rng.uniform(-6, 2) for w in shadow]
+            given = [g.copy() for g in grads]
+            for p, g in zip(params, given):
+                p.grad = g
+            opt.step()
+            b1t, b2t = 1.0 - Adam.BETA1 ** step, 1.0 - Adam.BETA2 ** step
+            for i, g in enumerate(grads):
+                m[i] = Adam.BETA1 * m[i] + (1.0 - Adam.BETA1) * g
+                v[i] = Adam.BETA2 * v[i] + (1.0 - Adam.BETA2) * (g * g)
+                shadow[i] -= 3e-3 * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + Adam.EPS)
+                assert given[i].tobytes() == g.tobytes()  # the gradient array is not written
+        for k, p in enumerate(params):
+            assert p.data.tobytes() == shadow[k].tobytes()
+            assert opt._m[k].tobytes() == m[k].tobytes()
+            assert opt._v[k].tobytes() == v[k].tobytes()
+
     def test_missing_gradient_raises(self):
         p = Parameter("w", np.array([1.0]))
         with pytest.raises(StateError, match="w"):
@@ -524,14 +553,17 @@ class TestGraphMechanics:
         y.backward()
         assert x.grad[0] == pytest.approx(7.0)
 
-    def test_no_grad_suppresses_graph(self):
-        x = t([1.0, 2.0])
-        with no_grad():
-            y = (x * x).sum()
-        assert not y.requires_grad
-        assert y._backward is None
+    def test_an_op_without_a_parent_requiring_a_gradient_records_nothing(self):
+        x = t([1.0, 2.0], rg=False)
+        w = Parameter("w", np.ones((2, 2)), frozen=True)
+        outs = [x * x, x + 1.0, (x * 2.0).sum(), x.relu(), x.sigmoid(), x.tanh(),
+                matmul(Tensor(np.ones((1, 2))), w), concat_last(x, x),
+                slice_last(x, 0, 1), gather_rows(w, np.array([1, 0])),
+                softmax_xent_rows(Tensor(np.ones((1, 2))), np.array([0]))]
+        assert all(not y.requires_grad and y._parents == () and y._backward is None
+                   for y in outs)
 
-    def test_non_required_leaf_gets_no_grad(self):
+    def test_leaf_not_requiring_a_gradient_gets_none(self):
         x = t([1.0, 2.0])
         c = Tensor(np.array([4.0, 5.0]))
         ((x * c).sum()).backward()

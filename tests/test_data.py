@@ -176,6 +176,21 @@ class TestJsonl:
         with pytest.raises(ParseError, match="line 4"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("features", ["x"]), ("features", [[1, 2], [3]]), ("features", None),
+        ("references", "a b"),
+    ])
+    def test_malformed_field_reports_line_number(self, tmp_path, field, value):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(small_dataset(), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 3: {field} "):
+            read_jsonl(path)
+
     def test_missing_key_reports_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"id": "x", "split": "train"}) + "\n")

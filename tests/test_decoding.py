@@ -650,8 +650,8 @@ def test_steps_and_context_rows_build_no_graph(monkeypatch):
         model = tiny_model(kind, seed=43)
         stepper = (Stepper(model, feats(43)) if kind == "none"
                    else EmendStepper(model, mlm, feats(43), wrapped))
-        state = stepper.start()
         created.clear()
+        state = stepper.start()
         for tok in (START_ID, 5, 6):
             state, _ = stepper.step(state, np.array([tok]))
         state = stepper.select(state, np.array([0, 0, 0]))

@@ -29,6 +29,11 @@ def states(seed=0):
     return h_lstm, h_mlm
 
 
+def features(fl, h_lstm, h_mlm):
+    """The fused features that fl's vocabulary head reads."""
+    return FusionLayer._SCHEMES[fl.kind](fl, h_lstm, h_mlm)
+
+
 def zero_except_out_bias(fl, rng):
     for p in fl.parameters():
         p.data[...] = 0.0
@@ -42,9 +47,9 @@ class TestZeroCollapse:
         rng = np.random.default_rng(42)
         zero_except_out_bias(fl, rng)
         h_lstm, h_mlm = states(1)
-        out = fl.fuse(h_lstm, h_mlm)
-        assert np.array_equal(out.logits.data[0], fl.out_b.data)
-        assert np.array_equal(out.features.data, np.zeros_like(out.features.data))
+        assert np.array_equal(fl.fuse(h_lstm, h_mlm).data[0], fl.out_b.data)
+        fused = features(fl, h_lstm, h_mlm).data
+        assert np.array_equal(fused, np.zeros_like(fused))
 
     def test_cold_intermediate_structure(self):
         fl = layer("cold")
@@ -65,9 +70,8 @@ class TestSimpleFusion:
         rng = np.random.default_rng(3)
         h_lstm = Tensor(rng.uniform(0, 1, size=(1, 6)))
         h_mlm = Tensor(rng.uniform(0, 1, size=(1, 7)))
-        out = fl.fuse(h_lstm, h_mlm)
         expect = np.concatenate([h_lstm.data, h_mlm.data], axis=-1)
-        assert np.array_equal(out.features.data, expect)
+        assert np.array_equal(features(fl, h_lstm, h_mlm).data, expect)
 
     def test_end_to_end_gradient(self):
         fl = layer("simple", seed=4)
@@ -75,8 +79,7 @@ class TestSimpleFusion:
         inputs = [h_lstm, h_mlm] + fl.parameters()
 
         def f(*args):
-            out = fl.fuse(args[0], args[1])
-            loss = softmax_xent_rows(out.logits, np.array([3])).sum()
+            loss = softmax_xent_rows(fl.fuse(args[0], args[1]), np.array([3])).sum()
             for p in args:
                 loss = loss + p.sum() * 1e-3
             return loss
@@ -93,7 +96,7 @@ class TestColdFusion:
         # with the gate closed, swapping the MLM state changes nothing
         other = Tensor(np.random.default_rng(8).uniform(-1, 1, size=(1, 7)))
         out2 = fl.fuse(h_lstm, other)
-        assert np.array_equal(out.logits.data, out2.logits.data)
+        assert np.array_equal(out.data, out2.data)
 
     def test_end_to_end_gradient(self):
         fl = layer("cold", seed=9)
@@ -101,8 +104,7 @@ class TestColdFusion:
         inputs = [h_lstm, h_mlm] + fl.parameters()
 
         def f(*args):
-            out = fl.fuse(args[0], args[1])
-            loss = softmax_xent_rows(out.logits, np.array([2])).sum()
+            loss = softmax_xent_rows(fl.fuse(args[0], args[1]), np.array([2])).sum()
             for p in args:
                 loss = loss + p.sum() * 1e-3
             return loss
@@ -119,15 +121,14 @@ class TestHierFusion:
         rng = np.random.default_rng(12)
         a = Tensor(rng.uniform(-1, 1, size=(1, 6)))
         b = Tensor(rng.uniform(-1, 1, size=(1, 6)))
-        out_ab = fl.fuse(a, b).logits.data
-        out_ba = fl.fuse(b, a).logits.data
+        out_ab = fl.fuse(a, b).data
+        out_ba = fl.fuse(b, a).data
         assert not np.array_equal(out_ab, out_ba)
 
     def test_glu_dimension_contract(self):
         fl = layer("hier", seed=13)
         h_lstm, h_mlm = states(14)
-        out = fl.fuse(h_lstm, h_mlm)
-        assert out.features.shape == (1, 6 + 7)
+        assert features(fl, h_lstm, h_mlm).shape == (1, 6 + 7)
 
     def test_end_to_end_gradient(self):
         fl = layer("hier", seed=15)
@@ -135,8 +136,7 @@ class TestHierFusion:
         inputs = [h_lstm, h_mlm] + fl.parameters()
 
         def f(*args):
-            out = fl.fuse(args[0], args[1])
-            loss = softmax_xent_rows(out.logits, np.array([5])).sum()
+            loss = softmax_xent_rows(fl.fuse(args[0], args[1]), np.array([5])).sum()
             for p in args:
                 loss = loss + p.sum() * 1e-3
             return loss
@@ -149,32 +149,31 @@ class TestDispatch:
         h_lstm, h_mlm = states(18)
         for kind in ("simple", "cold", "hier"):
             fl = layer(kind, seed=17)
-            out = fl.fuse(h_lstm, h_mlm)
-            features = getattr(fl, f"_{kind}")(h_lstm, h_mlm)
-            assert np.array_equal(out.features.data, features.data)
-            assert np.array_equal(out.logits.data, affine(features, fl.out_w, fl.out_b).data)
+            fused = getattr(fl, f"_{kind}")(h_lstm, h_mlm)
+            assert np.array_equal(features(fl, h_lstm, h_mlm).data, fused.data)
+            assert np.array_equal(fl.fuse(h_lstm, h_mlm).data,
+                                  affine(fused, fl.out_w, fl.out_b).data)
 
     @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
     def test_training_drops_out_the_features_once_before_the_head(self, kind):
         fl = FusionLayer(FusionKind(kind), tiny_cfg(kind, dropout=0.5),
                          np.random.default_rng(31))
         h_lstm, h_mlm = (s.data for s in states(32))
-        out = fl.fuse(h_lstm, h_mlm, True, np.random.default_rng(33))
-        dropped = dropout(out.features, 0.5, True, np.random.default_rng(33))
+        logits = fl.fuse(h_lstm, h_mlm, True, np.random.default_rng(33))
+        dropped = dropout(features(fl, h_lstm, h_mlm), 0.5, True, np.random.default_rng(33))
         assert (dropped == 0.0).any()
-        assert np.array_equal(out.logits, affine(dropped, fl.out_w, fl.out_b))
-        assert np.array_equal(out.features, fl.fuse(h_lstm, h_mlm).features)
+        assert np.array_equal(logits, affine(dropped, fl.out_w, fl.out_b))
 
     def test_all_schemes_emit_vocab_logits(self):
         h_lstm, h_mlm = states(19)
         for kind in ("simple", "cold", "hier"):
             fl = layer(kind, seed=20)
-            assert fl.fuse(h_lstm, h_mlm).logits.shape == (1, V)
+            assert fl.fuse(h_lstm, h_mlm).shape == (1, V)
 
     def test_argmax_shift_invariance(self):
         fl = layer("cold", seed=21)
         h_lstm, h_mlm = states(22)
-        logits = fl.fuse(h_lstm, h_mlm).logits.data
+        logits = fl.fuse(h_lstm, h_mlm).data
         shifted = logits + 7.5
         assert logits.argmax() == shifted.argmax()
 
@@ -196,8 +195,8 @@ class TestEquations:
         fl = layer(kind, seed=30 + rows)
         rng = np.random.default_rng(rows)
         h_lstm, h_mlm = rng.uniform(-1, 1, (rows, 6)), rng.uniform(-1, 1, (rows, 7))
-        on_arrays = fl.fuse(h_lstm, h_mlm).logits
-        on_tensors = fl.fuse(Tensor(h_lstm, requires_grad=True), Tensor(h_mlm)).logits
+        on_arrays = fl.fuse(h_lstm, h_mlm)
+        on_tensors = fl.fuse(Tensor(h_lstm, requires_grad=True), Tensor(h_mlm))
         assert np.allclose(on_arrays, fusion_logits(fl, h_lstm, h_mlm), rtol=0, atol=1e-12)
         assert on_tensors._parents and np.array_equal(on_tensors.data, on_arrays)
 
@@ -209,7 +208,7 @@ class TestProperties:
             fl = layer(kind, seed=24)
             h_lstm = Tensor(rng.uniform(-2, 2, size=(1, 6)))
             h_mlm = Tensor(rng.uniform(-2, 2, size=(1, 7)))
-            assert fl.fuse(h_lstm, h_mlm).features.data.min() >= 0.0
+            assert features(fl, h_lstm, h_mlm).data.min() >= 0.0
 
     def test_gradient_completeness_and_mlm_isolation(self):
         mlm = MaskedLM(MlmConfig(vocab_size=V, embed_dim=5, hidden_dim=7),
@@ -219,7 +218,7 @@ class TestProperties:
         h_lstm = Tensor(np.random.default_rng(27).uniform(-1, 1, (1, 6)),
                         requires_grad=True)
         h_mlm = encode_masked(mlm, [START_ID, 5, 4, 6])  # 4 is the mask id
-        loss = softmax_xent_rows(fl.fuse(h_lstm, h_mlm).logits, np.array([1])).sum()
+        loss = softmax_xent_rows(fl.fuse(h_lstm, h_mlm), np.array([1])).sum()
         loss.backward()
         for p in fl.parameters():
             assert p.grad is not None, p.name
@@ -228,7 +227,7 @@ class TestProperties:
 
     def test_scheme_separation(self):
         h_lstm, h_mlm = states(28)
-        outs = [layer(k, seed=29).fuse(h_lstm, h_mlm).logits.data
+        outs = [layer(k, seed=29).fuse(h_lstm, h_mlm).data
                 for k in ("simple", "cold", "hier")]
         assert not np.array_equal(outs[0], outs[1])
         assert not np.array_equal(outs[0], outs[2])

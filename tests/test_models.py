@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, grad_check, no_grad, params_checksum, softmax_xent_rows
+from capfuse.autodiff import Tensor, grad_check, params_checksum, softmax_xent_rows
 from capfuse import models
 from capfuse.errors import ConfigError, InputError, StateError
 from capfuse.models import (
@@ -90,27 +90,31 @@ class TestDecoderStep:
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_graph_free_step_matches_graph_step(self, seed, batch):
+    def test_array_step_matches_graph_step(self, seed, batch):
         cell, xhc = self.cell_case(seed, batch)
         in_graph = cell.step(*xhc)
         assert all(t._parents for t in in_graph)
-        with no_grad():
-            fused = cell.step(*xhc)
+        fused = cell.step(*(t.data for t in xhc))
         for a, b in zip(fused, in_graph):
-            assert np.array_equal(a.data, b.data)
+            assert type(a) is np.ndarray and np.array_equal(a, b.data)
 
-    def test_graph_free_step_is_one_numpy_pass(self, monkeypatch):
+    def test_array_step_is_one_numpy_pass(self, monkeypatch):
         cell, xhc = self.cell_case(3, 2)
 
         def composite(*_):
-            raise AssertionError("a step that records no graph built gate nodes")
+            raise AssertionError("a step on arrays built gate nodes")
 
         monkeypatch.setattr(Tensor, "sigmoid", composite)
-        with no_grad():
-            outs = cell.step(*xhc)
-        cell.wx.requires_grad = cell.wh.requires_grad = cell.b.requires_grad = False
-        outs += cell.step(*(Tensor(t.data) for t in xhc))
+        assert all(type(a) is np.ndarray for a in cell.step(*(t.data for t in xhc)))
+
+    def test_tensor_step_without_a_required_gradient_records_nothing(self):
+        cell, xhc = self.cell_case(5, 2)
+        for p in (cell.wx, cell.wh, cell.b):
+            p.freeze()
+        outs = cell.step(*(Tensor(t.data) for t in xhc))
+        want = cell.step(*(t.data for t in xhc))
         assert all(t._parents == () and not t.requires_grad for t in outs)
+        assert all(np.array_equal(t.data, a) for t, a in zip(outs, want))
 
     def test_saturated_inputs_stay_finite(self):
         cell, xhc = self.cell_case(6, 3, spread=1000.0)
@@ -118,11 +122,9 @@ class TestDecoderStep:
             t.data[...] = np.sign(t.data) * 1000.0
         h, c = cell.step(*xhc)
         (h.sum() + c.sum()).backward()
-        with no_grad():
-            outs = cell.step(*xhc)
+        outs = cell.step(*(t.data for t in xhc))
         grads = [t.grad for t in (cell.wx, cell.wh, cell.b, *xhc)]
-        assert all(np.isfinite(a).all() for a in [h.data, c.data, *grads]
-                   + [t.data for t in outs])
+        assert all(np.isfinite(a).all() for a in [h.data, c.data, *grads, *outs])
 
     def test_four_step_sequence_gradient(self):
         from capfuse.autodiff import softmax_xent_rows
@@ -155,13 +157,12 @@ class TestDecoderStep:
         toks_b = [START_ID, 5, 6, 9, 8]  # differs at position 3
 
         def hiddens(tokens):
+            zeros = np.zeros((1, dec.cfg.hidden_dim))
+            state = [(zeros, zeros)] * dec.LAYERS
             out = []
-            with no_grad():
-                state = dec.initial_state(1)
-                for t in tokens:
-                    x = dec.embed_tokens(np.array([t]))
-                    h, state = dec.step(x, state)
-                    out.append(h.data.copy())
+            for t in tokens:
+                h, state = dec.step(dec.embed.data[[t]], state)
+                out.append(h)
             return out
 
         ha, hb = hiddens(toks_a), hiddens(toks_b)
@@ -176,14 +177,15 @@ class TestEncodeImage:
         dec.img_w.data[...] = 0.0
         dec.img_b.data[...] = np.arange(dec.cfg.embed_dim, dtype=float)
         out = dec.encode_image(np.zeros(dec.cfg.feature_dim))
-        assert np.array_equal(out.data[0], np.arange(dec.cfg.embed_dim, dtype=float))
+        assert np.array_equal(out[0], np.arange(dec.cfg.embed_dim, dtype=float))
 
-    def test_deterministic(self):
+    def test_arrays_give_the_array_of_the_graph_path(self):
         dec = tiny_decoder(seed=1)
         feats = np.random.default_rng(9).normal(size=dec.cfg.feature_dim)
-        a = dec.encode_image(feats).data
-        b = dec.encode_image(feats).data
-        assert np.array_equal(a, b)
+        a = dec.encode_image(feats)
+        b = dec.encode_image(Tensor(feats[None]))
+        assert type(a) is np.ndarray and b._parents
+        assert a.tobytes() == b.data.tobytes() == dec.encode_image(feats).tobytes()
 
     def test_dim_mismatch(self):
         dec = tiny_decoder()
@@ -193,7 +195,7 @@ class TestEncodeImage:
     def test_gradient_reaches_projector(self):
         dec = tiny_decoder(seed=2)
         feats = np.random.default_rng(0).normal(size=dec.cfg.feature_dim)
-        out = dec.encode_image(feats)
+        out = dec.encode_image(Tensor(feats[None]))
         (out * out).sum().backward()
         assert dec.img_w.grad is not None
         assert np.abs(dec.img_w.grad).sum() > 0
@@ -346,7 +348,7 @@ class TestLayerMajorEncoder:
 class TestMaskedLossReadsTheContextRows:
     """Pretraining and decoding read the same MLM state for a masked position:
     _masked_batch_loss equals the head's cross-entropy over row p - 1 of
-    mlm_context_rows, on the graph path and the graph-free one."""
+    mlm_context_rows."""
 
     @pytest.mark.parametrize("on_eos", [False, True])
     @pytest.mark.parametrize("lengths", [n for n in ragged_batches() if len(n) >= 2],
@@ -362,13 +364,11 @@ class TestMaskedLossReadsTheContextRows:
         states = np.stack([r[p - 1] for r, p in zip(rows, positions)])
         targets = np.array([s[p] for s, p in zip(seqs, positions)])
         assert targets[0] == EOS_ID
-        xent = softmax_xent_rows(Tensor(mlm.head_logits(states)), targets).data
+        xent = softmax_xent_rows(mlm.head_logits(states), targets)
         want = xent.sum() * (1.0 / len(seqs))
         graph = _masked_batch_loss(mlm, seqs, positions)
         assert graph._parents
-        with no_grad():
-            kernel = _masked_batch_loss(mlm, seqs, positions)
-        assert abs(graph.item() - want) <= 1e-12 and abs(kernel.item() - want) <= 1e-12
+        assert abs(graph.item() - want) <= 1e-12
 
 
 class TestMlmGraph:
@@ -387,6 +387,10 @@ class TestMlmGraph:
         assert params_checksum(mlm.parameters()) == before
 
 
+SHORT_CORPUS = [[START_ID, 5, 7, EOS_ID], [START_ID, 6, 8, 9, EOS_ID],
+                [START_ID, 7, EOS_ID], [START_ID, 5, 6, EOS_ID]]
+
+
 class TestMlmPretrain:
     def test_two_epochs_reproduce_recorded_losses(self):
         # recorded with the two-branch sigmoid; pins the arithmetic of the
@@ -399,6 +403,14 @@ class TestMlmPretrain:
         assert report.initial_loss == pytest.approx(2.483898762986212, rel=1e-9)
         assert report.epoch_losses == pytest.approx(
             [2.4809887422280865, 2.4669663251875464], rel=1e-9)
+
+    def test_initial_loss_is_the_masked_loss_at_position_1_of_the_first_batch(self):
+        corpus = random_captions(ragged_batches()[-1], 37)
+        cfg = MlmPretrainConfig(epochs=1, batch_size=5, seed=2)
+        probe = corpus[:cfg.batch_size]
+        want = _masked_batch_loss(tiny_mlm(seed=37), probe, np.ones(len(probe), dtype=np.int64))
+        _, report = mlm_pretrain(tiny_mlm(seed=37), corpus, cfg)
+        assert abs(report.initial_loss - want.item()) <= 1e-12
 
     def test_memorizes_repeated_sentence(self):
         mlm = tiny_mlm(seed=10)
@@ -451,6 +463,31 @@ class TestMlmPretrain:
         mlm.freeze()
         with pytest.raises(StateError):
             mlm_pretrain(mlm, [[START_ID, 5, EOS_ID]], MlmPretrainConfig(epochs=1))
+
+    def test_a_batch_masking_only_the_last_token_trains(self):
+        # with batch_size 1, a caption masked at its last token reads no
+        # backward state, so the backward encoder gets gradient zero
+        for seed in range(20):
+            mlm = MaskedLM(MlmConfig(V, embed_dim=8, hidden_dim=8), np.random.default_rng(0))
+            mlm, report = mlm_pretrain(mlm, SHORT_CORPUS,
+                                       MlmPretrainConfig(epochs=2, batch_size=1, seed=seed))
+            assert mlm.frozen() and np.isfinite(report.epoch_losses).all()
+
+    @pytest.mark.parametrize("bad", [-1, V])
+    def test_ids_outside_the_vocabulary_raise_before_any_update(self, bad):
+        mlm = tiny_mlm(seed=38)
+        before = mlm.checksum()
+        seq = [START_ID, bad, EOS_ID]
+        match = f"token id {bad} is outside the vocabulary of {V}"
+        with pytest.raises(InputError, match=match):
+            mlm_context_rows(mlm, [[START_ID, 5, EOS_ID], seq])
+        with pytest.raises(InputError, match=match):
+            mlm_masked_accuracy(mlm, [seq])
+        for seed in range(6):
+            with pytest.raises(InputError, match=match):
+                mlm_pretrain(mlm, SHORT_CORPUS + [seq],
+                             MlmPretrainConfig(epochs=2, batch_size=2, seed=seed))
+        assert mlm.checksum() == before and not mlm.frozen()
 
     def test_checksum_stable_after_freeze(self):
         mlm = tiny_mlm(seed=14)
