@@ -218,20 +218,30 @@ class Parameter(Tensor):
 
     __slots__ = ("name", "frozen")
 
-    def __init__(self, name: str, data, frozen: bool = False):
+    def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
         self.frozen = False
-        if frozen:
-            self.freeze()
 
     def freeze(self):
-        """Stop updates and make `data` read-only, so that an in-place write
-        raises ValueError; only rebinding `data` can change a frozen value."""
-        self.frozen = True
-        self.requires_grad = False
-        self.grad = None
-        self.data.flags.writeable = False
+        """Stop updates for good. `data` becomes read-only, so an in-place
+        write raises ValueError, and rebinding `data` or `frozen` raises
+        StateError, so a frozen value never changes. A copy or an unpickled
+        parameter comes back frozen, with read-only data."""
+        if not self.frozen:
+            self.frozen = True
+            self.requires_grad = False
+            self.grad = None
+            self.data.flags.writeable = False
+
+    def __setattr__(self, attr, value):
+        # a copy or unpickling restores the slots in the order name, frozen,
+        # data, so a frozen parameter may bind data once
+        if attr in ("data", "frozen") and getattr(self, "frozen", False):
+            if hasattr(self, attr):
+                raise StateError(f"parameter {self.name} is frozen; {attr} cannot be rebound")
+            value.flags.writeable = False
+        object.__setattr__(self, attr, value)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape}, frozen={self.frozen})"

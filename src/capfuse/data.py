@@ -336,6 +336,8 @@ def write_captions(rows: list[dict], path):
 
 
 def read_captions(path) -> dict[str, str]:
+    """{id: caption} of a captions.jsonl file; a caption that is not a string
+    or a repeated id raises ParseError naming the line."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -343,7 +345,12 @@ def read_captions(path) -> dict[str, str]:
                 continue
             try:
                 row = json.loads(line)
+                if not isinstance(row["caption"], str):
+                    raise ValueError("caption must be a string")
+                if row["id"] in out:
+                    raise ValueError(f"duplicate id {row['id']!r}")
                 out[row["id"]] = row["caption"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # json.JSONDecodeError is a ValueError
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: malformed record at line {lineno}: {exc}") from None
     return out

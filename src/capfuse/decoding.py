@@ -13,9 +13,11 @@ greedy decoding is beam width 1. Each expansion ranks the [hypotheses x vocab]
 scores with one stable argsort of the token-major flattening. A baseline model
 decodes from the image alone. A fusion model decodes only against a draft: at
 step t the frozen masked LM has read the draft with position t+1 masked, and
-that row is shared by every hypothesis in the beam. A frozen MLM encodes each
-distinct draft once per corpus and caches the read-only rows of up to
-ROWS_CACHE_SIZE drafts for every fusion kind, the rescoring oracle
+that row is shared by every hypothesis in the beam. Freezing is final (a
+frozen parameter's data can be neither written nor rebound, and copies stay
+frozen), so draft_rows keeps the read-only rows of up to ROWS_CACHE_SIZE
+drafts per frozen MLM without checking its parameters again: each distinct
+draft is encoded once for every fusion kind, the rescoring oracle
 sequence_logprob(..., draft=) and every later example with that draft. A step
 whose logits hold NaN or +inf raises NumericError.
 """
@@ -23,6 +25,7 @@ whose logits hold NaN or +inf raises NumericError.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +37,11 @@ from .models import MaskedLM, _check_ids, mlm_context_rows
 
 # tokens never emitted by a decoder
 BLOCKED_IDS = (PAD_ID, START_ID, MASK_ID)
-# distinct drafts whose rows draft_rows keeps on a frozen masked LM
+# distinct drafts whose rows draft_rows keeps per frozen masked LM
 ROWS_CACHE_SIZE = 1024
+# frozen masked LM -> {wrapped draft ids: rows}, oldest first; an MLM's entry
+# goes when the MLM does
+_ROWS_CACHE = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -55,10 +61,13 @@ class Stepper:
 
     `rows` holds one masked-LM state per step for a fusion model (set by
     EmendStepper), or None for a baseline model; past the last row the last
-    one is reused, repeated for every hypothesis.
+    one is reused, repeated for every hypothesis. A fusion model decodes only
+    against a draft, so a Stepper of one raises ConfigError.
     """
 
     def __init__(self, model, features: np.ndarray):
+        if model.needs_mlm() and not isinstance(self, EmendStepper):
+            raise ConfigError("a fusion model decodes only against a draft; use emend")
         self.model = model
         self.features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         self.rows: np.ndarray | None = None
@@ -89,18 +98,11 @@ class Stepper:
 def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
     """Read-only masked-LM rows of one wrapped draft, appended row included.
 
-    A frozen MLM keeps the rows of up to ROWS_CACHE_SIZE drafts, keyed by
-    their ids, and drops the oldest first. The cache holds while every
-    parameter still holds the array the rows were computed from: frozen
-    arrays are read-only, so only rebinding a parameter's data can change
-    them, and that empties the cache. An unfrozen MLM keeps nothing.
+    A frozen MLM's rows are kept for up to ROWS_CACHE_SIZE drafts, keyed by
+    their ids, and the oldest goes first. Freezing is final, so the rows stay
+    valid for as long as the MLM lives. An unfrozen MLM keeps nothing.
     """
-    arrays = [p.data for p in mlm.parameters()]
-    frozen = mlm.frozen()
-    memo = mlm.rows_memo
-    if frozen and (memo is None or not all(a is b for a, b in zip(arrays, memo[0]))):
-        mlm.rows_memo = memo = (arrays, {})
-    cache = memo[1] if frozen else {}
+    cache = _ROWS_CACHE.setdefault(mlm, {}) if mlm.frozen() else {}
     key = tuple(wrapped)
     if key not in cache:
         if len(cache) >= ROWS_CACHE_SIZE:
@@ -111,16 +113,19 @@ def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
 
 
 class EmendStepper(Stepper):
-    """Fusion decoding against a wrapped draft: at step t the masked-LM state
-    encodes the draft with position t+1 masked (mask appended past the end).
-    mlm_override, one state of width mlm_hidden_dim, replaces every row and
-    skips the MLM. An MLM whose width is not the model's mlm_hidden_dim
-    raises ConfigError; an override of any other shape raises ShapeError; a
-    wrapped draft of fewer than 2 tokens, which gives no row, raises
-    InputError."""
+    """Fusion decoding against a draft, stripped of special tokens and
+    wrapped in <start> ... <eos> (so an already wrapped draft is unchanged):
+    at step t the masked-LM state encodes the wrapped draft with position t+1
+    masked (mask appended past the end). mlm_override, one state of width
+    mlm_hidden_dim, replaces every row and skips the MLM. A baseline model,
+    or an MLM whose width is not the model's mlm_hidden_dim, raises
+    ConfigError; an override of any other shape raises ShapeError; a draft
+    with no words raises InputError."""
 
-    def __init__(self, model, mlm: MaskedLM, features, wrapped_draft: list[int],
+    def __init__(self, model, mlm: MaskedLM, features, draft,
                  mlm_override: np.ndarray | None = None):
+        if not model.needs_mlm():
+            raise ConfigError("emending a draft needs a fusion model")
         super().__init__(model, features)
         if mlm is None:
             raise ConfigError("emending a draft needs the masked LM")
@@ -128,39 +133,24 @@ class EmendStepper(Stepper):
         if mlm.cfg.hidden_dim != width:
             raise ConfigError(f"the masked LM's hidden_dim {mlm.cfg.hidden_dim} is not "
                               f"the model's mlm_hidden_dim {width}")
-        if len(wrapped_draft) < 2:
-            raise InputError(f"a wrapped draft needs at least 2 tokens, got {len(wrapped_draft)}")
-        _check_ids(wrapped_draft, mlm.cfg.vocab_size, "draft token")
+        words = strip_specials(draft)
+        if not words:
+            raise InputError("draft caption is empty")
+        wrapped = [START_ID] + words + [EOS_ID]
+        _check_ids(wrapped, mlm.cfg.vocab_size, "draft token")
         if mlm_override is None:
-            self.rows = draft_rows(mlm, wrapped_draft)
+            self.rows = draft_rows(mlm, wrapped)
             return
         override = np.array(mlm_override, dtype=np.float64)
         if override.shape != (width,):
             raise ShapeError(f"mlm_override must be one state of shape ({width},), "
                              f"got {override.shape}")
-        self.rows = np.broadcast_to(override, (len(wrapped_draft), width))
+        self.rows = np.broadcast_to(override, (len(wrapped), width))
 
 
 def strip_specials(tokens) -> list[int]:
     """The words of a caption: drops <pad>, <start>, <eos> and <mask>, keeps <unk>."""
     return [int(t) for t in tokens if int(t) > MASK_ID or int(t) == UNK_ID]
-
-
-def _make_stepper(model, features, mlm: MaskedLM | None = None, draft=None,
-                  mlm_override: np.ndarray | None = None) -> Stepper:
-    """The stepper of a baseline model, or of a fusion model against the
-    draft stripped of special tokens and wrapped in <start> ... <eos>."""
-    if draft is None:
-        if model.needs_mlm():
-            raise ConfigError("a fusion model decodes only against a draft; use emend")
-        return Stepper(model, features)
-    if not model.needs_mlm():
-        raise ConfigError("emending a draft needs a fusion model")
-    words = strip_specials(draft)
-    if not words:
-        raise InputError("draft caption is empty")
-    return EmendStepper(model, mlm, features, [START_ID] + words + [EOS_ID],
-                        mlm_override)
 
 
 def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]:
@@ -232,7 +222,7 @@ def beam_search_scored(model, features,
                        cfg: BeamConfig | None = None) -> tuple[list[int], float]:
     """Beam-decode a baseline model from the image alone; a fusion model
     decodes only against a draft, through emend."""
-    return _decode(_make_stepper(model, features), cfg)
+    return _decode(Stepper(model, features), cfg)
 
 
 def beam_search(model, features, cfg: BeamConfig | None = None) -> list[int]:
@@ -251,7 +241,7 @@ def emend(model, mlm: MaskedLM, features, draft,
     LM reads the draft with the next position masked. Returns the emended
     token sequence (ending in <eos> unless max_len was hit).
     """
-    return _decode(_make_stepper(model, features, mlm, draft, mlm_override), cfg)[0]
+    return _decode(EmendStepper(model, mlm, features, draft, mlm_override), cfg)[0]
 
 
 # -- rescoring oracle -------------------------------------------------------------
@@ -268,7 +258,8 @@ def sequence_logprob(model, features, tokens: list[int],
     if not tokens:
         raise InputError("cannot score an empty sequence")
     _check_ids(tokens, model.cfg.vocab_size, "token")
-    stepper = _make_stepper(model, features, mlm, draft)
+    stepper = (Stepper(model, features) if draft is None
+               else EmendStepper(model, mlm, features, draft))
     state = stepper.start()
     total = 0.0
     current = START_ID

@@ -12,7 +12,9 @@ records no graph, and a Tensor activation records a graph. An LSTM step on
 arrays is the one cell kernel, autodiff.lstm_step(x @ Wx, h, c, Wh, b); a step
 on Tensors (pretraining) is built from elementary autodiff nodes.
 mlm_pretrain builds a graph only for its updates; its initial loss, like every
-read of a frozen MLM, comes from mlm_context_rows on arrays.
+read of a frozen MLM, comes from mlm_context_rows on arrays. It ends by
+freezing the MLM, and freezing is final (autodiff.Parameter.freeze): a frozen
+MLM and every copy of it keep their values for good.
 MaskedLM._encode_states, the layer-major encoder of mlm_context_rows, runs the
 kernel too (one [T*B x E] @ Wx per layer and direction, then a loop of h @ Wh
 and the kernel), and the context rows are gathered from its [T x B x H]
@@ -21,7 +23,6 @@ states by one fancy index.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -52,7 +53,6 @@ class ModelConfig:
     feature_dim: int = 64
     embed_dim: int = 64
     hidden_dim: int = 128
-    mlm_embed_dim: int = 64
     mlm_hidden_dim: int = 128
     fusion_kind: str = "none"
     fusion_dim: int = 128
@@ -61,7 +61,7 @@ class ModelConfig:
 
     def validate(self):
         for name in ("vocab_size", "feature_dim", "embed_dim", "hidden_dim",
-                     "mlm_embed_dim", "mlm_hidden_dim", "fusion_dim", "max_len"):
+                     "mlm_hidden_dim", "fusion_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 <= self.dropout < 1.0):
@@ -227,9 +227,6 @@ class MaskedLM(ParamStore):
         self.comb_b = self._param("mlm.combine.b", np.zeros(h))
         self.head_w = self._param("mlm.head.W", xavier_uniform(rng, h, v))
         self.head_b = self._param("mlm.head.b", np.zeros(v))
-        # (parameter arrays, {draft ids: rows}) that decoding.draft_rows
-        # fills while this MLM is frozen
-        self.rows_memo = None
 
     # -- core encoding ----------------------------------------------------
 
@@ -382,7 +379,6 @@ class MlmPretrainConfig:
 class MlmPretrainReport:
     initial_loss: float
     epoch_losses: list[float] = field(default_factory=list)
-    wall_clock_sec: float = 0.0
 
 
 def _masked_batch_loss(mlm: MaskedLM, seqs: list[list[int]],
@@ -422,7 +418,6 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
     if mlm.frozen():
         raise StateError("masked LM is already frozen")
     _check_ids(chain.from_iterable(corpus), mlm.cfg.vocab_size, "token")
-    started = time.perf_counter()
     seed_seq = np.random.SeedSequence(cfg.seed)
     shuffle_rng, mask_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
     params = mlm.parameters()
@@ -454,7 +449,6 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
             count += len(seqs)
         report.epoch_losses.append(total / count)
     mlm.freeze()
-    report.wall_clock_sec = time.perf_counter() - started
     return mlm, report
 
 

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -411,10 +413,39 @@ class TestAdam:
         with pytest.raises(ValueError):
             p.data[...] = 0.0
         assert np.array_equal(p.data, [3.0, 3.0])
-        assert not Parameter("v", np.zeros(2), frozen=True).data.flags.writeable
+        assert not p.data.flags.writeable
+
+    def test_rebinding_a_frozen_parameter_raises_and_keeps_its_data(self):
+        p = Parameter("w", np.array([1.0, 2.0]))
+        p.data = np.array([3.0, 4.0])  # rebindable until frozen
+        p.freeze()
+        data = p.data
+        with pytest.raises(StateError, match="w is frozen; data"):
+            p.data = np.zeros(2)
+        with pytest.raises(StateError, match="w is frozen; frozen"):
+            p.frozen = False
+        assert p.data is data and np.array_equal(data, [3.0, 4.0]) and p.frozen
+        p.freeze()  # freezing again changes nothing
+        assert p.data is data and p.frozen
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda q: pickle.loads(pickle.dumps(q))])
+    def test_a_copied_or_unpickled_frozen_parameter_stays_frozen(self, clone):
+        p = Parameter("w", np.array([1.0, 2.0]))
+        p.freeze()
+        q = clone(p)
+        assert q.frozen and not q.requires_grad and q.grad is None
+        assert not q.data.flags.writeable and np.array_equal(q.data, p.data)
+        with pytest.raises(ValueError):
+            q.data += 1.0
+        with pytest.raises(StateError):
+            q.data = q.data + 1.0
+        live = clone(Parameter("v", np.zeros(2)))
+        assert not live.frozen and live.data.flags.writeable
 
     def test_frozen_parameter_unchanged(self):
-        p = Parameter("w", np.array([1.0, 2.0]), frozen=True)
+        p = Parameter("w", np.array([1.0, 2.0]))
+        p.freeze()
         p.grad = np.array([5.0, 5.0])
         before = p.data.copy()
         Adam([p], lr=0.1).step()
@@ -555,7 +586,8 @@ class TestGraphMechanics:
 
     def test_an_op_without_a_parent_requiring_a_gradient_records_nothing(self):
         x = t([1.0, 2.0], rg=False)
-        w = Parameter("w", np.ones((2, 2)), frozen=True)
+        w = Parameter("w", np.ones((2, 2)))
+        w.freeze()
         outs = [x * x, x + 1.0, (x * 2.0).sum(), x.relu(), x.sigmoid(), x.tanh(),
                 matmul(Tensor(np.ones((1, 2))), w), concat_last(x, x),
                 slice_last(x, 0, 1), gather_rows(w, np.array([1, 0])),

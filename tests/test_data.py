@@ -15,9 +15,11 @@ from capfuse.data import (
     check_scene_consistency,
     detokenize,
     generate_dataset,
+    read_captions,
     read_jsonl,
     read_vocab,
     tokenize,
+    write_captions,
     write_jsonl,
     write_vocab,
 )
@@ -196,3 +198,25 @@ class TestJsonl:
         path.write_text(json.dumps({"id": "x", "split": "train"}) + "\n")
         with pytest.raises(ParseError, match="line 1"):
             read_jsonl(path)
+
+
+class TestCaptionsFile:
+    ROWS = [{"id": "a", "caption": "a red cube"}, {"id": "b", "caption": ""}]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "captions.jsonl"
+        write_captions(self.ROWS, path)
+        assert read_captions(path) == {"a": "a red cube", "b": ""}
+
+    @pytest.mark.parametrize("caption", [None, ["x", 1], 3])
+    def test_a_caption_that_is_not_a_string_reports_line_number(self, tmp_path, caption):
+        path = tmp_path / "captions.jsonl"
+        write_captions(self.ROWS + [{"id": "c", "caption": caption}], path)
+        with pytest.raises(ParseError, match="line 3: caption must be a string"):
+            read_captions(path)
+
+    def test_a_duplicate_id_reports_line_number(self, tmp_path):
+        path = tmp_path / "captions.jsonl"
+        write_captions(self.ROWS + [{"id": "a", "caption": "a blue ball"}], path)
+        with pytest.raises(ParseError, match="line 3: duplicate id 'a'"):
+            read_captions(path)

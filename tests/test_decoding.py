@@ -1,9 +1,12 @@
 import copy
 import itertools
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capfuse import decoding
 from capfuse.decoding import (
@@ -18,7 +21,7 @@ from capfuse.decoding import (
     strip_specials,
 )
 from capfuse.autodiff import Tensor, log_softmax
-from capfuse.errors import ConfigError, InputError, NumericError, ShapeError
+from capfuse.errors import ConfigError, InputError, NumericError, ShapeError, StateError
 from capfuse.fusion import build_model
 from capfuse.models import (
     EOS_ID,
@@ -38,7 +41,7 @@ V = 10
 
 def tiny_model(kind="none", seed=0, **kw):
     cfg = ModelConfig(vocab_size=V, feature_dim=4, embed_dim=5, hidden_dim=6,
-                      mlm_embed_dim=5, mlm_hidden_dim=6, fusion_dim=6,
+                      mlm_hidden_dim=6, fusion_dim=6,
                       fusion_kind=kind, dropout=0.0, max_len=8, **kw)
     return build_model(cfg, seed)
 
@@ -179,8 +182,7 @@ class TestExpansionOrder:
     @settings(max_examples=300, deadline=None)
     def test_best_cells_match_the_lexsort_oracle(self, data):
         hyps, vocab = data.draw(st.integers(1, 25)), data.draw(st.integers(2, 9))
-        total = np.array(data.draw(st.lists(TIED_SCORES, min_size=hyps * vocab,
-                                            max_size=hyps * vocab))).reshape(hyps, vocab)
+        total = data.draw(arrays(np.float64, (hyps, vocab), elements=TIED_SCORES))
         k = data.draw(st.integers(1, hyps * vocab))
         parents, tokens = decoding.best_cells(total, k)
         assert list(zip(parents.tolist(), tokens.tolist())) == lexsort_cells(total, k)
@@ -200,7 +202,7 @@ class TestArrayStep:
     @staticmethod
     def model(kind):
         cfg = ModelConfig(vocab_size=V, feature_dim=4, embed_dim=9, hidden_dim=16,
-                          mlm_embed_dim=5, mlm_hidden_dim=11, fusion_dim=12,
+                          mlm_hidden_dim=11, fusion_dim=12,
                           fusion_kind=kind, dropout=0.0, max_len=8)
         return build_model(cfg, 60)
 
@@ -319,6 +321,8 @@ class TestGreedyAndBeam:
             beam_search(model, feats(0), BeamConfig(beam_width=1))
         with pytest.raises(ConfigError, match="use emend"):
             sequence_logprob(model, feats(0), [5, EOS_ID], mlm=tiny_mlm(11))
+        with pytest.raises(ConfigError, match="use emend"):
+            Stepper(model, feats(0))
 
 
 class TestEmend:
@@ -392,11 +396,14 @@ class TestEmend:
         assert strip_specials([5, UNK_ID, 6, EOS_ID]) == [5, UNK_ID, 6]
         assert strip_specials([START_ID, PAD_ID, MASK_ID, 5, EOS_ID]) == [5]
 
-    def test_unknown_word_keeps_its_draft_row(self):
-        # one row per masked position 1..4 of the wrapped draft, plus the appended row
+    @pytest.mark.parametrize("draft", [[5, UNK_ID, 6], [5, UNK_ID, 6, EOS_ID],
+                                       [START_ID, 5, UNK_ID, 6, EOS_ID]])
+    def test_unknown_word_keeps_its_draft_row(self, draft):
+        # one row per masked position 1..4 of the wrapped draft, plus the
+        # appended row; wrapping an already wrapped draft changes nothing
         model = tiny_model("cold", seed=27)
         mlm = tiny_mlm(27)
-        stepper = decoding._make_stepper(model, feats(27), mlm, [5, UNK_ID, 6, EOS_ID])
+        stepper = EmendStepper(model, mlm, feats(27), draft)
         wrapped = [START_ID, 5, UNK_ID, 6, EOS_ID]
         assert np.array_equal(stepper.rows,
                               mlm_context_rows(mlm, [wrapped], append_row=True)[0])
@@ -425,6 +432,8 @@ class TestEmend:
 
     def test_requires_fusion_model(self):
         model = tiny_model("none", 18)
+        with pytest.raises(ConfigError, match="needs a fusion model"):
+            EmendStepper(model, tiny_mlm(18), feats(0), [START_ID, 5, EOS_ID])
         with pytest.raises(ConfigError):
             emend(model, tiny_mlm(18), feats(0), [5, EOS_ID])
         with pytest.raises(ConfigError):
@@ -439,7 +448,7 @@ class TestEmend:
             emend(model, mlm, f, [5, V, EOS_ID])
         with pytest.raises(InputError, match=f"id {V + 3}\\b"):
             sequence_logprob(model, f, [5, EOS_ID], mlm=mlm, draft=[V + 3, 6, EOS_ID])
-        assert mlm.rows_memo is None
+        assert mlm not in decoding._ROWS_CACHE
 
     @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
     def test_override_must_be_one_state_of_the_masked_lm_width(self, kind):
@@ -454,18 +463,19 @@ class TestEmend:
                 emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=bad)
         assert emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=[0.5] * 6)
 
-    @pytest.mark.parametrize("wrapped", [[], [START_ID]])
-    def test_a_wrapped_draft_of_fewer_than_2_tokens_is_rejected(self, wrapped):
+    @pytest.mark.parametrize("draft", [[], [START_ID], [START_ID, EOS_ID],
+                                       [PAD_ID, MASK_ID, EOS_ID]])
+    def test_a_draft_without_words_is_rejected(self, draft):
         model = tiny_model("cold", seed=30)
         mlm = tiny_mlm(30)
         mlm.freeze()
         f = feats(30)
         for override in (None, np.zeros(6)):
-            with pytest.raises(InputError, match=f"at least 2 tokens, got {len(wrapped)}"):
-                EmendStepper(model, mlm, f, wrapped, mlm_override=override)
-        assert mlm.rows_memo is None
-        shortest = EmendStepper(model, mlm, f, [START_ID, EOS_ID])
-        assert shortest.rows.shape == (2, 6)
+            with pytest.raises(InputError, match="draft caption is empty"):
+                EmendStepper(model, mlm, f, draft, mlm_override=override)
+        assert mlm not in decoding._ROWS_CACHE
+        shortest = EmendStepper(model, mlm, f, [5])
+        assert shortest.rows.shape == (3, 6)
         tokens, score = beam_over(shortest, 2, 3)
         assert tokens and np.isfinite(score)
 
@@ -519,7 +529,7 @@ class TestDraftRowsMemo:
         model = tiny_model("cold", seed=21)
         EmendStepper(model, mlm, feats(21), wrapped)
         rows = EmendStepper(model, mlm, feats(21), wrapped).rows
-        assert rows is mlm.rows_memo[1][tuple(wrapped)]
+        assert rows is decoding._ROWS_CACHE[mlm][tuple(wrapped)]
         want = decoding.mlm_context_rows(twin, [wrapped], append_row=True)[0]
         assert rows.tobytes() == want.tobytes()
         # one row per masked position 1..L-1, then a mask inserted before <eos>
@@ -560,26 +570,42 @@ class TestDraftRowsMemo:
         drafts = [[START_ID, w, EOS_ID] for w in (5, 6, 7, 8)]
         for d in drafts:
             decoding.draft_rows(mlm, d)
-        assert list(mlm.rows_memo[1]) == [tuple(d) for d in drafts[1:]]
+        assert list(decoding._ROWS_CACHE[mlm]) == [tuple(d) for d in drafts[1:]]
         calls = count_context_rows(monkeypatch)
         decoding.draft_rows(mlm, drafts[3])
         decoding.draft_rows(mlm, drafts[0])
         assert len(calls) == 1
-        assert list(mlm.rows_memo[1]) == [tuple(d) for d in drafts[2:] + drafts[:1]]
+        assert list(decoding._ROWS_CACHE[mlm]) == [tuple(d) for d in drafts[2:] + drafts[:1]]
 
-    def test_rebinding_a_frozen_parameter_forces_a_recompute(self, monkeypatch):
-        calls = count_context_rows(monkeypatch)
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_a_frozen_mlm_and_its_copies_cannot_outdate_their_rows(self, clone):
         mlm = tiny_mlm(23)
         mlm.freeze()
-        model = tiny_model("simple", seed=23)
         wrapped = [START_ID, 5, 6, EOS_ID]
-        before = EmendStepper(model, mlm, feats(23), wrapped).rows
-        EmendStepper(model, mlm, feats(23), [START_ID, 7, EOS_ID])
-        mlm.comb_b.data = mlm.comb_b.data + 1.0
-        after = EmendStepper(model, mlm, feats(23), wrapped).rows
-        assert len(calls) == 3
-        assert np.allclose(after, before + 1.0, rtol=0, atol=1e-12)
-        assert list(mlm.rows_memo[1]) == [tuple(wrapped)]  # the rebinding emptied it
+        rows = decoding.draft_rows(mlm, wrapped)
+        twin = clone(mlm)
+        assert twin.frozen()
+        assert not any(p.data.flags.writeable for p in twin.parameters())
+        for m in (mlm, twin):
+            with pytest.raises(ValueError):
+                m.comb_b.data += 1.0
+            with pytest.raises(StateError):
+                m.comb_b.data = m.comb_b.data + 1.0
+        assert twin.checksum() == mlm.checksum()
+        fresh = mlm_context_rows(twin, [wrapped], append_row=True)[0]
+        assert np.array_equal(decoding.draft_rows(twin, wrapped), fresh)
+        assert np.array_equal(decoding.draft_rows(mlm, wrapped), fresh)
+        assert decoding.draft_rows(mlm, wrapped) is rows
+
+    def test_a_dropped_mlm_takes_its_rows_with_it(self):
+        mlm = tiny_mlm(32)
+        mlm.freeze()
+        decoding.draft_rows(mlm, [START_ID, 5, EOS_ID])
+        entries = len(decoding._ROWS_CACHE)
+        gone = weakref.ref(mlm)
+        del mlm
+        assert gone() is None
+        assert len(decoding._ROWS_CACHE) == entries - 1
 
     def test_unfrozen_mlm_encodes_for_every_stepper(self, monkeypatch):
         calls = count_context_rows(monkeypatch)
@@ -588,7 +614,7 @@ class TestDraftRowsMemo:
         for kind in ("simple", "cold", "hier"):
             EmendStepper(tiny_model(kind, seed=24), mlm, feats(24), wrapped)
         assert len(calls) == 3
-        assert mlm.rows_memo is None
+        assert mlm not in decoding._ROWS_CACHE
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_rows_are_read_only(self, frozen):

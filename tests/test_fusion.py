@@ -12,7 +12,7 @@ V = 11
 
 def tiny_cfg(kind="simple", **kw):
     base = dict(vocab_size=V, feature_dim=4, embed_dim=5, hidden_dim=6,
-                mlm_embed_dim=5, mlm_hidden_dim=7, fusion_dim=6,
+                mlm_hidden_dim=7, fusion_dim=6,
                 fusion_kind=kind, dropout=0.0)
     base.update(kw)
     return ModelConfig(**base)

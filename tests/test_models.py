@@ -30,7 +30,7 @@ V = 12
 
 def tiny_cfg(**kw):
     base = dict(vocab_size=V, feature_dim=5, embed_dim=6, hidden_dim=7,
-                mlm_embed_dim=6, mlm_hidden_dim=7, fusion_dim=7, dropout=0.0)
+                mlm_hidden_dim=7, fusion_dim=7, dropout=0.0)
     base.update(kw)
     return ModelConfig(**base)
 
