@@ -6,18 +6,21 @@ order and accumulates gradients into every tensor that requires them. An op
 records a node if and only if one of its parents requires a gradient; no
 switch turns recording off, and a caller who wants no graph passes plain
 arrays. The module also provides the Adam optimizer and a finite-difference
-gradient checker used as the independent oracle in tests, and lstm_step(xp,
-h, c, wh, b), the one LSTM cell kernel for steps that record no graph; it
-takes the input already projected, xp = x @ Wx, so a caller can project a
-whole sequence at once.
+gradient checker used as the independent oracle in tests.
 
-The forward ops affine, concat_last, dropout, glu, relu and softmax_xent_rows
-take activations as Tensors or as plain arrays, and weights as Parameters
-either way. An array activation gives a plain array and records no graph; a
-Tensor activation gives a Tensor and records a graph, so a caller who trains
-passes Tensors. Both kinds compute the same products in the same order, bit
-for bit. Mixing a Tensor and a plain array in one op raises TypeError, as
-numpy arithmetic between the two does.
+The forward ops matmul, affine, concat_last, dropout, glu, relu, gather_rows,
+lstm_seq and softmax_xent_rows take activations as Tensors or as plain arrays,
+and weights as Parameters either way. An array activation gives a plain array
+and records no graph; a Tensor activation gives a Tensor and records a graph,
+so a caller who trains passes Tensors. Both kinds compute the same products in
+the same order, bit for bit. Mixing a Tensor and a plain array in one op
+raises TypeError, as numpy arithmetic between the two does.
+
+lstm_step(xp, h, c, wh, b) is the one LSTM cell kernel. It takes the input
+already projected, xp = x @ Wx, so that lstm_seq, which unrolls a whole layer
+over a time-major [T*B x 4H] projection, runs it step by step; on a Tensor,
+lstm_seq records one node for the whole unroll and backpropagates through
+time by hand in its backward.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -194,24 +197,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def sigmoid(self):
-        s = sigmoid(self.data)
-        out = _result(s, (self,))
-        if out.requires_grad:
-            def back(g, a=self, v=s):
-                a._accum(g * v * (1.0 - v))
-            out._backward = back
-        return out
-
-    def tanh(self):
-        t = np.tanh(self.data)
-        out = _result(t, (self,))
-        if out.requires_grad:
-            def back(g, a=self, v=t):
-                a._accum(g * (1.0 - v * v))
-            out._backward = back
-        return out
-
 
 class Parameter(Tensor):
     """Named, trainable tensor; frozen parameters never receive updates."""
@@ -274,10 +259,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # -- structural operations ------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2D operands."""
-    ad, bd = a.data, b.data
+def matmul(a, b: Tensor):
+    """Matrix product of two 2D operands: a plain array from a plain-array a,
+    which records no graph; a Tensor from a Tensor."""
+    ad, bd = (a.data if isinstance(a, Tensor) else a), b.data
     _check_matmul(ad, bd)
+    if not isinstance(a, Tensor):
+        return ad @ bd
     out = _result(ad @ bd, (a, b))
     if out.requires_grad:
         def back(g, x=a, y=b):
@@ -303,10 +291,7 @@ def affine(x, w: Tensor, b: Tensor):
         raise ShapeError(f"affine input dim {xd.shape} does not match weight {w.data.shape}")
     if w.data.shape[1] != b.data.shape[-1]:
         raise ShapeError(f"affine bias {b.data.shape} does not match weight {w.data.shape}")
-    if isinstance(x, Tensor):
-        return matmul(x, w) + b
-    _check_matmul(xd, w.data)
-    return xd @ w.data + b.data
+    return matmul(x, w) + (b if isinstance(x, Tensor) else b.data)
 
 
 def relu(x):
@@ -341,18 +326,6 @@ def concat_last(a, b):
     return out
 
 
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """View of x restricted to [start, stop) on the last axis."""
-    if not (0 <= start <= stop <= x.data.shape[-1]):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for shape {x.shape}")
-    out = _result(x.data[..., start:stop], (x,))
-    if out.requires_grad:
-        def back(g, a=x, s=start, e=stop):
-            a._grad_buffer()[..., s:e] += g
-        out._backward = back
-    return out
-
-
 def glu(x):
     """Gated linear unit: split the last axis in half, return a * sigmoid(b)."""
     xd = x.data if isinstance(x, Tensor) else x
@@ -383,16 +356,18 @@ def lstm_step(xp: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
     gates in order (input, forget, candidate, output); all four come from one
     in-place tanh, each sigmoid as 0.5 * (tanh(z / 2) + 1). Returns (h_new, c_new).
     """
+    return _cell_update(_gates(xp, h, wh, b), c)
+
+
+def _gates(xp, h, wh, b) -> np.ndarray:
+    """The activated gates (i, f, g, o) of one step, side by side."""
     z = xp + h @ wh
     z += b
-    n = h.shape[-1]
-    scale, shift = _gate_scale(n)  # read-only rows
+    scale, shift = _gate_scale(h.shape[-1])  # read-only rows
     np.tanh(np.multiply(z, scale, out=z), out=z)
     z *= scale
     z += shift
-    i, f, g, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
+    return z
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,6 +377,76 @@ def _gate_scale(n: int) -> np.ndarray:
     rows = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], n, axis=1)
     rows.flags.writeable = False
     return rows
+
+
+def _cell_update(z, c):
+    """(h_new, c_new) from the activated gates z and the cell state c."""
+    n = c.shape[-1]
+    i, f, g, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor):
+    """One LSTM layer unrolled from a zero state over a time-major projected
+    input xp = X @ Wx of shape [T*batch x 4H]; returns the hidden state after
+    every step, [T*batch x H], step t in rows t*batch to (t+1)*batch - 1.
+
+    Each step is lstm_step's arithmetic (_gates, then _cell_update) on plain
+    arrays. A plain-array xp gives a plain array and records no graph. A
+    Tensor xp records one node over xp, wh and b that saves each step's gates
+    and cell state; its backward is backpropagation through time, one
+    dz @ wh.T per step, then one product for wh's gradient. Rows are never
+    packed by length: padded steps are computed like the others, and a step
+    whose state no later op reads gets gradient zero.
+    """
+    tensor = isinstance(xp, Tensor)
+    xd = xp.data if tensor else xp
+    if xd.ndim != 2 or xd.shape[0] % batch or xd.shape[1] != wh.data.shape[1]:
+        raise ShapeError(f"lstm_seq input {xd.shape} is not [T*{batch} x {wh.data.shape[1]}]")
+    hs = np.empty((xd.shape[0], wh.data.shape[0]))
+    h = c = np.zeros((batch, wh.data.shape[0]))
+    gates, cells = [], []
+    for lo in range(0, xd.shape[0], batch):
+        z = _gates(xd[lo:lo + batch], h, wh.data, b.data)
+        h, c = _cell_update(z, c)
+        hs[lo:lo + batch] = h
+        if tensor:
+            gates.append(z)
+            cells.append(c)
+    if not tensor:
+        return hs
+    out = _result(hs, (xp, wh, b))
+    if out.requires_grad:
+        out._backward = functools.partial(_lstm_seq_backward, xp, batch, wh, b, hs, gates, cells)
+    return out
+
+
+def _lstm_seq_backward(xp, batch, wh, b, hs, gates, cells, g):
+    # dh and dc carry the gradient of the state entering step t + 1; dz holds
+    # every step's gate pre-activation gradient, time-major like xp
+    n = hs.shape[1]
+    dz = np.empty((hs.shape[0], 4 * n))
+    dh = dc = np.zeros((batch, n))
+    for t in reversed(range(len(gates))):
+        lo = t * batch
+        z, tc = gates[t], np.tanh(cells[t])
+        i, f, cand, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
+        dh = dh + g[lo:lo + batch]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        d = dz[lo:lo + batch]
+        d[:, :n] = dc * cand * i * (1.0 - i)
+        d[:, n:2 * n] = (dc * cells[t - 1] if t else 0.0) * f * (1.0 - f)
+        d[:, 2 * n:3 * n] = dc * i * (1.0 - cand * cand)
+        d[:, 3 * n:] = dh * tc * o * (1.0 - o)
+        dc = dc * f
+        dh = d @ wh.data.T
+    if xp.requires_grad:
+        xp._accum(dz)
+    if wh.requires_grad:
+        wh._accum(hs[:-batch].T @ dz[batch:])
+    if b.requires_grad:
+        b._accum(dz.sum(axis=0))
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -456,21 +501,30 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
     return out
 
 
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Select rows of an embedding table; backward scatter-adds.
+def gather_rows(table, ids: np.ndarray):
+    """Select rows of a table by id; a negative id selects a zero row. A
+    plain-array table gives a plain array and records no graph; a Tensor
+    table gives a Tensor, whose backward scatter-adds.
 
     The backward sums the gradients of each distinct id from zero, in the
     order the ids come, into one buffer row per distinct id, then adds those
     rows into the table's gradient: the rounding of a zero-filled full-size
-    scatter plus one addition, without the full-size array."""
+    scatter plus one addition, without the full-size array. A negative id's
+    rows are dropped."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = _result(table.data[ids], (table,))
+    tensor = isinstance(table, Tensor)
+    out = (table.data if tensor else table)[ids]
+    out[ids < 0] = 0.0
+    if not tensor:
+        return out
+    out = _result(out, (table,))
     if out.requires_grad:
         def back(g, t=table, ix=ids):
             rows, inv = np.unique(ix.ravel(), return_inverse=True)
             part = np.zeros((rows.size,) + t.data.shape[1:])
             np.add.at(part, inv, g.reshape(-1, *t.data.shape[1:]))
-            t._grad_buffer()[rows] += part
+            k = np.searchsorted(rows, 0)  # the negative ids come first
+            t._grad_buffer()[rows[k:]] += part[k:]
         out._backward = back
     return out
 

@@ -47,12 +47,12 @@ _ROWS_CACHE = weakref.WeakKeyDictionary()
 @dataclass
 class BeamConfig:
     beam_width: int = 5
-    max_len: int | None = None  # defaults to the model's configured cap
+    max_len: int = 40  # tokens emitted at most, <eos> included
 
     def validate(self):
         if self.beam_width < 1:
             raise ConfigError(f"beam_width must be at least 1, got {self.beam_width}")
-        if self.max_len is not None and self.max_len < 2:
+        if self.max_len < 2:
             raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
 
 
@@ -75,8 +75,7 @@ class Stepper:
     def start(self):
         decoder = self.model.decoder
         x = decoder.encode_image(self.features)
-        zeros = np.zeros((x.shape[0], decoder.cfg.hidden_dim))
-        _, state = decoder.step(x, [(zeros, zeros)] * decoder.LAYERS)
+        _, state = decoder.step(x, decoder.initial_state(x.shape[0]))
         return (0, state)
 
     def step(self, state, tokens: np.ndarray):
@@ -156,8 +155,7 @@ def strip_specials(tokens) -> list[int]:
 def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]:
     cfg = cfg or BeamConfig()
     cfg.validate()
-    max_len = cfg.max_len or stepper.model.cfg.max_len
-    return beam_over(stepper, cfg.beam_width, max_len)
+    return beam_over(stepper, cfg.beam_width, cfg.max_len)
 
 
 # -- beam search ---------------------------------------------------------------
@@ -223,10 +221,6 @@ def beam_search_scored(model, features,
     """Beam-decode a baseline model from the image alone; a fusion model
     decodes only against a draft, through emend."""
     return _decode(Stepper(model, features), cfg)
-
-
-def beam_search(model, features, cfg: BeamConfig | None = None) -> list[int]:
-    return beam_search_scored(model, features, cfg)[0]
 
 
 # -- emendation -----------------------------------------------------------------

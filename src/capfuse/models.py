@@ -8,17 +8,21 @@ the tokens right of it, combining both context states with an affine layer.
 
 Image projections, steps, heads and affine layers follow the rule of
 autodiff's forward ops: a plain-array activation gives plain arrays and
-records no graph, and a Tensor activation records a graph. An LSTM step on
-arrays is the one cell kernel, autodiff.lstm_step(x @ Wx, h, c, Wh, b); a step
-on Tensors (pretraining) is built from elementary autodiff nodes.
-mlm_pretrain builds a graph only for its updates; its initial loss, like every
-read of a frozen MLM, comes from mlm_context_rows on arrays. It ends by
-freezing the MLM, and freezing is final (autodiff.Parameter.freeze): a frozen
-MLM and every copy of it keep their values for good.
-MaskedLM._encode_states, the layer-major encoder of mlm_context_rows, runs the
-kernel too (one [T*B x E] @ Wx per layer and direction, then a loop of h @ Wh
-and the kernel), and the context rows are gathered from its [T x B x H]
-states by one fancy index.
+records no graph, and a Tensor activation records a graph. A decoder step is
+one autodiff.lstm_step(x @ Wx, h, c, Wh, b) per layer, on plain arrays.
+
+The masked LM has one forward, MaskedLM._states: per direction one embedding
+gather of the time-major padded tokens, then per layer one [T*B x E] @ Wx and
+one autodiff.lstm_seq (the lstm_step kernel, step by step), then one gather of
+each mask position's context rows, then combine. Pretraining runs it on the
+embedding Parameter and records one lstm_seq node per layer and direction,
+whose backward is backpropagation through time; mlm_context_rows and the
+initial loss of mlm_pretrain run it on the embedding's array and record
+nothing, so training and emendation read the same states. mlm_pretrain ends
+by freezing the MLM, and freezing is final: a frozen parameter's data can be
+neither written nor rebound (autodiff.Parameter.freeze), and a frozen MLM or
+LSTM cell refuses to rebind any attribute, so a frozen MLM and every copy of
+it compute with the same values for good.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from .autodiff import (
     concat_last,
     dropout,
     gather_rows,
+    lstm_seq,
     lstm_step,
+    matmul,
     params_checksum,
-    slice_last,
     softmax_xent_rows,
 )
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID  # noqa: F401 (re-exported)
@@ -57,11 +62,10 @@ class ModelConfig:
     fusion_kind: str = "none"
     fusion_dim: int = 128
     dropout: float = 0.5
-    max_len: int = 40
 
     def validate(self):
         for name in ("vocab_size", "feature_dim", "embed_dim", "hidden_dim",
-                     "mlm_hidden_dim", "fusion_dim", "max_len"):
+                     "mlm_hidden_dim", "fusion_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 <= self.dropout < 1.0):
@@ -95,12 +99,22 @@ class ParamStore:
         return params_checksum(self.parameters())
 
 
-class LstmCell:
+class _FinalWhenFrozen:
+    """Mixin: once frozen() holds, rebinding any attribute raises StateError,
+    so the weights that a frozen model computes with stay the ones frozen."""
+
+    def __setattr__(self, attr, value):
+        if self.frozen():
+            raise StateError(f"{type(self).__name__} is frozen; {attr} cannot be rebound")
+        object.__setattr__(self, attr, value)
+
+
+class LstmCell(_FinalWhenFrozen):
     """Single LSTM layer; gate order is (input, forget, candidate, output).
 
-    A step on plain arrays is one autodiff.lstm_step pass and records no
-    graph; a step on Tensors is built from elementary autodiff nodes with the
-    same arithmetic, each sigmoid through tanh, bit for bit."""
+    step() is one autodiff.lstm_step on plain arrays. A sequence, with or
+    without a graph, runs through autodiff.lstm_seq over the cell's wh and b
+    after one product with wx for all steps."""
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -111,36 +125,12 @@ class LstmCell:
         bias[hidden:2 * hidden] = 1.0  # forget gate open at init
         self.b = store._param(f"{prefix}.b", bias)
 
-    def step(self, x, h, c):
-        """(h_new, c_new): plain arrays from plain arrays, Tensors from Tensors."""
-        if not isinstance(x, Tensor):
-            return lstm_step(x @ self.wx.data, h, c, self.wh.data, self.b.data)
-        z = (x @ self.wx) + (h @ self.wh) + self.b
-        n = self.hidden
-        i = slice_last(z, 0, n).sigmoid()
-        f = slice_last(z, n, 2 * n).sigmoid()
-        g = slice_last(z, 2 * n, 3 * n).tanh()
-        o = slice_last(z, 3 * n, 4 * n).sigmoid()
-        c_new = (f * c) + (i * g)
-        h_new = o * c_new.tanh()
-        return h_new, c_new
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """(h_new, c_new) of one step on plain arrays."""
+        return lstm_step(x @ self.wx.data, h, c, self.wh.data, self.b.data)
 
-
-def _zero_state(layers: int, batch: int, hidden: int):
-    return [(Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden))))
-            for _ in range(layers)]
-
-
-def _stack_step(cells: list[LstmCell], x: Tensor, state):
-    """Advance stacked LSTM layers one step; returns the top-layer hidden
-    state and the new per-layer (h, c) states."""
-    new_state = []
-    inp = x
-    for cell, (h, c) in zip(cells, state):
-        h_new, c_new = cell.step(inp, h, c)
-        new_state.append((h_new, c_new))
-        inp = h_new
-    return inp, new_state
+    def frozen(self) -> bool:
+        return "b" in vars(self) and self.wx.frozen and self.wh.frozen and self.b.frozen
 
 
 class CaptionDecoder(ParamStore):
@@ -162,7 +152,9 @@ class CaptionDecoder(ParamStore):
         self.head_b = self._param("decoder.head.b", np.zeros(v))
 
     def initial_state(self, batch: int):
-        return _zero_state(self.LAYERS, batch, self.cfg.hidden_dim)
+        """Zero (h, c) arrays for every layer."""
+        zeros = np.zeros((batch, self.cfg.hidden_dim))
+        return [(zeros, zeros)] * self.LAYERS
 
     def encode_image(self, features):
         """Project image features, one row per image: a plain array from
@@ -179,10 +171,15 @@ class CaptionDecoder(ParamStore):
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.embed, ids)
 
-    def step(self, x, state):
-        """Advance all layers one step, one LstmCell.step each; returns the
-        top-layer hidden state and the new per-layer (h, c) states."""
-        return _stack_step(self.cells, x, state)
+    def step(self, x: np.ndarray, state):
+        """Advance all layers one step on plain arrays, one LstmCell.step
+        each; returns the top-layer hidden state and the new per-layer (h, c)
+        states."""
+        new_state = []
+        for cell, (h, c) in zip(self.cells, state):
+            x, c = cell.step(x, h, c)
+            new_state.append((x, c))
+        return x, new_state
 
     def head_logits(self, h_top, training: bool, rng=None):
         dropped = dropout(h_top, self.cfg.dropout, training, rng)
@@ -202,7 +199,7 @@ class MlmConfig:
             raise ConfigError("vocab_size must cover the special token ids")
 
 
-class MaskedLM(ParamStore):
+class MaskedLM(ParamStore, _FinalWhenFrozen):
     """Bidirectional recurrent masked-token encoder with a diagnostic head.
 
     The state for a masked position combines the forward encoder run over the
@@ -219,10 +216,10 @@ class MaskedLM(ParamStore):
         self.cfg = cfg
         v, e, h = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
         self.embed = self._param("mlm.embed", rng.uniform(-0.1, 0.1, size=(v, e)))
-        self.fwd = [LstmCell(self, f"mlm.fwd{i}", e if i == 0 else h, h, rng)
-                    for i in range(self.LAYERS)]
-        self.bwd = [LstmCell(self, f"mlm.bwd{i}", e if i == 0 else h, h, rng)
-                    for i in range(self.LAYERS)]
+        self.fwd = tuple(LstmCell(self, f"mlm.fwd{i}", e if i == 0 else h, h, rng)
+                         for i in range(self.LAYERS))
+        self.bwd = tuple(LstmCell(self, f"mlm.bwd{i}", e if i == 0 else h, h, rng)
+                         for i in range(self.LAYERS))
         self.comb_w = self._param("mlm.combine.W", xavier_uniform(rng, 2 * h, h))
         self.comb_b = self._param("mlm.combine.b", np.zeros(h))
         self.head_w = self._param("mlm.head.W", xavier_uniform(rng, h, v))
@@ -230,36 +227,25 @@ class MaskedLM(ParamStore):
 
     # -- core encoding ----------------------------------------------------
 
-    def _run_encoder(self, cells, token_matrix: np.ndarray):
-        """Unroll one direction over a [batch x T] token matrix.
+    def _states(self, table, seqs: list[list[int]], owner: np.ndarray, p: np.ndarray):
+        """States at mask position p[k] of seqs[owner[k]], one row per k.
 
-        Returns the top-layer hidden state after each step, as a list of
-        [batch x hidden] tensors.
-        """
-        batch, steps = token_matrix.shape
-        state = _zero_state(self.LAYERS, batch, self.cfg.hidden_dim)
-        tops = []
-        for t in range(steps):
-            top, state = _stack_step(cells, gather_rows(self.embed, token_matrix[:, t]), state)
-            tops.append(top)
-        return tops
-
-    def _encode_states(self, cells, token_matrix: np.ndarray, out: np.ndarray):
-        """Graph-free, layer-major unroll of one direction over a [batch x T]
-        token matrix: per layer one [T*batch x E] @ Wx, then a loop of h @ Wh
-        and autodiff.lstm_step. Writes the top layer's state after each step
-        into out[:T], a time-major [T x batch x hidden] array; each lower
-        layer's states pass through out[:T] too."""
-        batch, steps = token_matrix.shape
-        x = self.embed.data[token_matrix.T]  # time-major [T x batch x E]
-        for cell in cells:
-            wx = cell.wx.data  # explicit widths, not -1, so that T = 0 reshapes too
-            xp = (x.reshape(steps * batch, wx.shape[0]) @ wx).reshape(steps, batch, wx.shape[1])
-            h = c = np.zeros((batch, self.cfg.hidden_dim))
-            for t in range(steps):
-                h, c = lstm_step(xp[t], h, c, cell.wh.data, cell.b.data)
-                out[t] = h
-            x = out[:steps]
+        The one forward of the MLM: per direction the embedding gather of the
+        time-major [T*B] padded tokens from `table`, then per layer X @ Wx and
+        autodiff.lstm_seq, then one gather of the _context_steps rows (step -1,
+        the empty context, is a negative id and reads zeros), then combine.
+        `table` is self.embed, which records a graph, or self.embed.data,
+        which gives plain arrays."""
+        toks, rev, lens = _padded_batch(seqs)
+        batch = len(seqs)
+        ctx = []
+        for cells, matrix, steps in zip((self.fwd, self.bwd), (toks, rev),
+                                        _context_steps(p, lens[owner])):
+            x = gather_rows(table, matrix.T.ravel())
+            for cell in cells:
+                x = lstm_seq(matmul(x, cell.wx), batch, cell.wh, cell.b)
+            ctx.append(gather_rows(x, steps * batch + owner))
+        return self.combine(*ctx)
 
     def combine(self, fwd_ctx: Tensor, bwd_ctx: Tensor) -> Tensor:
         return affine(concat_last(fwd_ctx, bwd_ctx), self.comb_w, self.comb_b)
@@ -274,7 +260,8 @@ class MaskedLM(ParamStore):
             p.freeze()
 
     def frozen(self) -> bool:
-        return all(p.frozen for p in self.parameters())
+        params = vars(self).get("params")
+        return bool(params) and all(p.frozen for p in params.values())
 
 
 def _padded_batch(seqs: list[list[int]]):
@@ -293,21 +280,6 @@ def _padded_batch(seqs: list[list[int]]):
     return toks, rev, lens
 
 
-def _select_steps(tops: list[Tensor], idx: np.ndarray) -> Tensor:
-    """Per-sample selection of one time step from a list of [B x H] tensors.
-
-    idx < 0 selects a zero vector (empty context). Implemented with indicator
-    masks so gradients flow through the chosen steps only.
-    """
-    batch = tops[0].shape[0]
-    out = Tensor(np.zeros((batch, tops[0].shape[1])))
-    for t, top in enumerate(tops):
-        mask = (idx == t).astype(np.float64)
-        if mask.any():
-            out = out + top * Tensor(np.repeat(mask[:, None], top.shape[1], axis=1))
-    return out
-
-
 def _context_steps(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(forward, backward) encoder steps whose top-layer states are the
     context of mask position p in a sequence of length n; step -1 is the empty
@@ -323,7 +295,7 @@ def _check_ids(ids, vocab: int, what: str):
         raise InputError(f"{what} id {bad[0]} is outside the vocabulary of {vocab}")
 
 
-# sequences per padded batch of mlm_context_rows; bounds its [T x B x 4H] projections
+# sequences per padded batch of mlm_context_rows; bounds its [T*B x 4H] projections
 ROWS_CHUNK = 128
 
 
@@ -346,19 +318,12 @@ def mlm_context_rows(mlm: MaskedLM, seqs: list[list[int]],
 
 
 def _context_rows_chunk(mlm: MaskedLM, seqs, append_row: bool) -> list[np.ndarray]:
-    toks, rev, lens = _padded_batch(seqs)
-    # both directions' top-layer states, time-major, with a zero step
-    # appended so that step index -1 reads an empty context
-    both = np.zeros((2, toks.shape[1] + 1, len(seqs), mlm.cfg.hidden_dim))
-    mlm._encode_states(mlm.fwd, toks, both[0])
-    mlm._encode_states(mlm.bwd, rev, both[1])
     # rows p = 1..n-1 of a length-n sequence, then p = n if appended
+    lens = np.array([len(s) for s in seqs])
     counts = np.maximum(lens - 1, 0) + (append_row & (lens >= 2))
     owner = np.repeat(np.arange(len(seqs)), counts)
     p = np.arange(1, len(owner) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    steps = np.stack(_context_steps(p, lens[owner]), axis=1)
-    pairs = both[[0, 1], steps, owner[:, None]].reshape(len(owner), 2 * mlm.cfg.hidden_dim)
-    return np.split(affine(pairs, mlm.comb_w, mlm.comb_b), np.cumsum(counts)[:-1])
+    return np.split(mlm._states(mlm.embed.data, seqs, owner, p), np.cumsum(counts)[:-1])
 
 
 @dataclass
@@ -385,16 +350,9 @@ def _masked_batch_loss(mlm: MaskedLM, seqs: list[list[int]],
                        positions: np.ndarray) -> Tensor:
     """Mean cross-entropy of predicting the token at one masked position
     per sequence (the mask position is never 0)."""
-    toks, rev, lens = _padded_batch(seqs)
-    fwd_tops = mlm._run_encoder(mlm.fwd, toks)
-    bwd_tops = mlm._run_encoder(mlm.bwd, rev)
-    fwd_idx, bwd_idx = _context_steps(positions, lens)
-    fwd_ctx = _select_steps(fwd_tops, fwd_idx)
-    bwd_ctx = _select_steps(bwd_tops, bwd_idx)
-    state = mlm.combine(fwd_ctx, bwd_ctx)
-    logits = mlm.head_logits(state)
-    targets = toks[np.arange(len(seqs)), positions]
-    return softmax_xent_rows(logits, targets).sum() * (1.0 / len(seqs))
+    state = mlm._states(mlm.embed, seqs, np.arange(len(seqs)), positions)
+    targets = [s[p] for s, p in zip(seqs, positions)]
+    return softmax_xent_rows(mlm.head_logits(state), targets).sum() * (1.0 / len(seqs))
 
 
 def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
@@ -403,11 +361,11 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
 
     Each epoch visits every sequence once, masking one uniformly chosen
     position per sequence (excluding position 0, which is never queried
-    downstream). A parameter that a batch's loss does not reach (the backward
-    encoder, when every mask of the batch falls on the last token) gets
-    gradient zero for that step, so Adam still moves it by its decayed
-    moments. A token id outside the vocabulary raises InputError before
-    anything changes. Returns (mlm, report).
+    downstream). Every batch's loss reaches every parameter: the backward
+    encoder's gradient is zero when every mask of the batch falls on the
+    last token, and Adam still moves it by its decayed moments. A token id
+    outside the vocabulary raises InputError before anything changes.
+    Returns (mlm, report).
     """
     cfg = cfg or MlmPretrainConfig()
     cfg.validate()
@@ -420,13 +378,12 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
     _check_ids(chain.from_iterable(corpus), mlm.cfg.vocab_size, "token")
     seed_seq = np.random.SeedSequence(cfg.seed)
     shuffle_rng, mask_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    params = mlm.parameters()
-    opt = Adam(params, lr=cfg.lr)
+    opt = Adam(mlm.parameters(), lr=cfg.lr)
 
-    # the loss at mask position 1 of the first batch, from row 0 of each
-    # caption's context rows, before any update
+    # the loss at mask position 1 of the first batch, before any update
     probe = corpus[:cfg.batch_size]
-    states = np.stack([rows[0] for rows in mlm_context_rows(mlm, probe)])
+    ones = np.ones(len(probe), dtype=np.int64)
+    states = mlm._states(mlm.embed.data, probe, np.arange(len(probe)), ones)
     xent = softmax_xent_rows(mlm.head_logits(states), [s[1] for s in probe])
     report = MlmPretrainReport(initial_loss=float(xent.sum() * (1.0 / len(probe))))
     order = np.arange(len(corpus))
@@ -441,9 +398,6 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
             )
             loss = _masked_batch_loss(mlm, seqs, positions)
             loss.backward()
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
             opt.step()
             total += loss.item() * len(seqs)
             count += len(seqs)

@@ -3,11 +3,12 @@
 These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
-without the package's shared-suffix trim, view and gather gradients as
-zero-filled full-size arrays, masked-LM states one masked
-sequence at a time, one step and one layer at a time, fusion logits from each
-scheme's equations in plain numpy, greedy decoding by a plain argmax loop, and
-beam expansion order by a three-key lexsort.
+without the package's shared-suffix trim, gather gradients as zero-filled
+full-size arrays, LSTM steps and the masked-LM loss as step-major graphs of
+elementary nodes (slice, sigmoid, tanh, products and sums), masked-LM states
+one masked sequence at a time, one step and one layer at a time, fusion logits
+from each scheme's equations in plain numpy, greedy decoding by a plain argmax
+loop, and beam expansion order by a three-key lexsort.
 """
 
 import math
@@ -15,9 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from capfuse.autodiff import Tensor
+from capfuse import autodiff
+from capfuse.autodiff import Tensor, _result, gather_rows, softmax_xent_rows
 from capfuse.errors import InputError
-from capfuse.models import EOS_ID, MASK_ID, START_ID
+from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
 
 
 # -- BLEU -----------------------------------------------------------------------
@@ -220,12 +222,83 @@ def gather_rows_grad_full(shape, ids, g):
     return full
 
 
-def slice_last_grad_full(shape, start, stop, g):
-    """One slice_last backward as a zero-filled array of the parent's full
-    shape, with g written at [start, stop) of the last axis."""
-    full = np.zeros(shape)
-    full[..., start:stop] = g
-    return full
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic sigmoid node, through autodiff.sigmoid's tanh form."""
+    s = autodiff.sigmoid(x.data)
+    out = _result(s, (x,))
+    if out.requires_grad:
+        def back(g, a=x, v=s):
+            a._accum(g * v * (1.0 - v))
+        out._backward = back
+    return out
+
+
+def tanh(x: Tensor) -> Tensor:
+    t = np.tanh(x.data)
+    out = _result(t, (x,))
+    if out.requires_grad:
+        def back(g, a=x, v=t):
+            a._accum(g * (1.0 - v * v))
+        out._backward = back
+    return out
+
+
+def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
+    """x restricted to [start, stop) on the last axis."""
+    out = _result(x.data[..., start:stop], (x,))
+    if out.requires_grad:
+        def back(g, a=x, s=start, e=stop):
+            full = np.zeros_like(a.data)
+            full[..., s:e] = g
+            a._accum(full)
+        out._backward = back
+    return out
+
+
+def lstm_step_graph(cell, x: Tensor, h: Tensor, c: Tensor):
+    """One LSTM cell step as a graph of elementary nodes, with the
+    arithmetic of autodiff.lstm_step: z = x @ Wx + h @ Wh, then + b."""
+    z = (x @ cell.wx) + (h @ cell.wh) + cell.b
+    n = cell.hidden
+    i = sigmoid(slice_last(z, 0, n))
+    f = sigmoid(slice_last(z, n, 2 * n))
+    g = tanh(slice_last(z, 2 * n, 3 * n))
+    o = sigmoid(slice_last(z, 3 * n, 4 * n))
+    c_new = (f * c) + (i * g)
+    return o * tanh(c_new), c_new
+
+
+def stack_step_graph(cells, x: Tensor, state):
+    """One step of stacked cells; returns the top hidden state and the new
+    per-layer (h, c) states."""
+    new_state = []
+    for cell, (h, c) in zip(cells, state):
+        x, c = lstm_step_graph(cell, x, h, c)
+        new_state.append((x, c))
+    return x, new_state
+
+
+def masked_batch_loss_graph(mlm, seqs, positions) -> Tensor:
+    """Mean cross-entropy at one mask position per sequence, step-major:
+    each direction steps every layer one token at a time from Tensor zeros,
+    and each sequence's context state is the sum over steps of the top state
+    times a 0/1 indicator of the chosen step (step -1 chooses none)."""
+    toks, rev, lens = _padded_batch(seqs)
+    batch, steps = toks.shape
+    ctx = []
+    for cells, matrix, idx in zip((mlm.fwd, mlm.bwd), (toks, rev),
+                                  _context_steps(positions, lens)):
+        zeros = Tensor(np.zeros((batch, mlm.cfg.hidden_dim)))
+        state = [(zeros, zeros)] * len(cells)
+        chosen = zeros
+        for t in range(steps):
+            top, state = stack_step_graph(cells, gather_rows(mlm.embed, matrix[:, t]), state)
+            mask = np.repeat((idx == t).astype(np.float64)[:, None], top.shape[1], axis=1)
+            chosen = chosen + top * Tensor(mask)
+        ctx.append(chosen)
+    logits = mlm.head_logits(mlm.combine(*ctx))
+    targets = toks[np.arange(batch), positions]
+    return softmax_xent_rows(logits, targets).sum() * (1.0 / batch)
 
 
 # -- masked LM and decoding -----------------------------------------------------------

@@ -14,7 +14,6 @@ from capfuse.decoding import (
     EmendStepper,
     Stepper,
     beam_over,
-    beam_search,
     beam_search_scored,
     emend,
     sequence_logprob,
@@ -34,15 +33,17 @@ from capfuse.models import (
     ModelConfig,
     mlm_context_rows,
 )
-from oracles import encode_masked, greedy_oracle, lexsort_cells
+from oracles import encode_masked, greedy_oracle, lexsort_cells, stack_step_graph
 
 V = 10
+MAX_LEN = 8  # the beam length cap of these tests
+CAP = BeamConfig(max_len=MAX_LEN)
 
 
 def tiny_model(kind="none", seed=0, **kw):
     cfg = ModelConfig(vocab_size=V, feature_dim=4, embed_dim=5, hidden_dim=6,
                       mlm_hidden_dim=6, fusion_dim=6,
-                      fusion_kind=kind, dropout=0.0, max_len=8, **kw)
+                      fusion_kind=kind, dropout=0.0, **kw)
     return build_model(cfg, seed)
 
 
@@ -195,15 +196,16 @@ class TestExpansionOrder:
 
 
 class TestArrayStep:
-    """A beam step on plain arrays against the Tensor composite that training
-    records: the embedding gather, CaptionDecoder.step on Tensors and
-    CaptionModel.step_logits, with every parameter trainable."""
+    """A beam step on plain arrays against a Tensor composite: the embedding
+    gather, the decoder cells stepped as graphs of elementary nodes
+    (oracles.stack_step_graph) and CaptionModel.step_logits, with every
+    parameter trainable."""
 
     @staticmethod
     def model(kind):
         cfg = ModelConfig(vocab_size=V, feature_dim=4, embed_dim=9, hidden_dim=16,
                           mlm_hidden_dim=11, fusion_dim=12,
-                          fusion_kind=kind, dropout=0.0, max_len=8)
+                          fusion_kind=kind, dropout=0.0)
         return build_model(cfg, 60)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -232,7 +234,7 @@ class TestArrayStep:
         decoder = model.decoder
         tensors = [(Tensor(h, requires_grad=True), Tensor(c, requires_grad=True))
                    for h, c in arrays]
-        h_top, want_state = decoder.step(decoder.embed_tokens(tokens), tensors)
+        h_top, want_state = stack_step_graph(decoder.cells, decoder.embed_tokens(tokens), tensors)
         h_mlm = None if kind == "none" else Tensor(np.tile(stepper.rows[t], (k, 1)))
         logits = model.step_logits(h_top, h_mlm)
         assert logits._parents  # the composite recorded a graph
@@ -266,33 +268,33 @@ class TestGreedyAndBeam:
                 stepper = Stepper(model, f)
             else:
                 stepper = EmendStepper(model, tiny_mlm(seed=i), f, draft)
-            want = greedy_oracle(stepper, model.cfg.max_len)
-            assert beam_over(stepper, 1, model.cfg.max_len) == want, \
+            want = greedy_oracle(stepper, MAX_LEN)
+            assert beam_over(stepper, 1, MAX_LEN) == want, \
                 f"mismatch for kind={kind} seed={i}"
 
     def test_greedy_deterministic(self):
         model = tiny_model("none", seed=5)
         f = feats(3)
-        cfg = BeamConfig(beam_width=1)
-        assert beam_search(model, f, cfg) == beam_search(model, f, cfg)
+        cfg = BeamConfig(beam_width=1, max_len=MAX_LEN)
+        assert beam_search_scored(model, f, cfg) == beam_search_scored(model, f, cfg)
 
     def test_termination_contract(self):
         for i in range(10):
             model = tiny_model("none", seed=100 + i)
-            seq = beam_search(model, feats(i), BeamConfig(beam_width=1))
-            assert seq[-1] == EOS_ID or len(seq) == model.cfg.max_len
+            seq, _ = beam_search_scored(model, feats(i), BeamConfig(beam_width=1, max_len=MAX_LEN))
+            assert seq[-1] == EOS_ID or len(seq) == MAX_LEN
 
     def test_no_blocked_tokens_emitted(self):
         for i in range(10):
             model = tiny_model("none", seed=200 + i)
-            seq = beam_search(model, feats(i), BeamConfig(beam_width=3))
+            seq, _ = beam_search_scored(model, feats(i), BeamConfig(beam_width=3, max_len=MAX_LEN))
             assert not set(seq) & {PAD_ID, START_ID, MASK_ID}
 
     def test_beam_score_matches_rescoring(self):
         for i in range(8):
             model = tiny_model("none", seed=300 + i)
             f = feats(i)
-            tokens, score = beam_search_scored(model, f, BeamConfig(beam_width=3))
+            tokens, score = beam_search_scored(model, f, BeamConfig(beam_width=3, max_len=MAX_LEN))
             assert score == pytest.approx(sequence_logprob(model, f, tokens), abs=1e-9)
 
     def test_rescoring_rejects_ids_outside_the_vocabulary(self):
@@ -304,8 +306,8 @@ class TestGreedyAndBeam:
     def test_beam_deterministic(self):
         model = tiny_model("none", seed=10)
         f = feats(10)
-        a = beam_search(model, f, BeamConfig(beam_width=5))
-        b = beam_search(model, f, BeamConfig(beam_width=5))
+        a = beam_search_scored(model, f, BeamConfig(beam_width=5, max_len=MAX_LEN))
+        b = beam_search_scored(model, f, BeamConfig(beam_width=5, max_len=MAX_LEN))
         assert a == b
 
     def test_config_validation(self):
@@ -318,7 +320,7 @@ class TestGreedyAndBeam:
         # a fusion model decodes and rescores only against a draft
         model = tiny_model("cold", seed=11)
         with pytest.raises(ConfigError, match="use emend"):
-            beam_search(model, feats(0), BeamConfig(beam_width=1))
+            beam_search_scored(model, feats(0), BeamConfig(beam_width=1))
         with pytest.raises(ConfigError, match="use emend"):
             sequence_logprob(model, feats(0), [5, EOS_ID], mlm=tiny_mlm(11))
         with pytest.raises(ConfigError, match="use emend"):
@@ -345,7 +347,7 @@ class TestEmend:
         mlm = tiny_mlm(13)
         draft = [5, 6, 7, EOS_ID]
         f = feats(13)
-        assert emend(model, mlm, f, draft) == emend(model, mlm, f, draft)
+        assert emend(model, mlm, f, draft, CAP) == emend(model, mlm, f, draft, CAP)
 
     def test_zero_collapsed_gates_ignore_draft(self):
         # with all fusion parameters zero except the output bias, the logits
@@ -358,8 +360,8 @@ class TestEmend:
         model.fusion.out_b.data[...] = rng.normal(size=V)
         mlm = tiny_mlm(14)
         f = feats(14)
-        out_a = emend(model, mlm, f, [5, 6, EOS_ID])
-        out_b = emend(model, mlm, f, [7, 8, 9, 5, EOS_ID])
+        out_a = emend(model, mlm, f, [5, 6, EOS_ID], CAP)
+        out_b = emend(model, mlm, f, [7, 8, 9, 5, EOS_ID], CAP)
         assert out_a == out_b
 
     def test_constant_override_removes_draft_dependence(self):
@@ -367,8 +369,8 @@ class TestEmend:
         mlm = tiny_mlm(15)
         f = feats(15)
         const = np.zeros(mlm.cfg.hidden_dim)
-        out_a = emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=const)
-        out_b = emend(model, mlm, f, [8, 9, EOS_ID], mlm_override=const)
+        out_a = emend(model, mlm, f, [5, 6, EOS_ID], CAP, mlm_override=const)
+        out_b = emend(model, mlm, f, [8, 9, EOS_ID], CAP, mlm_override=const)
         assert out_a == out_b
 
     def test_emend_score_matches_rescoring(self):
@@ -379,7 +381,7 @@ class TestEmend:
         words = strip_specials(draft)
         wrapped = [START_ID] + words + [EOS_ID]
         stepper = EmendStepper(model, mlm, f, wrapped)
-        tokens, score = beam_over(stepper, 3, model.cfg.max_len)
+        tokens, score = beam_over(stepper, 3, MAX_LEN)
         got = sequence_logprob(model, f, tokens, mlm=mlm, draft=draft)
         assert score == pytest.approx(got, abs=1e-9)
 
@@ -461,7 +463,7 @@ class TestEmend:
                 EmendStepper(model, mlm, f, wrapped, mlm_override=bad)
             with pytest.raises(ShapeError, match="mlm_override"):
                 emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=bad)
-        assert emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=[0.5] * 6)
+        assert emend(model, mlm, f, [5, 6, EOS_ID], CAP, mlm_override=[0.5] * 6)
 
     @pytest.mark.parametrize("draft", [[], [START_ID], [START_ID, EOS_ID],
                                        [PAD_ID, MASK_ID, EOS_ID]])
@@ -504,7 +506,7 @@ class TestEmend:
         wrapped = [START_ID, 5, 6, 7, EOS_ID]
         stepper = EmendStepper(model, mlm, f, wrapped, mlm_override=const)
         assert stepper.rows.shape == (len(wrapped), mlm.cfg.hidden_dim)
-        assert emend(model, mlm, f, wrapped, mlm_override=const)
+        assert emend(model, mlm, f, wrapped, CAP, mlm_override=const)
 
 
 def count_context_rows(monkeypatch) -> list:
@@ -545,11 +547,11 @@ class TestDraftRowsMemo:
         mlm.freeze()
         f = feats(22)
         draft = [5, 6, 7, EOS_ID]
-        outs = {kind: emend(tiny_model(kind, seed=22), mlm, f, draft)
+        outs = {kind: emend(tiny_model(kind, seed=22), mlm, f, draft, CAP)
                 for kind in ("simple", "cold", "hier")}
         sequence_logprob(tiny_model("hier", seed=22), f, outs["hier"], mlm=mlm, draft=draft)
         assert len(calls) == 1
-        emend(tiny_model("simple", seed=22), mlm, f, [8, 9, EOS_ID])
+        emend(tiny_model("simple", seed=22), mlm, f, [8, 9, EOS_ID], CAP)
         assert len(calls) == 2  # a new draft is encoded once more
 
     def test_a_repeated_draft_is_encoded_once_per_corpus(self, monkeypatch):
@@ -643,7 +645,7 @@ class TestNonFiniteLogits:
         mlm = tiny_mlm(41)
         mlm.freeze()
         with pytest.raises(NumericError):
-            emend(model, mlm, feats(41), [5, 6, EOS_ID], BeamConfig(3))
+            emend(model, mlm, feats(41), [5, 6, EOS_ID], BeamConfig(3, max_len=MAX_LEN))
         with pytest.raises(NumericError):
             sequence_logprob(model, feats(41), [5, EOS_ID], mlm=mlm, draft=[5, 6, EOS_ID])
 

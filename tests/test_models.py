@@ -1,7 +1,19 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, grad_check, params_checksum, softmax_xent_rows
+from capfuse.autodiff import (
+    Parameter,
+    Tensor,
+    gather_rows,
+    grad_check,
+    lstm_seq,
+    matmul,
+    params_checksum,
+    softmax_xent_rows,
+)
 from capfuse import models
 from capfuse.errors import ConfigError, InputError, StateError
 from capfuse.models import (
@@ -17,13 +29,11 @@ from capfuse.models import (
     ParamStore,
     _masked_batch_loss,
     _padded_batch,
-    _stack_step,
-    _zero_state,
     mlm_context_rows,
     mlm_masked_accuracy,
     mlm_pretrain,
 )
-from oracles import encode_masked
+from oracles import encode_masked, lstm_step_graph, masked_batch_loss_graph, stack_step_graph
 
 V = 12
 
@@ -49,9 +59,8 @@ class TestDecoderStep:
         dec = tiny_decoder()
         for p in dec.parameters():
             p.data[...] = 0.0
-        x = Tensor(np.zeros((1, dec.cfg.embed_dim)))
-        h, _ = dec.step(x, dec.initial_state(1))
-        assert np.array_equal(h.data, np.zeros((1, dec.cfg.hidden_dim)))
+        h, _ = dec.step(np.zeros((1, dec.cfg.embed_dim)), dec.initial_state(1))
+        assert np.array_equal(h, np.zeros((1, dec.cfg.hidden_dim)))
 
     def test_cell_state_grows_with_saturated_gates(self):
         # Open input and forget gates, fix a positive candidate, and check the
@@ -66,17 +75,16 @@ class TestDecoderStep:
         b[4:8] = 50.0   # forget gate ~ 1
         b[8:12] = 1.0   # candidate = tanh(1)
         cell.b.data[...] = b
-        h = Tensor(np.zeros((1, 4)))
-        c = Tensor(np.zeros((1, 4)))
-        x = Tensor(np.ones((1, 3)))
+        h = c = np.zeros((1, 4))
+        x = np.ones((1, 3))
         expected = 0.0
         prev = 0.0
         for _ in range(3):
             h, c = cell.step(x, h, c)
             expected = expected + np.tanh(1.0)
-            assert np.allclose(c.data, expected, atol=1e-8)
-            assert c.data.min() > prev
-            prev = c.data.min()
+            assert np.allclose(c, expected, atol=1e-8)
+            assert c.min() > prev
+            prev = c.min()
 
     @staticmethod
     def cell_case(seed, batch, in_dim=5, hidden=4, spread=2.0):
@@ -92,7 +100,7 @@ class TestDecoderStep:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_array_step_matches_graph_step(self, seed, batch):
         cell, xhc = self.cell_case(seed, batch)
-        in_graph = cell.step(*xhc)
+        in_graph = lstm_step_graph(cell, *xhc)
         assert all(t._parents for t in in_graph)
         fused = cell.step(*(t.data for t in xhc))
         for a, b in zip(fused, in_graph):
@@ -100,47 +108,37 @@ class TestDecoderStep:
 
     def test_array_step_is_one_numpy_pass(self, monkeypatch):
         cell, xhc = self.cell_case(3, 2)
+        arrays = [t.data for t in xhc]
 
-        def composite(*_):
-            raise AssertionError("a step on arrays built gate nodes")
+        def no_tensor(*_):
+            raise AssertionError("a step on arrays made a Tensor")
 
-        monkeypatch.setattr(Tensor, "sigmoid", composite)
-        assert all(type(a) is np.ndarray for a in cell.step(*(t.data for t in xhc)))
-
-    def test_tensor_step_without_a_required_gradient_records_nothing(self):
-        cell, xhc = self.cell_case(5, 2)
-        for p in (cell.wx, cell.wh, cell.b):
-            p.freeze()
-        outs = cell.step(*(Tensor(t.data) for t in xhc))
-        want = cell.step(*(t.data for t in xhc))
-        assert all(t._parents == () and not t.requires_grad for t in outs)
-        assert all(np.array_equal(t.data, a) for t, a in zip(outs, want))
+        monkeypatch.setattr(Tensor, "__init__", no_tensor)
+        assert all(type(a) is np.ndarray for a in cell.step(*arrays))
 
     def test_saturated_inputs_stay_finite(self):
         cell, xhc = self.cell_case(6, 3, spread=1000.0)
         for t in (cell.wx, cell.wh, cell.b, *xhc):
             t.data[...] = np.sign(t.data) * 1000.0
-        h, c = cell.step(*xhc)
-        (h.sum() + c.sum()).backward()
+        x = Tensor(np.concatenate([xhc[0].data] * 4), requires_grad=True)
+        hs = lstm_seq(matmul(x, cell.wx), 3, cell.wh, cell.b)
+        (hs * hs).sum().backward()
         outs = cell.step(*(t.data for t in xhc))
-        grads = [t.grad for t in (cell.wx, cell.wh, cell.b, *xhc)]
-        assert all(np.isfinite(a).all() for a in [h.data, c.data, *grads, *outs])
+        grads = [t.grad for t in (cell.wx, cell.wh, cell.b, x)]
+        assert all(np.isfinite(a).all() for a in [hs.data, *grads, *outs])
 
     def test_four_step_sequence_gradient(self):
-        from capfuse.autodiff import softmax_xent_rows
-
+        # teacher forcing through the decoder's two cells: one gather, one
+        # X @ Wx and one lstm_seq per layer, one head and cross-entropy
         dec = tiny_decoder(seed=3)
         tokens = np.array([START_ID, 5, 6, 7])
         targets = np.array([5, 6, 7, 8])
 
         def loss_fn(*params):
-            state = dec.initial_state(1)
-            loss = None
-            for t in range(4):
-                x = dec.embed_tokens(tokens[t:t + 1])
-                h, state = dec.step(x, state)
-                step = softmax_xent_rows(dec.head_logits(h, False), targets[t:t + 1]).sum()
-                loss = step if loss is None else loss + step
+            x = dec.embed_tokens(tokens)
+            for cell in dec.cells:
+                x = lstm_seq(matmul(x, cell.wx), 1, cell.wh, cell.b)
+            loss = softmax_xent_rows(dec.head_logits(x, False), targets).sum()
             # linear probe: lifts every gradient coordinate by exactly 1e-3 so
             # central differences can resolve it; the ad-vs-fd difference that
             # the check measures is unaffected by a linear term
@@ -150,6 +148,15 @@ class TestDecoderStep:
 
         err = grad_check(loss_fn, dec.parameters())
         assert err <= 1e-4
+
+        # the same four steps through CaptionDecoder.step give the same states
+        state = dec.initial_state(1)
+        for t, tok in enumerate(tokens):
+            h, state = dec.step(dec.embed.data[[tok]], state)
+            x = dec.embed_tokens(tokens[:t + 1])
+            for cell in dec.cells:
+                x = lstm_seq(matmul(x, cell.wx), 1, cell.wh, cell.b)
+            assert np.allclose(h, x.data[-1:], rtol=0, atol=1e-15)
 
     def test_causality_future_token_perturbation(self):
         dec = tiny_decoder(seed=4)
@@ -280,16 +287,23 @@ def random_captions(lengths, seed):
 class TestLayerMajorEncoder:
     @pytest.mark.parametrize("lengths", ragged_batches(), ids=lambda n: f"B{len(n)}")
     def test_matches_the_step_major_composite(self, lengths):
-        mlm = tiny_mlm(seed=31)  # unfrozen, so _run_encoder records a graph
+        mlm = tiny_mlm(seed=31)  # unfrozen, so both forms record a graph
         toks, rev, _ = _padded_batch(random_captions(lengths, len(lengths)))
+        batch = len(lengths)
         for cells, matrix in ((mlm.fwd, toks), (mlm.bwd, rev)):
-            tops = mlm._run_encoder(cells, matrix)
-            assert all(t._parents for t in tops)
-            states = np.full((matrix.shape[1] + 1, len(lengths), mlm.cfg.hidden_dim), 7.0)
-            mlm._encode_states(cells, matrix, states)
-            step_major = np.stack([t.data for t in tops])
-            assert np.allclose(states[:-1], step_major, rtol=0, atol=1e-12)
-            assert (states[-1] == 7.0).all()  # the row past T is left alone
+            zeros = Tensor(np.zeros((batch, mlm.cfg.hidden_dim)))
+            state = [(zeros, zeros)] * mlm.LAYERS
+            tops = []
+            for t in range(matrix.shape[1]):
+                top, state = stack_step_graph(cells, gather_rows(mlm.embed, matrix[:, t]), state)
+                tops.append(top.data)
+            ids = matrix.T.ravel()  # time-major
+            x, graph = mlm.embed.data[ids], gather_rows(mlm.embed, ids)
+            for cell in cells:
+                x = lstm_seq(x @ cell.wx.data, batch, cell.wh, cell.b)
+                graph = lstm_seq(matmul(graph, cell.wx), batch, cell.wh, cell.b)
+            assert graph._parents and graph.data.tobytes() == x.tobytes()
+            assert np.allclose(x, np.concatenate(tops), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("append_row", [False, True])
     @pytest.mark.parametrize("lengths", ragged_batches(), ids=lambda n: f"B{len(n)}")
@@ -371,20 +385,78 @@ class TestMaskedLossReadsTheContextRows:
         assert abs(graph.item() - want) <= 1e-12
 
 
-class TestMlmGraph:
+class TestMaskedLossGraph:
+    """_masked_batch_loss records one lstm_seq node per layer and direction;
+    its gradients are those of the step-major composite."""
+
+    @staticmethod
+    def case(lengths, seed, last):
+        seqs = random_captions(lengths, seed)
+        rng = np.random.default_rng(seed)
+        positions = np.array([len(s) - 1 if last else int(rng.integers(1, len(s)))
+                              for s in seqs])
+        positions[0] = 1
+        return seqs, positions
+
+    @pytest.mark.parametrize("last", [False, True], ids=["random", "last"])
+    @pytest.mark.parametrize("lengths", ragged_batches(), ids=lambda n: f"B{len(n)}")
+    def test_gradients_equal_the_step_major_composite(self, lengths, last):
+        seqs, positions = self.case(lengths, 40 + len(lengths), last)
+        grads = []
+        for loss in (_masked_batch_loss, masked_batch_loss_graph):
+            mlm = tiny_mlm(seed=40)
+            value = loss(mlm, seqs, positions)
+            value.backward()
+            grads.append((value.item(), [p.grad for p in mlm.parameters()]))
+        (got, got_grads), (want, want_grads) = grads
+        assert got == pytest.approx(want, rel=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths, last", [([2], False), ([7], True), ([2, 6, 4], False),
+                                               ([5, 2, 3], True)])
+    def test_cell_gradients_vs_finite_differences(self, lengths, last):
+        # masks at position 1 (the first caption) and at the last token
+        seqs, positions = self.case(lengths, 50 + len(lengths), last)
+        mlm = MaskedLM(MlmConfig(vocab_size=V, embed_dim=3, hidden_dim=3),
+                       np.random.default_rng(len(lengths)))
+        params = [p for cell in mlm.fwd + mlm.bwd for p in (cell.wx, cell.wh, cell.b)]
+        assert grad_check(lambda *_: _masked_batch_loss(mlm, seqs, positions), params) <= 1e-6
+
     def test_frozen_mlm_unchanged_by_a_backward_through_it(self):
         mlm = tiny_mlm(seed=15)
         mlm.freeze()
         before = params_checksum(mlm.parameters())
-        x = Tensor(np.random.default_rng(15).normal(size=(2, mlm.cfg.embed_dim)),
-                   requires_grad=True)
-        state = _zero_state(mlm.LAYERS, 2, mlm.cfg.hidden_dim)
-        for _ in range(3):
-            top, state = _stack_step(mlm.fwd, x, state)
+        x = Tensor(np.random.default_rng(15).normal(size=(6, mlm.cfg.embed_dim)),
+                   requires_grad=True)  # 3 steps of 2 sequences
+        top = x
+        for cell in mlm.fwd:
+            top = lstm_seq(matmul(top, cell.wx), 2, cell.wh, cell.b)
         (top * top).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
         assert all(p.grad is None for p in mlm.parameters())
         assert params_checksum(mlm.parameters()) == before
+
+    def test_a_frozen_mlm_refuses_to_rebind_its_weights_and_cells(self):
+        from capfuse.decoding import draft_rows
+
+        mlm = tiny_mlm(seed=17)
+        mlm.freeze()
+        wrapped = [START_ID, 5, 6, EOS_ID]
+        rows = draft_rows(mlm, wrapped)
+        before = mlm.checksum()
+        for frozen in (mlm, copy.deepcopy(mlm), pickle.loads(pickle.dumps(mlm))):
+            with pytest.raises(StateError, match="MaskedLM is frozen; comb_b cannot be rebound"):
+                frozen.comb_b = Parameter("mlm.combine.b", np.ones(mlm.cfg.hidden_dim))
+            with pytest.raises(StateError, match="LstmCell is frozen; wx cannot be rebound"):
+                frozen.fwd[0].wx = Parameter("mlm.fwd0.Wx", np.zeros_like(mlm.fwd[0].wx.data))
+            with pytest.raises(StateError, match="fwd cannot be rebound"):
+                frozen.fwd = frozen.bwd
+            with pytest.raises(TypeError):
+                frozen.fwd[0] = frozen.bwd[0]
+        assert mlm.frozen() and mlm.checksum() == before
+        assert draft_rows(mlm, wrapped) is rows
+        assert np.array_equal(rows, mlm_context_rows(mlm, [wrapped], append_row=True)[0])
 
 
 SHORT_CORPUS = [[START_ID, 5, 7, EOS_ID], [START_ID, 6, 8, 9, EOS_ID],
