@@ -5,8 +5,11 @@ calling backward() on a scalar output walks the graph in reverse topological
 order and accumulates gradients into every tensor that requires them. An op
 records a node if and only if one of its parents requires a gradient; no
 switch turns recording off, and a caller who wants no graph passes plain
-arrays. The module also provides the Adam optimizer and a finite-difference
-gradient checker used as the independent oracle in tests.
+arrays. _record is the one place where a node is made: the Tensor branch of
+every op computes its value, defines its backward closure and ends in
+`return _record(value, parents, backward)`. The module also provides the
+Adam optimizer and a finite-difference gradient checker used as the
+independent oracle in tests.
 
 The forward ops matmul, affine, concat_last, dropout, glu, relu, gather_rows,
 lstm_seq and softmax_xent_rows take activations as Tensors or as plain arrays,
@@ -131,22 +134,16 @@ class Tensor:
 
     def __add__(self, other):
         if isinstance(other, Tensor):
-            out_data = self.data + other.data
-            out = _result(out_data, (self, other))
-            if out.requires_grad:
-                def back(g, a=self, b=other):
-                    if a.requires_grad:
-                        a._accum(_unbroadcast(g, a.data.shape))
-                    if b.requires_grad:
-                        b._accum(_unbroadcast(g, b.data.shape))
-                out._backward = back
-            return out
-        out = _result(self.data + float(other), (self,))
-        if out.requires_grad:
-            def back(g, a=self):
-                a._accum(g)
-            out._backward = back
-        return out
+            def back(g, a=self, b=other):
+                if a.requires_grad:
+                    a._accum(_unbroadcast(g, a.data.shape))
+                if b.requires_grad:
+                    b._accum(_unbroadcast(g, b.data.shape))
+            return _record(self.data + other.data, (self, other), back)
+
+        def back(g, a=self):
+            a._accum(g)
+        return _record(self.data + float(other), (self,), back)
 
     __radd__ = __add__
 
@@ -157,22 +154,18 @@ class Tensor:
                     f"elementwise product needs identical shapes, got "
                     f"{self.data.shape} and {other.data.shape}"
                 )
-            out = _result(self.data * other.data, (self, other))
-            if out.requires_grad:
-                def back(g, a=self, b=other):
-                    if a.requires_grad:
-                        a._accum(g * b.data)
-                    if b.requires_grad:
-                        b._accum(g * a.data)
-                out._backward = back
-            return out
+
+            def back(g, a=self, b=other):
+                if a.requires_grad:
+                    a._accum(g * b.data)
+                if b.requires_grad:
+                    b._accum(g * a.data)
+            return _record(self.data * other.data, (self, other), back)
         c = float(other)
-        out = _result(self.data * c, (self,))
-        if out.requires_grad:
-            def back(g, a=self, k=c):
-                a._accum(g * k)
-            out._backward = back
-        return out
+
+        def back(g, a=self, k=c):
+            a._accum(g * k)
+        return _record(self.data * c, (self,), back)
 
     __rmul__ = __mul__
 
@@ -182,20 +175,14 @@ class Tensor:
     # -- reductions and activations --------------------------------------
 
     def sum(self):
-        out = _result(np.asarray(self.data.sum()), (self,))
-        if out.requires_grad:
-            def back(g, a=self):
-                a._accum(np.full_like(a.data, float(g)))
-            out._backward = back
-        return out
+        def back(g, a=self):
+            a._accum(np.full_like(a.data, float(g)))
+        return _record(np.asarray(self.data.sum()), (self,), back)
 
     def relu(self):
-        out = _result(np.maximum(self.data, 0.0), (self,))  # NaN stays NaN
-        if out.requires_grad:
-            def back(g, a=self, m=self.data > 0.0):
-                a._accum(g * m)
-            out._backward = back
-        return out
+        def back(g, a=self):
+            a._accum(g * (a.data > 0.0))
+        return _record(np.maximum(self.data, 0.0), (self,), back)  # NaN stays NaN
 
 
 class Parameter(Tensor):
@@ -232,11 +219,14 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape}, frozen={self.frozen})"
 
 
-def _result(data: np.ndarray, parents) -> Tensor:
+def _record(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """A Tensor over data. It is a graph node, with these parents and the
+    closure backward(g), if and only if some parent requires a gradient."""
     track = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
-        out._parents = tuple(parents)
+        out._parents = parents
+        out._backward = backward
     return out
 
 
@@ -263,25 +253,19 @@ def matmul(a, b: Tensor):
     """Matrix product of two 2D operands: a plain array from a plain-array a,
     which records no graph; a Tensor from a Tensor."""
     ad, bd = (a.data if isinstance(a, Tensor) else a), b.data
-    _check_matmul(ad, bd)
-    if not isinstance(a, Tensor):
-        return ad @ bd
-    out = _result(ad @ bd, (a, b))
-    if out.requires_grad:
-        def back(g, x=a, y=b):
-            if x.requires_grad:
-                x._accum(g @ y.data.T)
-            if y.requires_grad:
-                y._accum(x.data.T @ g)
-        out._backward = back
-    return out
-
-
-def _check_matmul(ad: np.ndarray, bd: np.ndarray):
     if ad.ndim != 2 or bd.ndim != 2:
         raise ShapeError(f"matmul needs 2D operands, got {ad.shape} and {bd.shape}")
     if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
+    if not isinstance(a, Tensor):
+        return ad @ bd
+
+    def back(g, x=a, y=b):
+        if x.requires_grad:
+            x._accum(g @ y.data.T)
+        if y.requires_grad:
+            y._accum(x.data.T @ g)
+    return _record(ad @ bd, (a, b), back)
 
 
 def affine(x, w: Tensor, b: Tensor):
@@ -314,16 +298,13 @@ def concat_last(a, b):
     out = np.concatenate([ad, bd], axis=-1)
     if not tensors:
         return out
-    out = _result(out, (a, b))
-    if out.requires_grad:
-        split = ad.shape[-1]
-        def back(g, x=a, y=b, k=split):
-            if x.requires_grad:
-                x._accum(g[..., :k])
-            if y.requires_grad:
-                y._accum(g[..., k:])
-        out._backward = back
-    return out
+
+    def back(g, x=a, y=b, k=ad.shape[-1]):
+        if x.requires_grad:
+            x._accum(g[..., :k])
+        if y.requires_grad:
+            y._accum(g[..., k:])
+    return _record(out, (a, b), back)
 
 
 def glu(x):
@@ -337,15 +318,13 @@ def glu(x):
     gate = sigmoid(xd[..., h:])
     if not isinstance(x, Tensor):
         return a * gate
-    out = _result(a * gate, (x,))
-    if out.requires_grad:
-        def back(g, t=x, av=a, gv=gate, k=h):
-            full = np.empty_like(t.data)
-            full[..., :k] = g * gv
-            full[..., k:] = g * av * gv * (1.0 - gv)
-            t._accum(full)
-        out._backward = back
-    return out
+
+    def back(g, t=x, av=a, gv=gate, k=h):
+        full = np.empty_like(t.data)
+        full[..., :k] = g * gv
+        full[..., k:] = g * av * gv * (1.0 - gv)
+        t._accum(full)
+    return _record(a * gate, (x,), back)
 
 
 def lstm_step(xp: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
@@ -416,10 +395,8 @@ def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor):
             cells.append(c)
     if not tensor:
         return hs
-    out = _result(hs, (xp, wh, b))
-    if out.requires_grad:
-        out._backward = functools.partial(_lstm_seq_backward, xp, batch, wh, b, hs, gates, cells)
-    return out
+    back = functools.partial(_lstm_seq_backward, xp, batch, wh, b, hs, gates, cells)
+    return _record(hs, (xp, wh, b), back)
 
 
 def _lstm_seq_backward(xp, batch, wh, b, hs, gates, cells, g):
@@ -470,14 +447,12 @@ def softmax_xent_rows(logits, targets: np.ndarray):
     rows = np.arange(n)
     if not isinstance(logits, Tensor):
         return -logp[rows, targets]
-    out = _result(-logp[rows, targets], (logits,))
-    if out.requires_grad:
-        def back(g, a=logits, p=np.exp(logp), t=targets, r=rows):
-            d = p.copy()
-            d[r, t] -= 1.0
-            a._accum(d * g[:, None])
-        out._backward = back
-    return out
+
+    def back(g, a=logits, lp=logp, t=targets, r=rows):
+        d = np.exp(lp)
+        d[r, t] -= 1.0
+        a._accum(d * g[:, None])
+    return _record(-logp[rows, targets], (logits,), back)
 
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
@@ -493,12 +468,10 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
     keep = (rng.random(xd.shape) >= rate) / (1.0 - rate)
     if not isinstance(x, Tensor):
         return xd * keep
-    out = _result(xd * keep, (x,))
-    if out.requires_grad:
-        def back(g, a=x, m=keep):
-            a._accum(g * m)
-        out._backward = back
-    return out
+
+    def back(g, a=x, m=keep):
+        a._accum(g * m)
+    return _record(xd * keep, (x,), back)
 
 
 def gather_rows(table, ids: np.ndarray):
@@ -517,16 +490,14 @@ def gather_rows(table, ids: np.ndarray):
     out[ids < 0] = 0.0
     if not tensor:
         return out
-    out = _result(out, (table,))
-    if out.requires_grad:
-        def back(g, t=table, ix=ids):
-            rows, inv = np.unique(ix.ravel(), return_inverse=True)
-            part = np.zeros((rows.size,) + t.data.shape[1:])
-            np.add.at(part, inv, g.reshape(-1, *t.data.shape[1:]))
-            k = np.searchsorted(rows, 0)  # the negative ids come first
-            t._grad_buffer()[rows[k:]] += part[k:]
-        out._backward = back
-    return out
+
+    def back(g, t=table, ix=ids):
+        rows, inv = np.unique(ix.ravel(), return_inverse=True)
+        part = np.zeros((rows.size,) + t.data.shape[1:])
+        np.add.at(part, inv, g.reshape(-1, *t.data.shape[1:]))
+        k = np.searchsorted(rows, 0)  # the negative ids come first
+        t._grad_buffer()[rows[k:]] += part[k:]
+    return _record(out, (table,), back)
 
 
 # -- optimizer -------------------------------------------------------------
@@ -547,8 +518,8 @@ class Adam:
     EPS = 1e-8
 
     def __init__(self, params, lr: float = 5e-4):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not (0.0 < lr < np.inf):  # NaN fails both comparisons
+            raise ConfigError(f"learning rate must be finite and positive, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.t = 0

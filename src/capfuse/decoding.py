@@ -62,7 +62,8 @@ class Stepper:
     `rows` holds one masked-LM state per step for a fusion model (set by
     EmendStepper), or None for a baseline model; past the last row the last
     one is reused, repeated for every hypothesis. A fusion model decodes only
-    against a draft, so a Stepper of one raises ConfigError.
+    against a draft, so a Stepper of one raises ConfigError. The features are
+    one image, of shape (F,) or (1, F); any other shape raises ShapeError.
     """
 
     def __init__(self, model, features: np.ndarray):
@@ -70,6 +71,9 @@ class Stepper:
             raise ConfigError("a fusion model decodes only against a draft; use emend")
         self.model = model
         self.features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if np.ndim(features) not in (1, 2) or self.features.shape[0] != 1:
+            raise ShapeError(f"features must be one image, of shape (F,) or (1, F), "
+                             f"got {np.shape(features)}")
         self.rows: np.ndarray | None = None
 
     def start(self):

@@ -20,9 +20,12 @@ whose backward is backpropagation through time; mlm_context_rows and the
 initial loss of mlm_pretrain run it on the embedding's array and record
 nothing, so training and emendation read the same states. mlm_pretrain ends
 by freezing the MLM, and freezing is final: a frozen parameter's data can be
-neither written nor rebound (autodiff.Parameter.freeze), and a frozen MLM or
-LSTM cell refuses to rebind any attribute, so a frozen MLM and every copy of
-it compute with the same values for good.
+neither written nor rebound (autodiff.Parameter.freeze). An attribute of a
+model (a ParamStore) or of an LstmCell is bound once: rebinding or deleting
+it raises StateError, frozen or not. The Parameters that a model computes
+with are therefore always the ones its params registry holds, freezes and
+checksums, and a frozen MLM and every copy of it compute with the same
+values for good.
 """
 
 from __future__ import annotations
@@ -79,8 +82,23 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class ParamStore:
-    """Mixin keeping a name -> Parameter registry with unique names."""
+class _BoundOnce:
+    """Mixin: an attribute, once bound, can be neither rebound nor deleted
+    (StateError). A copy or an unpickled object restores its attributes
+    without __setattr__."""
+
+    def __setattr__(self, attr, value):
+        if attr in vars(self):
+            raise StateError(f"{type(self).__name__}.{attr} is bound once and cannot be rebound")
+        object.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        raise StateError(f"{type(self).__name__}.{attr} is bound once and cannot be deleted")
+
+
+class ParamStore(_BoundOnce):
+    """Mixin keeping a name -> Parameter registry with unique names; each
+    attribute is bound once."""
 
     def __init__(self):
         self.params: dict[str, Parameter] = {}
@@ -99,17 +117,7 @@ class ParamStore:
         return params_checksum(self.parameters())
 
 
-class _FinalWhenFrozen:
-    """Mixin: once frozen() holds, rebinding any attribute raises StateError,
-    so the weights that a frozen model computes with stay the ones frozen."""
-
-    def __setattr__(self, attr, value):
-        if self.frozen():
-            raise StateError(f"{type(self).__name__} is frozen; {attr} cannot be rebound")
-        object.__setattr__(self, attr, value)
-
-
-class LstmCell(_FinalWhenFrozen):
+class LstmCell(_BoundOnce):
     """Single LSTM layer; gate order is (input, forget, candidate, output).
 
     step() is one autodiff.lstm_step on plain arrays. A sequence, with or
@@ -129,9 +137,6 @@ class LstmCell(_FinalWhenFrozen):
         """(h_new, c_new) of one step on plain arrays."""
         return lstm_step(x @ self.wx.data, h, c, self.wh.data, self.b.data)
 
-    def frozen(self) -> bool:
-        return "b" in vars(self) and self.wx.frozen and self.wh.frozen and self.b.frozen
-
 
 class CaptionDecoder(ParamStore):
     """Two-layer LSTM over token embeddings, conditioned on image features."""
@@ -146,8 +151,8 @@ class CaptionDecoder(ParamStore):
         self.embed = self._param("decoder.embed", rng.uniform(-0.1, 0.1, size=(v, e)))
         self.img_w = self._param("decoder.image_proj.W", xavier_uniform(rng, f, e))
         self.img_b = self._param("decoder.image_proj.b", np.zeros(e))
-        self.cells = [LstmCell(self, f"decoder.lstm{i}", e if i == 0 else h, h, rng)
-                      for i in range(self.LAYERS)]
+        self.cells = tuple(LstmCell(self, f"decoder.lstm{i}", e if i == 0 else h, h, rng)
+                           for i in range(self.LAYERS))
         self.head_w = self._param("decoder.head.W", xavier_uniform(rng, h, v))
         self.head_b = self._param("decoder.head.b", np.zeros(v))
 
@@ -199,7 +204,7 @@ class MlmConfig:
             raise ConfigError("vocab_size must cover the special token ids")
 
 
-class MaskedLM(ParamStore, _FinalWhenFrozen):
+class MaskedLM(ParamStore):
     """Bidirectional recurrent masked-token encoder with a diagnostic head.
 
     The state for a masked position combines the forward encoder run over the
@@ -260,8 +265,7 @@ class MaskedLM(ParamStore, _FinalWhenFrozen):
             p.freeze()
 
     def frozen(self) -> bool:
-        params = vars(self).get("params")
-        return bool(params) and all(p.frozen for p in params.values())
+        return all(p.frozen for p in self.params.values())
 
 
 def _padded_batch(seqs: list[list[int]]):

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from capfuse import autodiff
-from capfuse.autodiff import Tensor, _result, gather_rows, softmax_xent_rows
+from capfuse.autodiff import Tensor, _record, gather_rows, softmax_xent_rows
 from capfuse.errors import InputError
 from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
 
@@ -225,34 +225,27 @@ def gather_rows_grad_full(shape, ids, g):
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid node, through autodiff.sigmoid's tanh form."""
     s = autodiff.sigmoid(x.data)
-    out = _result(s, (x,))
-    if out.requires_grad:
-        def back(g, a=x, v=s):
-            a._accum(g * v * (1.0 - v))
-        out._backward = back
-    return out
+
+    def back(g, a=x, v=s):
+        a._accum(g * v * (1.0 - v))
+    return _record(s, (x,), back)
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    out = _result(t, (x,))
-    if out.requires_grad:
-        def back(g, a=x, v=t):
-            a._accum(g * (1.0 - v * v))
-        out._backward = back
-    return out
+
+    def back(g, a=x, v=t):
+        a._accum(g * (1.0 - v * v))
+    return _record(t, (x,), back)
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     """x restricted to [start, stop) on the last axis."""
-    out = _result(x.data[..., start:stop], (x,))
-    if out.requires_grad:
-        def back(g, a=x, s=start, e=stop):
-            full = np.zeros_like(a.data)
-            full[..., s:e] = g
-            a._accum(full)
-        out._backward = back
-    return out
+    def back(g, a=x, s=start, e=stop):
+        full = np.zeros_like(a.data)
+        full[..., s:e] = g
+        a._accum(full)
+    return _record(x.data[..., start:stop], (x,), back)
 
 
 def lstm_step_graph(cell, x: Tensor, h: Tensor, c: Tensor):

@@ -503,6 +503,12 @@ class TestAdam:
         live = clone(Parameter("v", np.zeros(2)))
         assert not live.frozen and live.data.flags.writeable
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_learning_rate_that_is_not_finite_and_positive_is_rejected(self, lr):
+        p = Parameter("w", np.array([1.0, 2.0]))
+        with pytest.raises(ConfigError, match="learning rate must be finite and positive"):
+            Adam([p], lr=lr)
+
     def test_frozen_parameter_unchanged(self):
         p = Parameter("w", np.array([1.0, 2.0]))
         p.freeze()
@@ -651,8 +657,13 @@ class TestGraphMechanics:
         wh, b = Parameter("wh", np.ones((1, 4))), Parameter("b", np.ones(4))
         wh.freeze()
         b.freeze()
-        outs = [x * x, x + 1.0, (x * 2.0).sum(), x.relu(),
-                matmul(Tensor(np.ones((1, 2))), w), concat_last(x, x),
+        wb = Parameter("wb", np.ones(2))
+        wb.freeze()
+        y = t([3.0, 4.0], rg=False)
+        outs = [x * x, x * y, x + y, x + 1.0, (x * 2.0).sum(), x.relu(),
+                matmul(Tensor(np.ones((1, 2))), w), affine(Tensor(np.ones((1, 2))), w, wb),
+                concat_last(x, x), glu(Tensor(np.ones((1, 4)))),
+                dropout(x, 0.5, True, np.random.default_rng(0)),
                 gather_rows(w, np.array([1, 0])), lstm_seq(Tensor(np.ones((2, 4))), 1, wh, b),
                 softmax_xent_rows(Tensor(np.ones((1, 2))), np.array([0]))]
         assert all(not y.requires_grad and y._parents == () and y._backward is None

@@ -326,6 +326,21 @@ class TestGreedyAndBeam:
         with pytest.raises(ConfigError, match="use emend"):
             Stepper(model, feats(0))
 
+    def test_features_of_more_than_one_image_are_rejected(self):
+        baseline, fused = tiny_model("none", seed=13), tiny_model("cold", seed=13)
+        mlm = tiny_mlm(13)
+        draft = [START_ID, 5, 6, EOS_ID]
+        for f in (np.ones((2, 4)), np.ones((1, 1, 4)), np.float64(1.0)):
+            with pytest.raises(ShapeError, match="one image"):
+                beam_search_scored(baseline, f, CAP)
+            with pytest.raises(ShapeError, match="one image"):
+                sequence_logprob(baseline, f, [5, EOS_ID])
+            with pytest.raises(ShapeError, match="one image"):
+                emend(fused, mlm, f, draft, CAP)
+        f = feats(13)
+        assert beam_search_scored(baseline, f[None], CAP) == beam_search_scored(baseline, f, CAP)
+        assert emend(fused, mlm, f[None], draft, CAP) == emend(fused, mlm, f, draft, CAP)
+
 
 class TestEmend:
     def test_empty_draft_rejected(self):

@@ -446,17 +446,38 @@ class TestMaskedLossGraph:
         rows = draft_rows(mlm, wrapped)
         before = mlm.checksum()
         for frozen in (mlm, copy.deepcopy(mlm), pickle.loads(pickle.dumps(mlm))):
-            with pytest.raises(StateError, match="MaskedLM is frozen; comb_b cannot be rebound"):
+            with pytest.raises(StateError, match="MaskedLM.comb_b is bound once.* rebound"):
                 frozen.comb_b = Parameter("mlm.combine.b", np.ones(mlm.cfg.hidden_dim))
-            with pytest.raises(StateError, match="LstmCell is frozen; wx cannot be rebound"):
+            with pytest.raises(StateError, match="LstmCell.wx is bound once.* rebound"):
                 frozen.fwd[0].wx = Parameter("mlm.fwd0.Wx", np.zeros_like(mlm.fwd[0].wx.data))
-            with pytest.raises(StateError, match="fwd cannot be rebound"):
+            with pytest.raises(StateError, match="fwd is bound once and cannot be rebound"):
                 frozen.fwd = frozen.bwd
             with pytest.raises(TypeError):
                 frozen.fwd[0] = frozen.bwd[0]
         assert mlm.frozen() and mlm.checksum() == before
         assert draft_rows(mlm, wrapped) is rows
         assert np.array_equal(rows, mlm_context_rows(mlm, [wrapped], append_row=True)[0])
+
+    def test_an_unfrozen_model_refuses_to_rebind_so_freeze_reaches_every_weight(self):
+        # a weight rebound before freeze() would escape the params registry:
+        # freeze() and checksum() would never see it
+        mlm = tiny_mlm(seed=18)
+        dec = CaptionDecoder(ModelConfig(vocab_size=V, feature_dim=3, embed_dim=4,
+                                         hidden_dim=5), np.random.default_rng(18))
+        with pytest.raises(StateError, match="MaskedLM.comb_b is bound once"):
+            mlm.comb_b = Parameter("mlm.combine.b", np.ones(mlm.cfg.hidden_dim))
+        with pytest.raises(StateError, match="LstmCell.b is bound once"):
+            mlm.bwd[1].b = Parameter("mlm.bwd1.b", np.ones(4 * mlm.cfg.hidden_dim))
+        with pytest.raises(StateError, match="CaptionDecoder.head_w .* cannot be deleted"):
+            del dec.head_w
+        with pytest.raises(TypeError):
+            dec.cells[0] = dec.cells[1]
+        mlm.freeze()
+        assert all(p.frozen for p in (mlm.comb_b, mlm.bwd[1].b))
+        before = mlm.checksum()
+        with pytest.raises(ValueError):
+            mlm.comb_b.data += 1.0
+        assert mlm.checksum() == before
 
 
 SHORT_CORPUS = [[START_ID, 5, 7, EOS_ID], [START_ID, 6, 8, 9, EOS_ID],
@@ -525,6 +546,13 @@ class TestMlmPretrain:
         with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
             mlm_pretrain(mlm, [[START_ID, 5, 6, EOS_ID]] * 4, cfg)
         assert not mlm.frozen() and mlm.checksum() == before
+
+    def test_a_nan_learning_rate_raises_before_any_parameter_changes(self):
+        mlm = tiny_mlm(seed=19)
+        before = mlm.checksum()
+        with pytest.raises(ConfigError, match="learning rate must be finite and positive"):
+            mlm_pretrain(mlm, SHORT_CORPUS, MlmPretrainConfig(epochs=1, lr=float("nan")))
+        assert mlm.checksum() == before and not mlm.frozen()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
