@@ -8,8 +8,13 @@ switch turns recording off, and a caller who wants no graph passes plain
 arrays. _record is the one place where a node is made: the Tensor branch of
 every op computes its value, defines its backward closure and ends in
 `return _record(value, parents, backward)`. The module also provides the
-Adam optimizer and a finite-difference gradient checker used as the
-independent oracle in tests.
+Adam optimizer; the finite-difference gradient checker that tests use as the
+independent oracle, grad_check, lives in tests/oracles.py.
+
+A Tensor carries what src calls on it and nothing more: the operator `*`
+(elementwise, with a Tensor of the same shape or with a scalar) and the
+method sum(). Everything else is a function: `x @ W + b` is affine, one node,
+and max(x, 0) is relu.
 
 The forward ops matmul, affine, concat_last, dropout, glu, relu, gather_rows,
 lstm_seq and softmax_xent_rows take activations as Tensors or as plain arrays,
@@ -51,8 +56,7 @@ class Tensor:
     """Dense float64 array with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-    # None makes numpy hand `array op tensor` to the Tensor's reflected
-    # operator, which rejects an array operand, instead of building an
+    # None makes `array op tensor` raise TypeError instead of building an
     # object array of Tensors
     __array_ufunc__ = None
 
@@ -130,22 +134,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- elementwise arithmetic ------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            def back(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accum(_unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    b._accum(_unbroadcast(g, b.data.shape))
-            return _record(self.data + other.data, (self, other), back)
-
-        def back(g, a=self):
-            a._accum(g)
-        return _record(self.data + float(other), (self,), back)
-
-    __radd__ = __add__
+    # -- elementwise product and sum -------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -167,22 +156,10 @@ class Tensor:
             a._accum(g * k)
         return _record(self.data * c, (self,), back)
 
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- reductions and activations --------------------------------------
-
     def sum(self):
         def back(g, a=self):
             a._accum(np.full_like(a.data, float(g)))
         return _record(np.asarray(self.data.sum()), (self,), back)
-
-    def relu(self):
-        def back(g, a=self):
-            a._accum(g * (a.data > 0.0))
-        return _record(np.maximum(self.data, 0.0), (self,), back)  # NaN stays NaN
 
 
 class Parameter(Tensor):
@@ -230,16 +207,6 @@ def _record(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient over axes that numpy broadcasting expanded."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid on plain arrays, through tanh, which saturates
     instead of overflowing."""
@@ -269,18 +236,41 @@ def matmul(a, b: Tensor):
 
 
 def affine(x, w: Tensor, b: Tensor):
-    """x @ w + b, with the bias broadcast over leading rows."""
+    """x @ w + b for a 2D x and a 1-D bias added to every row: a plain array
+    from a plain-array x, which records no graph; from a Tensor x, one node
+    whose backward gives x g @ w.T, w x.T @ g and b the column sums of g."""
     xd = x.data if isinstance(x, Tensor) else x
-    if xd.shape[-1] != w.data.shape[0]:
+    if xd.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine needs a 2D input and weight, got {xd.shape} and {w.data.shape}")
+    if xd.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine input dim {xd.shape} does not match weight {w.data.shape}")
-    if w.data.shape[1] != b.data.shape[-1]:
-        raise ShapeError(f"affine bias {b.data.shape} does not match weight {w.data.shape}")
-    return matmul(x, w) + (b if isinstance(x, Tensor) else b.data)
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"affine bias {b.data.shape} is not the 1-D bias {w.data.shape[1:]} "
+                         f"of weight {w.data.shape}")
+    out = xd @ w.data + b.data
+    if not isinstance(x, Tensor):
+        return out
+
+    def back(g, a=x, m=w, c=b):
+        if a.requires_grad:
+            a._accum(g @ m.data.T)
+        if m.requires_grad:
+            m._accum(a.data.T @ g)
+        if c.requires_grad:
+            c._accum(g.sum(axis=0))
+    return _record(out, (x, w, b), back)
 
 
 def relu(x):
-    """max(x, 0): Tensor.relu on a Tensor, np.maximum on a plain array."""
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+    """max(x, 0), with NaN kept: a plain array from a plain array, which
+    records no graph; from a Tensor, a node whose gradient is g where x > 0
+    and zero elsewhere."""
+    if not isinstance(x, Tensor):
+        return np.maximum(x, 0.0)
+
+    def back(g, a=x):
+        a._accum(g * (a.data > 0.0))
+    return _record(np.maximum(x.data, 0.0), (x,), back)
 
 
 def concat_last(a, b):
@@ -576,52 +566,6 @@ def clip_grad_norm(params, max_norm: float):
             if p.grad is not None:
                 p.grad *= scale
     return norm
-
-
-# -- verification oracle ----------------------------------------------------
-
-# Round-off in a central difference: f(x+step) and f(x-step) are each trusted
-# to this many ulps of |f|, which puts up to FD_ROUNDOFF_ULPS * |f| * eps / step
-# of error into (hi - lo) / (2 step). Where the gradient is near zero (a tanh
-# saturated to 1e-8 with |f| about 3), that error alone can exceed a 1e-4
-# relative bound, so it is forgiven before the relative error is taken.
-FD_ROUNDOFF_ULPS = 2.0
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def grad_check(f, inputs, step: float = 1e-5) -> float:
-    """Compare autodiff gradients of f(*inputs) against central differences.
-
-    Returns the maximum over all input coordinates of
-    max(0, |g_ad - g_fd| - roundoff) / max(1e-8, |g_ad| + |g_fd|), where
-    roundoff = FD_ROUNDOFF_ULPS * max(|f(x+step)|, |f(x-step)|) * eps / step.
-    """
-    out = f(*inputs)
-    if not np.isfinite(out.data).all():
-        raise NumericError("function value is not finite at the given inputs")
-    for t in inputs:
-        t.grad = None
-    out.backward()
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-                for t in inputs]
-    worst = 0.0
-    for t, g_ad in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f(*inputs).item()
-            flat[i] = orig - step
-            lo = f(*inputs).item()
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError("function value is not finite during perturbation")
-            g_fd = (hi - lo) / (2.0 * step)
-            g_a = g_ad.reshape(-1)[i]
-            roundoff = FD_ROUNDOFF_ULPS * max(abs(hi), abs(lo)) * _EPS / step
-            rel = max(0.0, abs(g_a - g_fd) - roundoff) / max(1e-8, abs(g_a) + abs(g_fd))
-            worst = max(worst, rel)
-    return worst
 
 
 def params_checksum(params) -> str:

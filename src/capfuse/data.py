@@ -1,4 +1,4 @@
-"""Synthetic scene dataset, tokenizer, vocabulary, and JSONL persistence.
+"""Synthetic scene dataset, tokenizer, vocabulary, and the captions file.
 
 Scenes contain 1-3 colored shape groups plus a spatial relation between
 the first two groups when there are at least two. Each scene renders into a
@@ -84,15 +84,6 @@ class Vocab:
 
     def token_of(self, idx: int) -> str:
         return self.tokens[idx]
-
-
-@dataclass
-class CaptionDataset:
-    examples: list[CaptionExample]
-    vocab: Vocab
-
-    def split(self, name: str) -> list[CaptionExample]:
-        return [ex for ex in self.examples if ex.split == name]
 
 
 # -- scene and caption generation -------------------------------------------
@@ -273,59 +264,7 @@ def detokenize(ids, vocab: Vocab) -> str:
     return " ".join(words)
 
 
-def write_vocab(vocab: Vocab, path):
-    with open(path, "w") as fh:
-        for tok in vocab.tokens:
-            fh.write(tok + "\n")
-
-
-def read_vocab(path) -> Vocab:
-    with open(path) as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    return Vocab(tokens)
-
-
-# -- JSONL persistence --------------------------------------------------------
-
-
-def write_jsonl(examples: list[CaptionExample], path):
-    """One record per line: {id, split, features, references}."""
-    with open(path, "w") as fh:
-        for ex in examples:
-            record = {
-                "id": ex.id,
-                "split": ex.split,
-                "features": list(ex.features),
-                "references": ex.references,
-            }
-            fh.write(json.dumps(record) + "\n")
-
-
-def read_jsonl(path) -> list[CaptionExample]:
-    examples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                features, references = record["features"], record["references"]
-                if not (isinstance(features, list)
-                        and all(isinstance(x, (int, float)) for x in features)):
-                    raise ValueError("features must be a list of numbers")
-                if not (isinstance(references, list)
-                        and all(isinstance(r, str) for r in references)):
-                    raise ValueError("references must be a list of strings")
-                examples.append(CaptionExample(
-                    id=record["id"],
-                    split=record["split"],
-                    features=np.asarray(features, dtype=np.float64),
-                    references=references,
-                ))
-            # json.JSONDecodeError is a ValueError
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: malformed record at line {lineno}: {exc}") from None
-    return examples
+# -- captions file -----------------------------------------------------------
 
 
 def write_captions(rows: list[dict], path):

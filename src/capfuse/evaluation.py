@@ -361,17 +361,6 @@ def histogram_csv(hist: dict[int, int], unchanged: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def histogram_chart(hist: dict[int, int], unchanged: int, width: int = 50) -> str:
-    """Plain-text bar chart of the edit-count distribution."""
-    lines = ["token edits per caption"]
-    peak = max(hist.values(), default=1)
-    for k, v in sorted(hist.items()):
-        bar = "#" * max(1, round(width * v / peak))
-        lines.append(f"{k:>3} | {bar} {v}")
-    lines.append(f"unchanged: {unchanged}")
-    return "\n".join(lines) + "\n"
-
-
 # -- reports ----------------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import affine, concat_last, dropout, glu, relu
+from .autodiff import Parameter, affine, concat_last, dropout, glu, relu
 from .errors import ConfigError
 from .models import (
     CaptionDecoder,
@@ -49,7 +49,6 @@ class FusionLayer(ParamStore):
     """Trainable fusion parameters for one scheme plus the vocabulary head."""
 
     def __init__(self, kind: FusionKind, cfg: ModelConfig, rng: np.random.Generator):
-        super().__init__()
         if kind == FusionKind.NONE:
             raise ConfigError("fusion kind 'none' has no fusion layer")
         self.kind = kind
@@ -57,29 +56,29 @@ class FusionLayer(ParamStore):
         h, m, d = cfg.hidden_dim, cfg.mlm_hidden_dim, cfg.fusion_dim
         v = cfg.vocab_size
         if kind == FusionKind.SIMPLE:
-            self.gate_w = self._param("fusion.sf.gate.W", xavier_uniform(rng, h + m, d))
-            self.gate_b = self._param("fusion.sf.gate.b", np.zeros(d))
+            self.gate_w = Parameter("fusion.sf.gate.W", xavier_uniform(rng, h + m, d))
+            self.gate_b = Parameter("fusion.sf.gate.b", np.zeros(d))
             out_dim = d
         elif kind == FusionKind.COLD:
-            self.lm_w = self._param("fusion.cf.lm_proj.W", xavier_uniform(rng, m, d))
-            self.lm_b = self._param("fusion.cf.lm_proj.b", np.zeros(d))
-            self.gate_w = self._param("fusion.cf.gate.W", xavier_uniform(rng, h + d, d))
-            self.gate_b = self._param("fusion.cf.gate.b", np.zeros(d))
-            self.merge_w = self._param("fusion.cf.merge.W", xavier_uniform(rng, h + d, d))
-            self.merge_b = self._param("fusion.cf.merge.b", np.zeros(d))
+            self.lm_w = Parameter("fusion.cf.lm_proj.W", xavier_uniform(rng, m, d))
+            self.lm_b = Parameter("fusion.cf.lm_proj.b", np.zeros(d))
+            self.gate_w = Parameter("fusion.cf.gate.W", xavier_uniform(rng, h + d, d))
+            self.gate_b = Parameter("fusion.cf.gate.b", np.zeros(d))
+            self.merge_w = Parameter("fusion.cf.merge.W", xavier_uniform(rng, h + d, d))
+            self.merge_b = Parameter("fusion.cf.merge.b", np.zeros(d))
             out_dim = d
         else:  # hierarchical
             full = m + h
-            self.left_w = self._param("fusion.hf.left.W", xavier_uniform(rng, full, full))
-            self.left_b = self._param("fusion.hf.left.b", np.zeros(full))
-            self.right_w = self._param("fusion.hf.right.W", xavier_uniform(rng, full, full))
-            self.right_b = self._param("fusion.hf.right.b", np.zeros(full))
-            self.expand_w = self._param("fusion.hf.expand.W", xavier_uniform(rng, full, 2 * full))
-            self.expand_b = self._param("fusion.hf.expand.b", np.zeros(2 * full))
+            self.left_w = Parameter("fusion.hf.left.W", xavier_uniform(rng, full, full))
+            self.left_b = Parameter("fusion.hf.left.b", np.zeros(full))
+            self.right_w = Parameter("fusion.hf.right.W", xavier_uniform(rng, full, full))
+            self.right_b = Parameter("fusion.hf.right.b", np.zeros(full))
+            self.expand_w = Parameter("fusion.hf.expand.W", xavier_uniform(rng, full, 2 * full))
+            self.expand_b = Parameter("fusion.hf.expand.b", np.zeros(2 * full))
             out_dim = full
         self.out_dim = out_dim
-        self.out_w = self._param("fusion.out.W", xavier_uniform(rng, out_dim, v))
-        self.out_b = self._param("fusion.out.b", np.zeros(v))
+        self.out_w = Parameter("fusion.out.W", xavier_uniform(rng, out_dim, v))
+        self.out_b = Parameter("fusion.out.b", np.zeros(v))
 
     # -- schemes: each returns the fused features -------------------------------
 

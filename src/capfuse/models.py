@@ -16,14 +16,18 @@ gather of the time-major padded tokens, then per layer one [T*B x E] @ Wx and
 one autodiff.lstm_seq (the lstm_step kernel, step by step), then one gather of
 each mask position's context rows, then combine. Pretraining runs it on the
 embedding Parameter and records one lstm_seq node per layer and direction,
-whose backward is backpropagation through time; mlm_context_rows and the
-initial loss of mlm_pretrain run it on the embedding's array and record
-nothing, so training and emendation read the same states. mlm_pretrain ends
+whose backward is backpropagation through time; mlm_context_rows runs it on
+the embedding's array and records nothing, so training and emendation read
+the same states. mlm_pretrain's initial loss is a batch's _masked_batch_loss
+taken on the embedding's array. mlm_pretrain ends
 by freezing the MLM, and freezing is final: a frozen parameter's data can be
-neither written nor rebound (autodiff.Parameter.freeze). An attribute of a
-model (a ParamStore) or of an LstmCell is bound once: rebinding or deleting
-it raises StateError, frozen or not. The Parameters that a model computes
-with are therefore always the ones its params registry holds, freezes and
+neither written nor rebound (autodiff.Parameter.freeze). A model's parameters
+are its attributes: ParamStore.parameters() reads them off the model, each
+Parameter and the weights of each tuple of LstmCells, in binding order, so
+there is no registry to fall out of step with what the model computes with.
+An attribute of a model (a ParamStore) or of an LstmCell is bound once:
+rebinding or deleting it raises StateError, frozen or not. The Parameters
+that a model computes with are therefore always the ones it freezes and
 checksums, and a frozen MLM and every copy of it compute with the same
 values for good.
 """
@@ -97,21 +101,20 @@ class _BoundOnce:
 
 
 class ParamStore(_BoundOnce):
-    """Mixin keeping a name -> Parameter registry with unique names; each
-    attribute is bound once."""
-
-    def __init__(self):
-        self.params: dict[str, Parameter] = {}
-
-    def _param(self, name: str, data: np.ndarray) -> Parameter:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, data)
-        self.params[name] = p
-        return p
+    """Mixin for a model whose parameters are its attributes; each attribute
+    is bound once."""
 
     def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
+        """Each Parameter attribute, and the wx, wh and b of each cell of a
+        tuple of LstmCells, in binding order."""
+        params = []
+        for value in vars(self).values():
+            if isinstance(value, Parameter):
+                params.append(value)
+            elif isinstance(value, tuple):
+                params.extend(p for cell in value if isinstance(cell, LstmCell)
+                              for p in (cell.wx, cell.wh, cell.b))
+        return params
 
     def checksum(self) -> str:
         return params_checksum(self.parameters())
@@ -124,14 +127,13 @@ class LstmCell(_BoundOnce):
     without a graph, runs through autodiff.lstm_seq over the cell's wh and b
     after one product with wx for all steps."""
 
-    def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int,
-                 rng: np.random.Generator):
+    def __init__(self, prefix: str, in_dim: int, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
-        self.wx = store._param(f"{prefix}.Wx", xavier_uniform(rng, in_dim, 4 * hidden))
-        self.wh = store._param(f"{prefix}.Wh", xavier_uniform(rng, hidden, 4 * hidden))
+        self.wx = Parameter(f"{prefix}.Wx", xavier_uniform(rng, in_dim, 4 * hidden))
+        self.wh = Parameter(f"{prefix}.Wh", xavier_uniform(rng, hidden, 4 * hidden))
         bias = np.zeros(4 * hidden)
         bias[hidden:2 * hidden] = 1.0  # forget gate open at init
-        self.b = store._param(f"{prefix}.b", bias)
+        self.b = Parameter(f"{prefix}.b", bias)
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         """(h_new, c_new) of one step on plain arrays."""
@@ -144,17 +146,16 @@ class CaptionDecoder(ParamStore):
     LAYERS = 2
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         v, e, h, f = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim, cfg.feature_dim
-        self.embed = self._param("decoder.embed", rng.uniform(-0.1, 0.1, size=(v, e)))
-        self.img_w = self._param("decoder.image_proj.W", xavier_uniform(rng, f, e))
-        self.img_b = self._param("decoder.image_proj.b", np.zeros(e))
-        self.cells = tuple(LstmCell(self, f"decoder.lstm{i}", e if i == 0 else h, h, rng)
+        self.embed = Parameter("decoder.embed", rng.uniform(-0.1, 0.1, size=(v, e)))
+        self.img_w = Parameter("decoder.image_proj.W", xavier_uniform(rng, f, e))
+        self.img_b = Parameter("decoder.image_proj.b", np.zeros(e))
+        self.cells = tuple(LstmCell(f"decoder.lstm{i}", e if i == 0 else h, h, rng)
                            for i in range(self.LAYERS))
-        self.head_w = self._param("decoder.head.W", xavier_uniform(rng, h, v))
-        self.head_b = self._param("decoder.head.b", np.zeros(v))
+        self.head_w = Parameter("decoder.head.W", xavier_uniform(rng, h, v))
+        self.head_b = Parameter("decoder.head.b", np.zeros(v))
 
     def initial_state(self, batch: int):
         """Zero (h, c) arrays for every layer."""
@@ -172,9 +173,6 @@ class CaptionDecoder(ParamStore):
                 f"feature_dim {self.cfg.feature_dim}"
             )
         return affine(features, self.img_w, self.img_b)
-
-    def embed_tokens(self, ids: np.ndarray) -> Tensor:
-        return gather_rows(self.embed, ids)
 
     def step(self, x: np.ndarray, state):
         """Advance all layers one step on plain arrays, one LstmCell.step
@@ -216,19 +214,18 @@ class MaskedLM(ParamStore):
     LAYERS = 2
 
     def __init__(self, cfg: MlmConfig, rng: np.random.Generator):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         v, e, h = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
-        self.embed = self._param("mlm.embed", rng.uniform(-0.1, 0.1, size=(v, e)))
-        self.fwd = tuple(LstmCell(self, f"mlm.fwd{i}", e if i == 0 else h, h, rng)
+        self.embed = Parameter("mlm.embed", rng.uniform(-0.1, 0.1, size=(v, e)))
+        self.fwd = tuple(LstmCell(f"mlm.fwd{i}", e if i == 0 else h, h, rng)
                          for i in range(self.LAYERS))
-        self.bwd = tuple(LstmCell(self, f"mlm.bwd{i}", e if i == 0 else h, h, rng)
+        self.bwd = tuple(LstmCell(f"mlm.bwd{i}", e if i == 0 else h, h, rng)
                          for i in range(self.LAYERS))
-        self.comb_w = self._param("mlm.combine.W", xavier_uniform(rng, 2 * h, h))
-        self.comb_b = self._param("mlm.combine.b", np.zeros(h))
-        self.head_w = self._param("mlm.head.W", xavier_uniform(rng, h, v))
-        self.head_b = self._param("mlm.head.b", np.zeros(v))
+        self.comb_w = Parameter("mlm.combine.W", xavier_uniform(rng, 2 * h, h))
+        self.comb_b = Parameter("mlm.combine.b", np.zeros(h))
+        self.head_w = Parameter("mlm.head.W", xavier_uniform(rng, h, v))
+        self.head_b = Parameter("mlm.head.b", np.zeros(v))
 
     # -- core encoding ----------------------------------------------------
 
@@ -265,7 +262,7 @@ class MaskedLM(ParamStore):
             p.freeze()
 
     def frozen(self) -> bool:
-        return all(p.frozen for p in self.params.values())
+        return all(p.frozen for p in self.parameters())
 
 
 def _padded_batch(seqs: list[list[int]]):
@@ -350,11 +347,12 @@ class MlmPretrainReport:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def _masked_batch_loss(mlm: MaskedLM, seqs: list[list[int]],
-                       positions: np.ndarray) -> Tensor:
+def _masked_batch_loss(mlm: MaskedLM, table, seqs: list[list[int]], positions: np.ndarray):
     """Mean cross-entropy of predicting the token at one masked position
-    per sequence (the mask position is never 0)."""
-    state = mlm._states(mlm.embed, seqs, np.arange(len(seqs)), positions)
+    per sequence (the mask position is never 0). `table` is mlm.embed, which
+    gives a Tensor that records a graph, or mlm.embed.data, which gives a
+    numpy float and records nothing (MaskedLM._states)."""
+    state = mlm._states(table, seqs, np.arange(len(seqs)), positions)
     targets = [s[p] for s, p in zip(seqs, positions)]
     return softmax_xent_rows(mlm.head_logits(state), targets).sum() * (1.0 / len(seqs))
 
@@ -386,10 +384,8 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
 
     # the loss at mask position 1 of the first batch, before any update
     probe = corpus[:cfg.batch_size]
-    ones = np.ones(len(probe), dtype=np.int64)
-    states = mlm._states(mlm.embed.data, probe, np.arange(len(probe)), ones)
-    xent = softmax_xent_rows(mlm.head_logits(states), [s[1] for s in probe])
-    report = MlmPretrainReport(initial_loss=float(xent.sum() * (1.0 / len(probe))))
+    initial = _masked_batch_loss(mlm, mlm.embed.data, probe, np.ones(len(probe), dtype=np.int64))
+    report = MlmPretrainReport(initial_loss=float(initial))
     order = np.arange(len(corpus))
     for _ in range(cfg.epochs):
         shuffle_rng.shuffle(order)
@@ -400,7 +396,7 @@ def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],
             positions = np.asarray(
                 [int(mask_rng.integers(1, len(s))) for s in seqs]
             )
-            loss = _masked_batch_loss(mlm, seqs, positions)
+            loss = _masked_batch_loss(mlm, mlm.embed, seqs, positions)
             loss.backward()
             opt.step()
             total += loss.item() * len(seqs)

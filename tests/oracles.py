@@ -4,11 +4,12 @@ These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, gather gradients as zero-filled
-full-size arrays, LSTM steps and the masked-LM loss as step-major graphs of
-elementary nodes (slice, sigmoid, tanh, products and sums), masked-LM states
-one masked sequence at a time, one step and one layer at a time, fusion logits
-from each scheme's equations in plain numpy, greedy decoding by a plain argmax
-loop, and beam expansion order by a three-key lexsort.
+full-size arrays, gradients by central finite differences, LSTM steps and
+the masked-LM loss as step-major graphs of elementary nodes (slice, sigmoid,
+tanh, products and broadcast sums), masked-LM states one masked sequence at a
+time, one step and one layer at a time, fusion logits from each scheme's
+equations in plain numpy, greedy decoding by a plain argmax loop, and beam
+expansion order by a three-key lexsort.
 """
 
 import math
@@ -17,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from capfuse import autodiff
-from capfuse.autodiff import Tensor, _record, gather_rows, softmax_xent_rows
-from capfuse.errors import InputError
+from capfuse.autodiff import Tensor, _record, gather_rows, matmul, softmax_xent_rows
+from capfuse.errors import InputError, NumericError
 from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
 
 
@@ -222,6 +223,71 @@ def gather_rows_grad_full(shape, ids, g):
     return full
 
 
+# Round-off in a central difference: f(x+step) and f(x-step) are each trusted
+# to this many ulps of |f|, which puts up to FD_ROUNDOFF_ULPS * |f| * eps / step
+# of error into (hi - lo) / (2 step). Where the gradient is near zero (a tanh
+# saturated to 1e-8 with |f| about 3), that error alone can exceed a 1e-4
+# relative bound, so it is forgiven before the relative error is taken.
+FD_ROUNDOFF_ULPS = 2.0
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def grad_check(f, inputs, step: float = 1e-5) -> float:
+    """Compare autodiff gradients of f(*inputs) against central differences.
+
+    Returns the maximum over all input coordinates of
+    max(0, |g_ad - g_fd| - roundoff) / max(1e-8, |g_ad| + |g_fd|), where
+    roundoff = FD_ROUNDOFF_ULPS * max(|f(x+step)|, |f(x-step)|) * eps / step.
+    """
+    out = f(*inputs)
+    if not np.isfinite(out.data).all():
+        raise NumericError("function value is not finite at the given inputs")
+    for t in inputs:
+        t.grad = None
+    out.backward()
+    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+                for t in inputs]
+    worst = 0.0
+    for t, g_ad in zip(inputs, analytic):
+        flat = t.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f(*inputs).item()
+            flat[i] = orig - step
+            lo = f(*inputs).item()
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NumericError("function value is not finite during perturbation")
+            g_fd = (hi - lo) / (2.0 * step)
+            g_a = g_ad.reshape(-1)[i]
+            roundoff = FD_ROUNDOFF_ULPS * max(abs(hi), abs(lo)) * _EPS / step
+            rel = max(0.0, abs(g_a - g_fd) - roundoff) / max(1e-8, abs(g_a) + abs(g_fd))
+            worst = max(worst, rel)
+    return worst
+
+
+def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """Sum a gradient over axes that numpy broadcasting expanded."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with numpy broadcasting; each parent's gradient is summed over
+    the axes that broadcasting expanded."""
+    def back(g, x=a, y=b):
+        if x.requires_grad:
+            x._accum(_unbroadcast(g, x.data.shape))
+        if y.requires_grad:
+            y._accum(_unbroadcast(g, y.data.shape))
+    return _record(a.data + b.data, (a, b), back)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid node, through autodiff.sigmoid's tanh form."""
     s = autodiff.sigmoid(x.data)
@@ -251,13 +317,13 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
 def lstm_step_graph(cell, x: Tensor, h: Tensor, c: Tensor):
     """One LSTM cell step as a graph of elementary nodes, with the
     arithmetic of autodiff.lstm_step: z = x @ Wx + h @ Wh, then + b."""
-    z = (x @ cell.wx) + (h @ cell.wh) + cell.b
+    z = add(add(matmul(x, cell.wx), matmul(h, cell.wh)), cell.b)
     n = cell.hidden
     i = sigmoid(slice_last(z, 0, n))
     f = sigmoid(slice_last(z, n, 2 * n))
     g = tanh(slice_last(z, 2 * n, 3 * n))
     o = sigmoid(slice_last(z, 3 * n, 4 * n))
-    c_new = (f * c) + (i * g)
+    c_new = add(f * c, i * g)
     return o * tanh(c_new), c_new
 
 
@@ -287,7 +353,7 @@ def masked_batch_loss_graph(mlm, seqs, positions) -> Tensor:
         for t in range(steps):
             top, state = stack_step_graph(cells, gather_rows(mlm.embed, matrix[:, t]), state)
             mask = np.repeat((idx == t).astype(np.float64)[:, None], top.shape[1], axis=1)
-            chosen = chosen + top * Tensor(mask)
+            chosen = add(chosen, top * Tensor(mask))
         ctx.append(chosen)
     logits = mlm.head_logits(mlm.combine(*ctx))
     targets = toks[np.arange(batch), positions]

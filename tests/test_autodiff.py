@@ -16,7 +16,6 @@ from capfuse.autodiff import (
     dropout,
     gather_rows,
     glu,
-    grad_check,
     log_softmax,
     lstm_seq,
     matmul,
@@ -25,7 +24,7 @@ from capfuse.autodiff import (
 )
 from capfuse.errors import ConfigError, NumericError, ShapeError, StateError
 
-from oracles import gather_rows_grad_full, tanh
+from oracles import add, gather_rows_grad_full, grad_check, tanh
 
 
 def t(values, rg=True):
@@ -87,16 +86,21 @@ class TestAffine:
         err = grad_check(lambda *a: affine(*a).sum(), [x, w, b])
         assert err <= 1e-6
 
-    @pytest.mark.parametrize("shapes", [((3, 4), (4, 2), (2,)), ((1, 4), (4, 3), (3,)),
-                                        ((1, 4), (4, 5), (1, 5)), ((2, 4), (4, 3), (2, 3))])
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 2), (2,)), ((1, 4), (4, 3), (3,))])
     def test_without_a_graph_equals_matmul_plus_add(self, shapes):
         rng = np.random.default_rng(len(shapes[0]) + shapes[1][1])
         x, w, b = (Tensor(rng.normal(size=s)) for s in shapes)
         out = affine(x, w, b)
         assert out._parents == () and not out.requires_grad
-        assert out.data.tobytes() == (matmul(x, w) + b).data.tobytes()
+        assert out.data.tobytes() == add(matmul(x, w), b).data.tobytes()
         recorded = [Tensor(a.data, requires_grad=True) for a in (x, w, b)]
         assert affine(*recorded).data.tobytes() == out.data.tobytes()
+
+    @pytest.mark.parametrize("bias", [(1, 5), (2, 5), (5, 1), ()], ids=str)
+    def test_a_bias_that_is_not_1d_raises_shape_error(self, bias):
+        x, w = Tensor(np.ones((2, 4)), requires_grad=True), Tensor(np.ones((4, 5)))
+        with pytest.raises(ShapeError, match=r"affine bias .* is not the 1-D bias \(5,\)"):
+            affine(x, w, Tensor(np.ones(bias)))
 
     @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (2,)), ((3, 4), (4, 2), (3,)),
                                         ((2, 3, 4), (4, 2), (2,)), ((3, 4), (4, 2, 2), (2,))])
@@ -158,7 +162,7 @@ class TestHadamard:
 
 class TestActivations:
     def test_relu_values(self):
-        assert np.array_equal(t([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0])
+        assert np.array_equal(relu(t([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(np.array([0.0]))[0] == 0.5
@@ -168,17 +172,17 @@ class TestActivations:
 
     def test_relu_gradient_away_from_kink(self):
         x = t([-1.5, -0.2, 0.4, 1.9])
-        assert grad_check(lambda a: (a.relu() * a.relu()).sum(), [x]) <= 1e-6
+        assert grad_check(lambda a: (relu(a) * relu(a)).sum(), [x]) <= 1e-6
 
     def test_relu_derivative_at_zero_is_zero(self):
         x = t([0.0])
-        y = x.relu().sum()
+        y = relu(x).sum()
         y.backward()
         assert x.grad[0] == 0.0
 
     @pytest.mark.parametrize("rg", [True, False])
     def test_relu_propagates_nan(self, rg):
-        out = t([np.nan, -1.0, 2.0], rg=rg).relu()
+        out = relu(t([np.nan, -1.0, 2.0], rg=rg))
         assert np.isnan(out.data[0]) and np.array_equal(out.data[1:], [0.0, 2.0])
 
     def test_relu_values_and_gradients_keep_their_bits(self):
@@ -186,7 +190,7 @@ class TestActivations:
         data = np.concatenate([rng.normal(size=60), [0.0, -0.0, 1e-300, -1e-300, 5e-324]])
         g = rng.normal(size=data.shape)
         x = t(data)
-        y = x.relu()
+        y = relu(x)
         (y * Tensor(g)).sum().backward()
         # the masked-select relu: np.where(x > 0, x, 0), gradient g * (x > 0)
         assert y.data.tobytes() == np.where(data > 0.0, data, 0.0).tobytes()
@@ -231,7 +235,7 @@ def gather_with_an_empty_row(table):
 # (op, activation shapes, weight shapes): ops whose activations may be Tensors
 # or plain arrays
 ARRAY_OP_VALUES = [
-    (affine, [(3, 4)], [(4, 2), (2,)]), (affine, [(2, 4)], [(4, 3), (2, 3)]),
+    (affine, [(3, 4)], [(4, 2), (2,)]), (affine, [(1, 4)], [(4, 3), (3,)]),
     (concat_last, [(2, 3), (2, 2)], []), (concat_last, [(3,), (1,)], []),
     (concat_last, [(2, 1, 3), (2, 1, 4)], []),
     (glu, [(4,)], []), (glu, [(3, 8)], []), (glu, [(2, 1, 6)], []),
@@ -243,7 +247,7 @@ ARRAY_OP_VALUES = [
 ARRAY_OP_SHAPE_ERRORS = [
     (affine, [(3, 4)], [(5, 2), (2,)]), (affine, [(3, 4)], [(4, 2), (3,)]),
     (affine, [(2, 3, 4)], [(4, 2), (2,)]), (affine, [(3, 4)], [(4, 2, 2), (2,)]),
-    (affine, [(4,)], [(4, 3), (3,)]),
+    (affine, [(4,)], [(4, 3), (3,)]), (affine, [(2, 4)], [(4, 3), (2, 3)]),
     (concat_last, [(), (2,)], []), (concat_last, [(2, 3), (3, 3)], []),
     (concat_last, [(2, 3), (2, 1, 3)], []), (concat_last, [(2, 3), (2, 0)], []),
     (glu, [(3,)], []), (glu, [(2, 5)], []),
@@ -626,7 +630,7 @@ class TestGradCheck:
     def test_constant_function(self):
         x = t([1.0, 2.0])
         c = Tensor(np.array(3.0))
-        assert grad_check(lambda a: (a * 0.0).sum() + c.item(), [x]) == 0.0
+        assert grad_check(lambda a: add((a * 0.0).sum(), c), [x]) == 0.0
 
     def test_nonfinite_raises(self):
         x = t([1.0])
@@ -646,7 +650,7 @@ class TestGraphMechanics:
 
     def test_grad_accumulates_over_reuse(self):
         x = t([3.0])
-        y = (x * x).sum() + x.sum()
+        y = add((x * x).sum(), x.sum())
         y.backward()
         assert x.grad[0] == pytest.approx(7.0)
 
@@ -660,8 +664,9 @@ class TestGraphMechanics:
         wb = Parameter("wb", np.ones(2))
         wb.freeze()
         y = t([3.0, 4.0], rg=False)
-        outs = [x * x, x * y, x + y, x + 1.0, (x * 2.0).sum(), x.relu(),
+        outs = [x * x, x * y, (x * 2.0).sum(), relu(x),
                 matmul(Tensor(np.ones((1, 2))), w), affine(Tensor(np.ones((1, 2))), w, wb),
+                affine(Tensor(np.ones((1, 2))), w, Tensor(np.ones(2))),
                 concat_last(x, x), glu(Tensor(np.ones((1, 4)))),
                 dropout(x, 0.5, True, np.random.default_rng(0)),
                 gather_rows(w, np.array([1, 0])), lstm_seq(Tensor(np.ones((2, 4))), 1, wh, b),
@@ -714,8 +719,8 @@ class TestGraphMechanics:
     @pytest.mark.parametrize("add_first", [True, False])
     def test_parents_of_one_sum_get_separate_gradient_arrays(self, add_first):
         a, b = t([1.0, 2.0]), t([3.0, 4.0])
-        terms = [(a + b).sum(), (a * a).sum()]
-        (terms[0] + terms[1] if add_first else terms[1] + terms[0]).backward()
+        terms = [add(a, b).sum(), (a * a).sum()]
+        (add(terms[0], terms[1]) if add_first else add(terms[1], terms[0])).backward()
         assert np.array_equal(a.grad, [3.0, 5.0])
         assert np.array_equal(b.grad, [1.0, 1.0])
 
@@ -731,7 +736,7 @@ class TestGraphMechanics:
     def test_backward_through_a_freed_node_raises_before_any_gradient_moves(self):
         x = t([2.0])
         h = x * x
-        first, second = h.sum(), (h * h).sum() + x.sum()
+        first, second = h.sum(), add((h * h).sum(), x.sum())
         first.backward()
         assert h.grad is None and first.grad is None
         x.grad = None
@@ -743,7 +748,7 @@ class TestGraphMechanics:
         x = t([1.0])
         y = x
         for _ in range(5000):
-            y = y + 0.0
+            y = y * 1.0
         y.sum().backward()
         assert x.grad[0] == 1.0
 

@@ -19,7 +19,7 @@ from capfuse.decoding import (
     sequence_logprob,
     strip_specials,
 )
-from capfuse.autodiff import Tensor, log_softmax
+from capfuse.autodiff import Tensor, gather_rows, log_softmax
 from capfuse.errors import ConfigError, InputError, NumericError, ShapeError, StateError
 from capfuse.fusion import build_model
 from capfuse.models import (
@@ -234,7 +234,8 @@ class TestArrayStep:
         decoder = model.decoder
         tensors = [(Tensor(h, requires_grad=True), Tensor(c, requires_grad=True))
                    for h, c in arrays]
-        h_top, want_state = stack_step_graph(decoder.cells, decoder.embed_tokens(tokens), tensors)
+        h_top, want_state = stack_step_graph(decoder.cells, gather_rows(decoder.embed, tokens),
+                                             tensors)
         h_mlm = None if kind == "none" else Tensor(np.tile(stepper.rows[t], (k, 1)))
         logits = model.step_logits(h_top, h_mlm)
         assert logits._parents  # the composite recorded a graph

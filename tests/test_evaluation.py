@@ -15,7 +15,6 @@ from capfuse.evaluation import (
     compute_metrics,
     edit_histogram,
     format_table,
-    histogram_chart,
     histogram_csv,
     rouge_l,
     rouge_l_single,
@@ -227,12 +226,10 @@ class TestHistogram:
         hist, unchanged = edit_histogram(recs)
         assert sum(hist.values()) + unchanged == len(recs)
 
-    def test_csv_and_chart_render(self):
+    def test_csv_renders(self):
         hist, unchanged = {1: 3, 2: 1}, 5
         csv = histogram_csv(hist, unchanged)
         assert "edit_count,frequency" in csv and "1,3" in csv and "unchanged,5" in csv
-        chart = histogram_chart(hist, unchanged)
-        assert "#" in chart and "unchanged: 5" in chart
 
 
 class TestAggregate:

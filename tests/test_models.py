@@ -8,7 +8,6 @@ from capfuse.autodiff import (
     Parameter,
     Tensor,
     gather_rows,
-    grad_check,
     lstm_seq,
     matmul,
     params_checksum,
@@ -16,6 +15,7 @@ from capfuse.autodiff import (
 )
 from capfuse import models
 from capfuse.errors import ConfigError, InputError, StateError
+from capfuse.fusion import build_model
 from capfuse.models import (
     EOS_ID,
     MASK_ID,
@@ -26,14 +26,14 @@ from capfuse.models import (
     MlmConfig,
     MlmPretrainConfig,
     ModelConfig,
-    ParamStore,
     _masked_batch_loss,
     _padded_batch,
     mlm_context_rows,
     mlm_masked_accuracy,
     mlm_pretrain,
 )
-from oracles import encode_masked, lstm_step_graph, masked_batch_loss_graph, stack_step_graph
+from oracles import (add, encode_masked, grad_check, lstm_step_graph, masked_batch_loss_graph,
+                     stack_step_graph)
 
 V = 12
 
@@ -66,8 +66,7 @@ class TestDecoderStep:
         # Open input and forget gates, fix a positive candidate, and check the
         # cell state accumulates tanh(1) per step, matching the recurrence
         # iterated by hand.
-        store = ParamStore()
-        cell = LstmCell(store, "c", 3, 4, np.random.default_rng(0))
+        cell = LstmCell("c", 3, 4, np.random.default_rng(0))
         cell.wx.data[...] = 0.0
         cell.wh.data[...] = 0.0
         b = np.zeros(16)
@@ -89,7 +88,7 @@ class TestDecoderStep:
     @staticmethod
     def cell_case(seed, batch, in_dim=5, hidden=4, spread=2.0):
         rng = np.random.default_rng(seed)
-        cell = LstmCell(ParamStore(), "c", in_dim, hidden, rng)
+        cell = LstmCell("c", in_dim, hidden, rng)
         for p in (cell.wx, cell.wh, cell.b):
             p.data[...] = rng.uniform(-spread, spread, p.data.shape)
         xhc = [Tensor(rng.uniform(-spread, spread, (batch, d)), requires_grad=True)
@@ -135,7 +134,7 @@ class TestDecoderStep:
         targets = np.array([5, 6, 7, 8])
 
         def loss_fn(*params):
-            x = dec.embed_tokens(tokens)
+            x = gather_rows(dec.embed, tokens)
             for cell in dec.cells:
                 x = lstm_seq(matmul(x, cell.wx), 1, cell.wh, cell.b)
             loss = softmax_xent_rows(dec.head_logits(x, False), targets).sum()
@@ -143,7 +142,7 @@ class TestDecoderStep:
             # central differences can resolve it; the ad-vs-fd difference that
             # the check measures is unaffected by a linear term
             for p in params:
-                loss = loss + p.sum() * 1e-3
+                loss = add(loss, p.sum() * 1e-3)
             return loss
 
         err = grad_check(loss_fn, dec.parameters())
@@ -153,7 +152,7 @@ class TestDecoderStep:
         state = dec.initial_state(1)
         for t, tok in enumerate(tokens):
             h, state = dec.step(dec.embed.data[[tok]], state)
-            x = dec.embed_tokens(tokens[:t + 1])
+            x = gather_rows(dec.embed, tokens[:t + 1])
             for cell in dec.cells:
                 x = lstm_seq(matmul(x, cell.wx), 1, cell.wh, cell.b)
             assert np.allclose(h, x.data[-1:], rtol=0, atol=1e-15)
@@ -380,7 +379,7 @@ class TestMaskedLossReadsTheContextRows:
         assert targets[0] == EOS_ID
         xent = softmax_xent_rows(mlm.head_logits(states), targets)
         want = xent.sum() * (1.0 / len(seqs))
-        graph = _masked_batch_loss(mlm, seqs, positions)
+        graph = _masked_batch_loss(mlm, mlm.embed, seqs, positions)
         assert graph._parents
         assert abs(graph.item() - want) <= 1e-12
 
@@ -403,9 +402,10 @@ class TestMaskedLossGraph:
     def test_gradients_equal_the_step_major_composite(self, lengths, last):
         seqs, positions = self.case(lengths, 40 + len(lengths), last)
         grads = []
-        for loss in (_masked_batch_loss, masked_batch_loss_graph):
+        for loss in (lambda m: _masked_batch_loss(m, m.embed, seqs, positions),
+                     lambda m: masked_batch_loss_graph(m, seqs, positions)):
             mlm = tiny_mlm(seed=40)
-            value = loss(mlm, seqs, positions)
+            value = loss(mlm)
             value.backward()
             grads.append((value.item(), [p.grad for p in mlm.parameters()]))
         (got, got_grads), (want, want_grads) = grads
@@ -421,7 +421,8 @@ class TestMaskedLossGraph:
         mlm = MaskedLM(MlmConfig(vocab_size=V, embed_dim=3, hidden_dim=3),
                        np.random.default_rng(len(lengths)))
         params = [p for cell in mlm.fwd + mlm.bwd for p in (cell.wx, cell.wh, cell.b)]
-        assert grad_check(lambda *_: _masked_batch_loss(mlm, seqs, positions), params) <= 1e-6
+        assert grad_check(lambda *_: _masked_batch_loss(mlm, mlm.embed, seqs, positions),
+                          params) <= 1e-6
 
     def test_frozen_mlm_unchanged_by_a_backward_through_it(self):
         mlm = tiny_mlm(seed=15)
@@ -459,8 +460,8 @@ class TestMaskedLossGraph:
         assert np.array_equal(rows, mlm_context_rows(mlm, [wrapped], append_row=True)[0])
 
     def test_an_unfrozen_model_refuses_to_rebind_so_freeze_reaches_every_weight(self):
-        # a weight rebound before freeze() would escape the params registry:
-        # freeze() and checksum() would never see it
+        # a weight rebound after the model is built would not be the one that
+        # an optimizer built over parameters() holds and updates
         mlm = tiny_mlm(seed=18)
         dec = CaptionDecoder(ModelConfig(vocab_size=V, feature_dim=3, embed_dim=4,
                                          hidden_dim=5), np.random.default_rng(18))
@@ -478,6 +479,47 @@ class TestMaskedLossGraph:
         with pytest.raises(ValueError):
             mlm.comb_b.data += 1.0
         assert mlm.checksum() == before
+
+
+def reachable_parameters(obj) -> dict[int, Parameter]:
+    """Every Parameter reachable from obj through attributes and tuples, by id;
+    classes are not entered."""
+    found, seen, stack = {}, set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        if isinstance(x, Parameter):
+            found[id(x)] = x
+        elif isinstance(x, tuple):
+            stack.extend(x)
+        elif hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return found
+
+
+class TestParameters:
+    """A model's parameters are its attributes, read off the model."""
+
+    @pytest.mark.parametrize("kind", ["decoder", "mlm", "none", "simple", "cold", "hier"])
+    def test_the_names_of_a_models_parameters_are_distinct_and_cover_its_weights(self, kind):
+        model = {"decoder": tiny_decoder, "mlm": tiny_mlm}.get(
+            kind, lambda: build_model(tiny_cfg(fusion_kind=kind), seed=0))()
+        names = [p.name for p in model.parameters()]
+        assert len(names) == len(set(names))
+        assert sorted(map(id, model.parameters())) == sorted(reachable_parameters(model))
+
+    def test_freeze_freezes_every_weight_the_model_computes_with(self):
+        mlm = tiny_mlm(seed=20)
+        seqs, positions = random_captions([4, 6], 20), np.array([1, 5])
+        assert _masked_batch_loss(mlm, mlm.embed, seqs, positions)._parents
+        mlm.freeze()
+        assert mlm.frozen() and all(p.frozen for p in reachable_parameters(mlm).values())
+        # an op records a node only if a parent requires a gradient, so a loss
+        # with no node has read no weight that freeze() missed
+        loss = _masked_batch_loss(mlm, mlm.embed, seqs, positions)
+        assert not loss.requires_grad and loss._parents == ()
 
 
 SHORT_CORPUS = [[START_ID, 5, 7, EOS_ID], [START_ID, 6, 8, 9, EOS_ID],
@@ -501,8 +543,9 @@ class TestMlmPretrain:
         corpus = random_captions(ragged_batches()[-1], 37)
         cfg = MlmPretrainConfig(epochs=1, batch_size=5, seed=2)
         probe = corpus[:cfg.batch_size]
-        want = _masked_batch_loss(tiny_mlm(seed=37), probe, np.ones(len(probe), dtype=np.int64))
-        _, report = mlm_pretrain(tiny_mlm(seed=37), corpus, cfg)
+        mlm = tiny_mlm(seed=37)
+        want = _masked_batch_loss(mlm, mlm.embed, probe, np.ones(len(probe), dtype=np.int64))
+        _, report = mlm_pretrain(mlm, corpus, cfg)
         assert abs(report.initial_loss - want.item()) <= 1e-12
 
     def test_memorizes_repeated_sentence(self):
