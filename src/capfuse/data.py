@@ -178,10 +178,12 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
         raise ConfigError(f"n_scenes must be at least 10, got {n_scenes}")
     if not 3 <= refs_per_scene <= 5:
         raise ConfigError("refs_per_scene must lie in 3..5 (distinct templates)")
-    if len(split_fractions) != 3 or abs(sum(split_fractions) - 1.0) > 1e-9:
+    if len(split_fractions) != 3 or not abs(sum(split_fractions) - 1.0) <= 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {split_fractions}")
-    if min(split_fractions) < 0:
+    if not all(f >= 0 for f in split_fractions):
         raise ConfigError("split fractions must be non-negative")
+    if not noise >= 0:
+        raise ConfigError(f"noise must be a non-negative number, got {noise}")
     n_train = round(n_scenes * split_fractions[0])
     n_val = round(n_scenes * split_fractions[1])
     if n_train + n_val > n_scenes:

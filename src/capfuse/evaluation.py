@@ -13,12 +13,27 @@ CIDEr-D over n-grams of orders n <= MAX_N with the length penalty's
 CIDER_SIGMA = 6 (R. Vedantam et al., "CIDEr: consensus-based image description
 evaluation", arXiv:1411.5726).
 
-BLEU and CIDEr-D read one n-gram index per corpus (`_NgramIndex`): each
-distinct caption's n-grams of orders 1-4 are counted once, and each n-gram is
-numbered once, so clipping and tf-idf dot products hash ints. CIDEr-D
-computes each distinct caption's tf-idf vectors and norms once per corpus.
-References repeat across hypotheses in a typical corpus (a scene's captions
-serve each other as references), and each repeat costs one dict lookup.
+BLEU and CIDEr-D read one array index per corpus (`NgramIndex`). It numbers
+each distinct caption once and each word once, then the n-grams of each order
+2..MAX_N by one sort of (id of the (n-1)-gram, next word), so the ids stay
+dense for any vocabulary size. Its table holds one (caption, order, n-gram,
+count) entry per distinct n-gram of each caption, and a sorted (caption,
+n-gram) key array answers, through `searchsorted`, how often each reference
+holds each n-gram of its hypothesis. The lookups go one reference slot at a
+time (first references, then second ones, ...), so no array spans all
+(hypothesis n-gram, reference) pairs at once. BLEU's clipped counts are
+integer sums of those lookups, so they are exact.
+
+CIDEr-D sums floats, and a float sum depends on its order, so every sum
+follows each caption's first-occurrence order: within a caption and order,
+the table lists n-grams in the order they first occur, and norms, dot
+products and per-hypothesis totals are `np.bincount(..., weights=...)` sums,
+which add in input order. Each sum therefore equals the sequential sum of a
+loop over the caption's n-grams as they are read, whatever ids the index
+hands out; an n-gram absent from a reference adds +0.0, which changes nothing.
+idf and the length penalty are taken with `math.log` and `math.exp`, once per
+distinct document frequency and length difference, because numpy's may differ
+from them in the last bit.
 
 ROUGE-L's LCS is bit-parallel over Python ints (L. Allison and T. I. Dix,
 "A bit-string longest-common-subsequence algorithm", IPL 23(5), 1986;
@@ -40,8 +55,10 @@ uses the same x100-style convention as the other columns.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import InputError
 
@@ -62,82 +79,178 @@ def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]],
         raise InputError("every hypothesis needs at least one reference")
 
 
-class _NgramIndex:
-    """N-gram counts of orders 1..MAX_N for the captions of one corpus.
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in `ordered`."""
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+    return starts, np.diff(starts, append=len(ordered))
 
-    Each distinct token list is counted once, on first request, and kept
-    under its tuple. Each n-gram gets an int id the first time it is seen, so
-    BLEU clipping and CIDEr-D dot products hash ints, not tuples of strings.
+
+def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids 0..k-1 that number the k distinct values of `keys`, and k."""
+    order = np.argsort(keys, kind="stable")
+    starts, sizes = _runs(keys[order])
+    ids = np.empty_like(order)
+    ids[order] = np.repeat(np.arange(len(starts)), sizes)
+    return ids, len(starts)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
+    out = np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
+    return np.subtract(np.arange(len(out)), out, out=out)
+
+
+def _occurrences(captions: list[tuple[str, ...]], length: np.ndarray):
+    """Caption, order (0-based) and n-gram id of every n-gram occurrence, by
+    caption, then order, then position; and the number of distinct n-grams.
+
+    Words are numbered once; the (n+1)-grams of each order are numbered by
+    one sort of (id of the n-gram, next word), so every key stays below
+    (number of n-grams) x (number of words).
+    """
+    words = {w: i for i, w in enumerate(dict.fromkeys(chain.from_iterable(captions)))}
+    tokens = np.fromiter(map(words.__getitem__, chain.from_iterable(captions)), np.intp)
+    per_order = np.maximum(length[:, None] - np.arange(MAX_N), 0)
+    occ_start = (np.cumsum(per_order) - per_order.ravel()).reshape(per_order.shape)
+    occ_gram = np.empty(per_order.sum(), np.intp)
+    # ids[p] numbers the n-gram that starts at position p; an order reads
+    # only positions where the previous order's n-grams start
+    ids, n_ids, n_grams = tokens.copy(), len(words), 0
+    for n in range(MAX_N):
+        pos = _ranges(np.cumsum(length) - length, per_order[:, n])
+        if n:  # an (n+1)-gram is an n-gram and the word after it
+            grams, n_ids = _dense(ids[pos] * len(words) + tokens[pos + n])
+            ids[pos] = grams
+        occ_gram[_ranges(occ_start[:, n], per_order[:, n])] = n_grams + ids[pos]
+        n_grams += n_ids
+    occ_cap = np.repeat(np.arange(len(captions)), per_order.sum(1))
+    occ_order = np.repeat(np.tile(np.arange(MAX_N), len(captions)), per_order.ravel())
+    return occ_cap, occ_order, occ_gram, n_grams
+
+
+class NgramIndex:
+    """The n-grams of orders 1..MAX_N of one corpus, as arrays.
+
+    It is made for one pair of hypothesis and reference lists, and the first
+    metric that calls `built` builds it, so BLEU and CIDEr-D share one build.
+    Each distinct caption is numbered once, in order of first appearance,
+    hypotheses first. A pair is one reference of one hypothesis, numbered in
+    corpus order; its slot j is the reference's place in that hypothesis'
+    list.
+
+    Per caption: `length`, `first_entry` and `n_entries`. Per hypothesis:
+    `hyp_cap`, `n_refs`, and `pair_start`, its first pair. Per pair:
+    `pair_hyp`, and `pair_ref`, the reference's caption. The table has one
+    entry per distinct n-gram of each caption, grouped by caption, then
+    order, then first occurrence: `order` (0-based), `gram`, `count`.
+    `keys` holds caption x n_grams + gram of every entry, sorted, then a
+    sentinel above them all. A row is one entry of a hypothesis:
+    `row_entry`, with its hypothesis' `row_refs` and first pair `row_pair`.
+    `look_count` holds the count of each row's n-gram in each reference of
+    its hypothesis, by row (from `row_start`), then slot.
     """
 
-    def __init__(self):
-        self._ids: dict[tuple[str, ...], int] = {}
-        self._counts: dict[tuple[str, ...], list[dict[int, int]]] = {}
+    def __init__(self, hypotheses: list[Tokens], references: list[list[Tokens]]):
+        self.hypotheses = hypotheses
+        self.references = references
+        self._built = False
 
-    def counts(self, tokens: Tokens) -> list[dict[int, int]]:
-        """One dict per order 1..MAX_N: n-gram id -> count in `tokens`."""
-        key = tuple(tokens)
-        found = self._counts.get(key)
-        if found is None:
-            ids = self._ids
-            found = []
-            for n in range(1, MAX_N + 1):
-                order: dict[int, int] = {}
-                for i in range(len(key) - n + 1):
-                    gram = ids.setdefault(key[i:i + n], len(ids))
-                    order[gram] = order.get(gram, 0) + 1
-                found.append(order)
-            self._counts[key] = found
-        return found
+    def built(self, hypotheses: list[Tokens],
+              references: list[list[Tokens]]) -> NgramIndex:
+        """This index, built on the first call; the lists must be the very
+        objects it was made for."""
+        if hypotheses is not self.hypotheses or references is not self.references:
+            raise InputError("an n-gram index serves only the corpus it was made for")
+        if not self._built:
+            self._look_up(self._build_table())
+            self._built = True
+        return self
+
+    def reference_slots(self):
+        """(j, rows) per slot j: the rows whose hypothesis has a reference in
+        slot j, whose pairs are therefore row_pair + j."""
+        for j in range(int(self.n_refs.max())):
+            yield j, np.flatnonzero(np.maximum(self.row_refs - j, 0))
+
+    def _build_table(self) -> np.ndarray:
+        """Number the captions, fill the table and `keys`, and return the
+        count of each key (the sentinel's is 0)."""
+        ids: dict[tuple[str, ...], int] = {}
+        self.hyp_cap = np.array([ids.setdefault(tuple(h), len(ids)) for h in self.hypotheses],
+                                np.intp)
+        self.pair_ref = np.array([ids.setdefault(tuple(r), len(ids))
+                                  for refs in self.references for r in refs], np.intp)
+        self.n_refs = np.fromiter(map(len, self.references), np.intp, len(self.references))
+        self.pair_hyp = np.repeat(np.arange(len(self.n_refs)), self.n_refs)
+        self.pair_start = np.cumsum(self.n_refs) - self.n_refs
+        self.length = np.fromiter(map(len, ids), np.intp, len(ids))
+        occ_cap, occ_order, occ_gram, self.n_grams = _occurrences(list(ids), self.length)
+        # one entry per distinct (caption, n-gram), at its first occurrence
+        keys = occ_cap * self.n_grams + occ_gram
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts, key_count = _runs(keys)
+        count_at = np.zeros(len(keys), np.intp)
+        count_at[order[starts]] = key_count
+        entry = np.flatnonzero(count_at)
+        self.count = count_at[entry]
+        self.gram = occ_gram[entry]
+        self.order = occ_order[entry]
+        self.n_entries = np.bincount(occ_cap[entry], minlength=len(ids))
+        self.first_entry = np.cumsum(self.n_entries) - self.n_entries
+        self.keys = np.append(keys[starts], np.iinfo(np.intp).max)
+        return np.append(key_count, 0)
+
+    def _look_up(self, key_count: np.ndarray):
+        """Count each hypothesis entry in each reference of its hypothesis,
+        one slot at a time, which keeps the arrays small."""
+        hyp_entries = self.n_entries[self.hyp_cap]
+        self.row_entry = _ranges(self.first_entry[self.hyp_cap], hyp_entries)
+        self.row_refs = np.repeat(self.n_refs, hyp_entries)
+        self.row_pair = np.repeat(self.pair_start, hyp_entries)
+        self.row_start = np.cumsum(self.row_refs) - self.row_refs
+        row_gram = self.gram[self.row_entry]
+        self.look_count = np.empty(self.row_refs.sum(), np.intp)
+        for j, rows in self.reference_slots():
+            query = self.pair_ref[self.row_pair[rows] + j] * self.n_grams + row_gram[rows]
+            at = np.searchsorted(self.keys, query)  # the first key >= query
+            miss = np.minimum(self.keys[at] - query, 1)  # 0 where the reference holds it
+            self.look_count[self.row_start[rows] + j] = key_count[at] * (1 - miss)
 
 
 # -- BLEU ----------------------------------------------------------------------
 
 
 def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]], *,
-             index: _NgramIndex | None = None) -> list[float]:
+             index: NgramIndex | None = None) -> list[float]:
     """Corpus BLEU for every order 1..MAX_N, on a 0-100 scale.
 
     Clipped n-gram counts are pooled over the corpus; the brevity penalty uses
     the closest reference length per hypothesis (ties going to the shorter).
     An order with no match scores 0, and so does every order above it.
-    `index` shares n-gram counts with other metrics of the same corpus.
+    `index`, made for these same lists, shares its build with CIDEr-D.
     """
     _check_corpus(hypotheses, references, "BLEU")
-    if index is None:
-        index = _NgramIndex()
-    matched = [0] * MAX_N
-    total = [0] * MAX_N
-    hyp_len = 0
-    ref_len = 0
-    for hyp, refs in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        ref_counts = [index.counts(r) for r in refs]
-        for n, counts in enumerate(index.counts(hyp)):
-            per_ref = [rc[n] for rc in ref_counts]
-            for gram, c in counts.items():
-                best = 0
-                for rc in per_ref:
-                    r = rc.get(gram, 0)
-                    if r > best:
-                        best = r
-                matched[n] += c if c < best else best
-            total[n] += max(0, len(hyp) - n)
+    ix = (index or NgramIndex(hypotheses, references)).built(hypotheses, references)
+    lengths, ref_lengths = ix.length[ix.hyp_cap], ix.length[ix.pair_ref]
+    # the closest reference length, ties to the shorter: the least (gap^2, length)
+    span = int(ix.length.max()) + 1
+    gap = ref_lengths - lengths[ix.pair_hyp]
+    closest = gap * gap * span + ref_lengths
+    ref_len = int((np.minimum.reduceat(closest, ix.pair_start) % span).sum())
+    hyp_len = int(lengths.sum())
     if hyp_len == 0:
         return [0.0] * MAX_N
+    clipped = np.minimum(ix.count[ix.row_entry], np.maximum.reduceat(ix.look_count, ix.row_start))
+    matched = np.bincount(ix.order[ix.row_entry], weights=clipped, minlength=MAX_N)
+    total = np.maximum(lengths[:, None] - np.arange(MAX_N), 0).sum(0)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    scores = []
-    for n in range(1, MAX_N + 1):
-        log_sum = 0.0
-        degenerate = False
-        for k in range(n):
-            m, t = matched[k], total[k]
-            if m == 0 or t == 0:
-                degenerate = True
-                break
-            log_sum += math.log(m / t)
-        scores.append(0.0 if degenerate else 100.0 * bp * math.exp(log_sum / n))
+    scores, log_sum = [], 0.0
+    for m, t in zip(matched.astype(int).tolist(), total.tolist()):
+        if m == 0 or t == 0:
+            return scores + [0.0] * (MAX_N - len(scores))
+        log_sum += math.log(m / t)
+        scores.append(100.0 * bp * math.exp(log_sum / (len(scores) + 1)))
     return scores
 
 
@@ -199,16 +312,29 @@ def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]]) -> float:
 # -- CIDEr-D ---------------------------------------------------------------------
 
 
+def _document_frequency(ix: NgramIndex) -> np.ndarray:
+    """Per n-gram, the number of examples whose references hold it: a count
+    of the distinct (example, n-gram) pairs of the references."""
+    # keys are caption x n_grams + gram, sorted, so each reference's block
+    # is in gram order and the sort only merges blocks; the shift turns
+    # caption into example
+    ref_entries = ix.n_entries[ix.pair_ref]
+    docs = ix.keys[_ranges(ix.first_entry[ix.pair_ref], ref_entries)]
+    docs += np.repeat((ix.pair_hyp - ix.pair_ref) * ix.n_grams, ref_entries)
+    docs.sort(kind="stable")
+    return np.bincount(docs[_runs(docs)[0]] % ix.n_grams, minlength=ix.n_grams)
+
+
 def cider(hypotheses: list[Tokens], references: list[list[Tokens]], *,
-          index: _NgramIndex | None = None) -> float:
+          index: NgramIndex | None = None) -> float:
     """CIDEr-D on the conventional 0-10 scale.
 
     idf comes from the reference corpus (document = one example's reference
     set); per-reference similarity is the count-clipped tf-idf cosine per
     n-gram order, damped by a Gaussian penalty (width CIDER_SIGMA) on the
     length difference, averaged over orders 1..MAX_N and references, then
-    scaled by 10. `index` shares n-gram counts with other metrics of the same
-    corpus.
+    scaled by 10. `index`, made for these same lists, shares its build with
+    BLEU.
     """
     _check_corpus(hypotheses, references, "CIDEr")
     if len(hypotheses) < 2:
@@ -216,52 +342,36 @@ def cider(hypotheses: list[Tokens], references: list[list[Tokens]], *,
             "CIDEr needs at least 2 examples: with a single-document corpus "
             "every idf is log(1/1) = 0 and all vectors are degenerate"
         )
-    if index is None:
-        index = _NgramIndex()
-    doc_freq: Counter = Counter()
-    for refs in references:
-        seen: set[int] = set()
-        for ref in refs:
-            for counts in index.counts(ref):
-                seen.update(counts)
-        doc_freq.update(seen)
+    ix = (index or NgramIndex(hypotheses, references)).built(hypotheses, references)
     log_docs = math.log(len(references))
-    idf = {gram: log_docs - math.log(df) for gram, df in doc_freq.items()}
-    vectors: dict[tuple[str, ...], tuple[list[dict[int, float]], list[float]]] = {}
-
-    def tfidf(tokens: Tokens):
-        key = tuple(tokens)
-        found = vectors.get(key)
-        if found is None:
-            vecs = [{gram: c * idf.get(gram, log_docs) for gram, c in counts.items()}
-                    for counts in index.counts(tokens)]
-            norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs]
-            found = vectors[key] = (vecs, norms)
-        return found
-
-    scores = []
-    for hyp, refs in zip(hypotheses, references):
-        h_vecs, h_norms = tfidf(hyp)
-        total = 0.0
-        for ref in refs:
-            r_vecs, r_norms = tfidf(ref)
-            delta = float(len(hyp) - len(ref))
-            penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
-            sim_sum = 0.0
-            for h_vec, h_norm, r_vec, r_norm in zip(h_vecs, h_norms, r_vecs, r_norms):
-                if h_norm == 0.0 or r_norm == 0.0:
-                    continue
-                # summed in the hypothesis' n-gram order, so the ids an
-                # index hands out cannot change the rounding
-                dot = 0.0
-                for gram, h_val in h_vec.items():
-                    r_val = r_vec.get(gram)
-                    if r_val is not None:
-                        dot += (h_val if h_val < r_val else r_val) * r_val
-                sim_sum += penalty * dot / (h_norm * r_norm)
-            total += sim_sum / MAX_N
-        scores.append(10.0 * total / len(refs))
-    return sum(scores) / len(scores)
+    idf = np.array([log_docs] + [log_docs - math.log(df) for df in range(1, len(references) + 1)])
+    idf = idf[_document_frequency(ix)]
+    vec = ix.count * idf[ix.gram]
+    n_caps, n_pairs = len(ix.length), len(ix.pair_ref)
+    norms = np.sqrt(np.bincount(np.repeat(np.arange(n_caps) * MAX_N, ix.n_entries) + ix.order,
+                                weights=vec * vec, minlength=n_caps * MAX_N))
+    norms = norms.reshape(n_caps, MAX_N)
+    # one term per lookup, min(h_val, r_val) * r_val, summed per (pair, order);
+    # the pairs of one slot are those of no other, so adding the slots adds 0.0
+    h_val, row_idf = vec[ix.row_entry], idf[ix.gram[ix.row_entry]]
+    row_bin = ix.row_pair * MAX_N + ix.order[ix.row_entry]
+    dots = np.zeros(n_pairs * MAX_N)
+    for j, rows in ix.reference_slots():
+        r_val = row_idf[rows] * ix.look_count[ix.row_start[rows] + j]
+        dots += np.bincount(row_bin[rows] + j * MAX_N, minlength=n_pairs * MAX_N,
+                            weights=np.minimum(h_val[rows], r_val) * r_val)
+    span = int(ix.length.max())
+    penalty = np.array([math.exp(-(d * d) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
+                        for d in range(-span, span + 1)])
+    penalty = penalty[ix.length[ix.hyp_cap][ix.pair_hyp] - ix.length[ix.pair_ref] + span]
+    h_norm, r_norm = norms[ix.hyp_cap][ix.pair_hyp], norms[ix.pair_ref]
+    sims = np.divide(penalty[:, None] * dots.reshape(n_pairs, MAX_N), h_norm * r_norm,
+                     out=np.zeros((n_pairs, MAX_N)), where=(h_norm != 0.0) & (r_norm != 0.0))
+    # cumsum adds in sequence, like every sum here
+    total = np.bincount(ix.pair_hyp, weights=np.cumsum(sims, axis=1)[:, -1] / MAX_N,
+                        minlength=len(hypotheses))
+    scores = 10.0 * total / ix.n_refs
+    return float(np.cumsum(scores)[-1]) / len(scores)
 
 
 # -- token edit analysis ------------------------------------------------------------
@@ -389,8 +499,9 @@ class MetricsReport:
 
 def compute_metrics(hypotheses: list[Tokens],
                     references: list[list[Tokens]]) -> MetricsReport:
-    """BLEU-1..4, ROUGE-L and CIDEr-D; BLEU and CIDEr-D share one index."""
-    index = _NgramIndex()
+    """BLEU-1..4, ROUGE-L and CIDEr-D; BLEU and CIDEr-D share one index,
+    which the first of them builds."""
+    index = NgramIndex(hypotheses, references)
     return MetricsReport(
         counts=len(hypotheses),
         bleu=bleu_all(hypotheses, references, index=index),

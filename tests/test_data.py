@@ -71,6 +71,15 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             generate_dataset(0, 20, 3, (0.6, 0.25, 0.25))
 
+    def test_nan_fraction_rejected(self):
+        with pytest.raises(ConfigError, match="sum to 1"):
+            generate_dataset(0, 20, 3, (float("nan"), 0.5, 0.5))
+
+    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise"):
+            generate_dataset(0, 20, 3, (0.5, 0.25, 0.25), noise=noise)
+
     def test_small_corpus_rejected(self):
         with pytest.raises(ConfigError):
             generate_dataset(0, 5, 3, (0.5, 0.25, 0.25))

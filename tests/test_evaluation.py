@@ -6,8 +6,8 @@ from capfuse.errors import InputError
 from capfuse.evaluation import (
     EditOp,
     MetricsReport,
+    NgramIndex,
     _lcs_length,
-    _NgramIndex,
     aggregate_seeds,
     apply_edits,
     bleu_all,
@@ -368,6 +368,27 @@ def score_shaped_corpus(seed: int, scenes: int = 10):
     return hyps, refs
 
 
+# compute_metrics on score_shaped_corpus(seed), pinned as float.hex: BLEU-1..4,
+# ROUGE-L, CIDEr-D; the n-gram index must reproduce these bits exactly. They
+# were taken with CPython 3.11 and glibc's libm: ROUGE-L's mean uses the
+# builtin sum, which CPython 3.12 made compensated, and math.log/exp come from
+# the platform's libm, so another platform may differ in the last bit.
+GOLDEN_HEX = {
+    11: ["0x1.37fc6b02d7dbep+6", "0x1.0869e59d4781dp+6", "0x1.d9866a9cef789p+5",
+         "0x1.b01112eef3fa2p+5", "0x1.1e1722327e6bfp+6", "0x1.45d588a5c20b1p+5"],
+    12: ["0x1.3e2c58ee290d7p+6", "0x1.0db9e1938bc8fp+6", "0x1.e4f012e73990bp+5",
+         "0x1.ba9f0b7adc051p+5", "0x1.1f99b1028c4c4p+6", "0x1.53de30d5a9714p+5"],
+    13: ["0x1.5054f245a4b8bp+6", "0x1.26184659e7047p+6", "0x1.0d14101d06929p+6",
+         "0x1.f2d706ade8889p+5", "0x1.323f2198b863dp+6", "0x1.7a0681db9f127p+5"],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_HEX))
+def test_compute_metrics_bits_are_pinned(seed):
+    rep = compute_metrics(*score_shaped_corpus(seed))
+    assert [x.hex() for x in rep.bleu + [rep.rouge_l, rep.cider]] == GOLDEN_HEX[seed]
+
+
 class TestSharedIndex:
     def test_compute_metrics_matches_oracles(self):
         hyps, refs = score_shaped_corpus(11)
@@ -377,18 +398,37 @@ class TestSharedIndex:
         assert rep.rouge_l == rouge_brute(hyps, refs)
         assert rep.cider == pytest.approx(10.0 * cider_brute(hyps, refs), abs=1e-11)
 
-    def test_shared_index_changes_nothing(self):
-        # an index already holding another corpus numbers every n-gram differently
+    def test_passing_an_index_changes_no_bit(self):
         hyps, refs = score_shaped_corpus(12)
-        other_hyps, other_refs = score_shaped_corpus(13)
-        index = _NgramIndex()
-        bleu_all(other_hyps, other_refs, index=index)
+        index = NgramIndex(hyps, refs)
         assert bleu_all(hyps, refs, index=index) == bleu_all(hyps, refs)
         assert cider(hyps, refs, index=index) == cider(hyps, refs)
-        assert compute_metrics(hyps, refs).cider == 10.0 * cider(hyps, refs)
+        # built once, by whichever metric reads it first
+        index = NgramIndex(hyps, refs)
+        assert cider(hyps, refs, index=index) == cider(hyps, refs)
+        assert bleu_all(hyps, refs, index=index) == bleu_all(hyps, refs)
+        rep = compute_metrics(hyps, refs)
+        assert rep.bleu == bleu_all(hyps, refs)
+        assert rep.cider == 10.0 * cider(hyps, refs)
+
+    def test_index_of_another_corpus_rejected(self):
+        hyps, refs = score_shaped_corpus(12)
+        other = NgramIndex(*score_shaped_corpus(13))
+        same_contents = NgramIndex(list(hyps), list(refs))
+        for metric in (bleu_all, cider):
+            for index in (other, same_contents):
+                with pytest.raises(InputError, match="made for"):
+                    metric(hyps, refs, index=index)
 
     def test_index_counts_each_caption_once(self):
-        index = _NgramIndex()
-        first = index.counts(["a", "b", "a", "b"])
-        assert index.counts(("a", "b", "a", "b")) is first
-        assert [sorted(order.values()) for order in first] == [[2, 2], [1, 2], [1, 1], [1]]
+        caption = ["a", "b", "a", "b"]
+        hyps = [caption, ["b", "a"]]
+        refs = [[list(caption), ["a", "b"]], [caption]]
+        index = NgramIndex(hyps, refs).built(hyps, refs)
+        assert len(index.length) == 3  # "a b a b", "b a", "a b"
+        assert index.hyp_cap[0] == index.pair_ref[0] == index.pair_ref[2]
+        entries = slice(index.first_entry[index.hyp_cap[0]],
+                        index.first_entry[index.hyp_cap[0]] + index.n_entries[index.hyp_cap[0]])
+        counts = [sorted(index.count[entries][index.order[entries] == n].tolist())
+                  for n in range(4)]
+        assert counts == [[2, 2], [1, 2], [1, 1], [1]]
