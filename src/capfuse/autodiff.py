@@ -16,7 +16,7 @@ A Tensor carries what src calls on it and nothing more: the operator `*`
 method sum(). Everything else is a function: `x @ W + b` is affine, one node,
 and max(x, 0) is relu.
 
-The forward ops matmul, affine, concat_last, dropout, glu, relu, gather_rows,
+The forward ops matmul, affine, concat, dropout, glu, relu, gather_rows,
 lstm_seq and softmax_xent_rows take activations as Tensors or as plain arrays,
 and weights as Parameters either way. An array activation gives a plain array
 and records no graph; a Tensor activation gives a Tensor and records a graph,
@@ -273,27 +273,27 @@ def relu(x):
     return _record(np.maximum(x.data, 0.0), (x,), back)
 
 
-def concat_last(a, b):
-    """Concatenate along the last axis; the backward pass splits the gradient."""
+def concat(a, b, axis: int = -1):
+    """Concatenate two operands along `axis`; numpy's rules on ranks, axes
+    and the other extents raise ShapeError, and so does a zero-sized `axis`.
+    The backward pass splits the gradient at a's extent."""
     tensors = isinstance(a, Tensor)
     if tensors != isinstance(b, Tensor):
-        raise TypeError("concat_last takes two Tensors or two plain arrays, not one of each")
+        raise TypeError("concat takes two Tensors or two plain arrays, not one of each")
     ad, bd = (a.data, b.data) if tensors else (a, b)
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError("concat_last requires at least 1-dimensional tensors")
-    if ad.ndim != bd.ndim or ad.shape[:-1] != bd.shape[:-1]:
-        raise ShapeError(f"concat_last shapes differ off the last axis: {ad.shape} vs {bd.shape}")
-    if ad.shape[-1] == 0 or bd.shape[-1] == 0:
-        raise ShapeError("concat_last rejects a zero-sized last axis")
-    out = np.concatenate([ad, bd], axis=-1)
+    try:
+        out = np.concatenate([ad, bd], axis=axis)
+    except ValueError as err:  # numpy's AxisError is a ValueError
+        raise ShapeError(f"concat of {ad.shape} and {bd.shape} on axis {axis}: {err}") from None
+    if ad.shape[axis] == 0 or bd.shape[axis] == 0:
+        raise ShapeError(f"concat rejects a zero-sized axis {axis}")
     if not tensors:
         return out
 
-    def back(g, x=a, y=b, k=ad.shape[-1]):
-        if x.requires_grad:
-            x._accum(g[..., :k])
-        if y.requires_grad:
-            y._accum(g[..., k:])
+    def back(g, parents=(a, b), n=ad.shape[axis], k=axis):
+        for t, part in zip(parents, np.split(g, [n], axis=k)):
+            if t.requires_grad:
+                t._accum(part)
     return _record(out, (a, b), back)
 
 

@@ -174,8 +174,10 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
     Split sizes for train and val are round(n * fraction); test takes the
     remainder so every scene is covered.
     """
-    if n_scenes < 10:
-        raise ConfigError(f"n_scenes must be at least 10, got {n_scenes}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(n_scenes, (int, np.integer)) or n_scenes < 10:
+        raise ConfigError(f"n_scenes must be an integer of at least 10, got {n_scenes!r}")
     if not 3 <= refs_per_scene <= 5:
         raise ConfigError("refs_per_scene must lie in 3..5 (distinct templates)")
     if len(split_fractions) != 3 or not abs(sum(split_fractions) - 1.0) <= 1e-9:

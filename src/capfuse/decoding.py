@@ -8,18 +8,25 @@ state is plain arrays, (t, [(h, c) per decoder layer]), start() passes the
 features as an array to CaptionDecoder.encode_image, and step() passes arrays
 to the embedding gather, CaptionDecoder.step and CaptionModel.step_logits (the
 vocabulary head or FusionLayer.fuse), the code that training runs on Tensors,
-then takes log_softmax of the logits. beam_over is the only decode loop;
-greedy decoding is beam width 1. Each expansion ranks the [hypotheses x vocab]
-scores with one stable argsort of the token-major flattening. A baseline model
-decodes from the image alone. A fusion model decodes only against a draft: at
-step t the frozen masked LM has read the draft with position t+1 masked, and
-that row is shared by every hypothesis in the beam. Freezing is final (a
-frozen parameter's data can be neither written nor rebound, and copies stay
-frozen), so draft_rows keeps the read-only rows of up to ROWS_CACHE_SIZE
-drafts per frozen MLM without checking its parameters again: each distinct
-draft is encoded once for every fusion kind, the rescoring oracle
-sequence_logprob(..., draft=) and every later example with that draft. A step
-whose logits hold NaN or +inf raises NumericError.
+then takes log_softmax of the logits (_logprobs, the one rule from logits to
+log-probabilities, which sequence_logprob shares). beam_over is the only
+decode loop; greedy decoding is beam width 1. Each expansion ranks the
+[hypotheses x vocab] scores with one stable argsort of the token-major
+flattening. A baseline model decodes from the image alone. A fusion model
+decodes only against a draft: at step t the frozen masked LM has read the
+draft with position t+1 masked, and that row is shared by every hypothesis in
+the beam. Freezing is final (a frozen parameter's data can be neither written
+nor rebound, and copies stay frozen), so draft_rows keeps the read-only rows
+of up to ROWS_CACHE_SIZE drafts per frozen MLM without checking its parameters
+again: each distinct draft is encoded once for every fusion kind, the
+rescoring check sequence_logprob(..., draft=) and every later example with
+that draft. A step whose logits hold NaN or +inf raises NumericError.
+
+sequence_logprob does not step: it scores a whole sequence with one
+CaptionDecoder.teacher_forced pass and one step_logits call over all its
+rows, so it checks beam scores through a second forward of the decoder. The
+token-by-token replay of Stepper.step is the tests' oracle
+(tests/oracles.py, stepped_logprob).
 """
 
 from __future__ import annotations
@@ -87,15 +94,23 @@ class Stepper:
         decoder = self.model.decoder
         h_top, lstm_state = decoder.step(decoder.embed.data[tokens], lstm_state)
         rows = None if self.rows is None else self.rows[[min(t, len(self.rows) - 1)] * len(tokens)]
-        logits = self.model.step_logits(h_top, rows)
-        if not logits.max() < np.inf:  # the max of logits holding NaN is NaN
-            raise NumericError(f"the logits of step {t} hold NaN or +inf")
-        logits[:, list(BLOCKED_IDS)] = -np.inf
-        return (t + 1, lstm_state), log_softmax(logits)
+        return (t + 1, lstm_state), _logprobs(self.model, h_top, rows, f"step {t}")
 
     def select(self, state, idx: np.ndarray):
         t, lstm_state = state
         return (t, [(h[idx], c[idx]) for h, c in lstm_state])
+
+
+def _logprobs(model, h_top, rows, where: str) -> np.ndarray:
+    """Next-token log-probabilities of top decoder states, one masked-LM row
+    each (None for a baseline model): the logits of step_logits, a
+    NumericError if they hold NaN or +inf, BLOCKED_IDS set to -inf, then
+    log_softmax. `where` names the steps in the error."""
+    logits = model.step_logits(h_top, rows)
+    if not logits.max() < np.inf:  # the max of logits holding NaN is NaN
+        raise NumericError(f"the logits of {where} hold NaN or +inf")
+    logits[:, list(BLOCKED_IDS)] = -np.inf
+    return log_softmax(logits)
 
 
 def draft_rows(mlm: MaskedLM, wrapped: list[int]) -> np.ndarray:
@@ -250,19 +265,20 @@ def sequence_logprob(model, features, tokens: list[int],
                      draft: list[int] | None = None) -> float:
     """Teacher-forced log-probability of an emitted token sequence.
 
-    Uses the same stepper as the decoder that produced the sequence, so beam
-    scores can be verified independently.
+    One CaptionDecoder.teacher_forced pass over <start> and every token but
+    the last, then one step_logits call over all its rows through the rule of
+    Stepper.step (_logprobs); step t reads the draft's row min(t, last), as
+    EmendStepper does. The stepper built here only checks the inputs and
+    holds the draft rows, so the score does not come from the beam's
+    Stepper.step: tests hold it to the beam's scores and to a token-by-token
+    replay of Stepper.step (tests/oracles.py, stepped_logprob).
     """
     if not tokens:
         raise InputError("cannot score an empty sequence")
     _check_ids(tokens, model.cfg.vocab_size, "token")
     stepper = (Stepper(model, features) if draft is None
                else EmendStepper(model, mlm, features, draft))
-    state = stepper.start()
-    total = 0.0
-    current = START_ID
-    for tok in tokens:
-        state, logprobs = stepper.step(state, np.array([current]))
-        total += float(logprobs[0][tok])
-        current = tok
-    return total
+    h_top = model.decoder.teacher_forced(stepper.features, [[START_ID, *tokens[:-1]]])
+    steps = np.arange(len(tokens))
+    rows = None if stepper.rows is None else stepper.rows[np.minimum(steps, len(stepper.rows) - 1)]
+    return float(_logprobs(model, h_top, rows, f"steps 0-{steps[-1]}")[steps, tokens].sum())

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Parameter, affine, concat_last, dropout, glu, relu
+from .autodiff import Parameter, affine, concat, dropout, glu, relu
 from .errors import ConfigError
 from .models import (
     CaptionDecoder,
@@ -84,13 +84,13 @@ class FusionLayer(ParamStore):
 
     def _simple(self, h_lstm, h_mlm):
         """Relu-gated projection of the concatenated hidden states."""
-        return relu(affine(concat_last(h_lstm, h_mlm), self.gate_w, self.gate_b))
+        return relu(affine(concat(h_lstm, h_mlm), self.gate_w, self.gate_b))
 
     def _cold(self, h_lstm, h_mlm):
         """Gated modulation of a projected LM state, then a merge projection."""
         h_lm = relu(affine(h_mlm, self.lm_w, self.lm_b))
-        gate = relu(affine(concat_last(h_lstm, h_lm), self.gate_w, self.gate_b))
-        h_cf = concat_last(h_lstm, gate * h_lm)
+        gate = relu(affine(concat(h_lstm, h_lm), self.gate_w, self.gate_b))
+        h_cf = concat(h_lstm, gate * h_lm)
         return relu(affine(h_cf, self.merge_w, self.merge_b))
 
     def _hier(self, h_lstm, h_mlm):
@@ -98,10 +98,10 @@ class FusionLayer(ParamStore):
 
         Note the concatenation order here puts the LM state first.
         """
-        h_c = concat_last(h_mlm, h_lstm)
+        h_c = concat(h_mlm, h_lstm)
         g_left = relu(affine(h_c, self.left_w, self.left_b)) * h_c
         g_right = h_c * relu(affine(h_c, self.right_w, self.right_b))
-        g_c = glu(concat_last(g_left, g_right))
+        g_c = glu(concat(g_left, g_right))
         return glu(affine(g_c, self.expand_w, self.expand_b))
 
     _SCHEMES = {FusionKind.SIMPLE: _simple, FusionKind.COLD: _cold, FusionKind.HIER: _hier}

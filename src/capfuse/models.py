@@ -8,13 +8,22 @@ the tokens right of it, combining both context states with an affine layer.
 
 Image projections, steps, heads and affine layers follow the rule of
 autodiff's forward ops: a plain-array activation gives plain arrays and
-records no graph, and a Tensor activation records a graph. A decoder step is
-one autodiff.lstm_step(x @ Wx, h, c, Wh, b) per layer, on plain arrays.
+records no graph, and a Tensor activation records a graph. Stacked cells
+unroll over a sequence in one place, _unroll: per layer one [T*B x E] @ Wx and
+one autodiff.lstm_seq (the lstm_step kernel, step by step).
+
+The decoder has two forwards. CaptionDecoder.step advances every layer by one
+autodiff.lstm_step(x @ Wx, h, c, Wh, b) on plain arrays, for the beam.
+CaptionDecoder.teacher_forced runs whole captions: one encode_image and one
+embedding gather of the time-major padded tokens, the image rows stacked
+above the token rows as step 0 (autodiff.concat on axis 0), then _unroll, then
+one gather of the rows after each real token. It scores sequences
+(decoding.sequence_logprob) and, on Tensor features, records the one graph of
+a teacher-forced batch.
 
 The masked LM has one forward, MaskedLM._states: per direction one embedding
-gather of the time-major padded tokens, then per layer one [T*B x E] @ Wx and
-one autodiff.lstm_seq (the lstm_step kernel, step by step), then one gather of
-each mask position's context rows, then combine. Pretraining runs it on the
+gather of the time-major padded tokens, then _unroll, then one gather of each
+mask position's context rows, then combine. Pretraining runs it on the
 embedding Parameter and records one lstm_seq node per layer and direction,
 whose backward is backpropagation through time; mlm_context_rows runs it on
 the embedding's array and records nothing, so training and emendation read
@@ -44,7 +53,7 @@ from .autodiff import (
     Parameter,
     Tensor,
     affine,
-    concat_last,
+    concat,
     dropout,
     gather_rows,
     lstm_seq,
@@ -54,7 +63,7 @@ from .autodiff import (
     softmax_xent_rows,
 )
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID  # noqa: F401 (re-exported)
-from .errors import ConfigError, InputError, StateError
+from .errors import ConfigError, InputError, ShapeError, StateError
 
 
 @dataclass
@@ -184,6 +193,31 @@ class CaptionDecoder(ParamStore):
             new_state.append((x, c))
         return x, new_state
 
+    def teacher_forced(self, features, seqs: list[list[int]]):
+        """Top-layer state after each input token of each caption, stacked
+        sequence-major: row len(seqs[0]) + ... + len(seqs[i-1]) + t is the
+        state after token t of seqs[i], the state that CaptionDecoder.step
+        reaches there from features[i].
+
+        The one sequence forward of the decoder, built like MaskedLM._states:
+        one encode_image and one embedding gather of the time-major padded
+        tokens, with the image rows stacked above the token rows as step 0,
+        then _unroll, then one gather of the real tokens' rows. Plain-array
+        features give a plain array and record no graph; Tensor features
+        record one graph, through the embedding Parameter. Feature rows that
+        are not one per caption, or a batch with no token, raise ShapeError; a
+        token id outside the vocabulary raises InputError."""
+        image = self.encode_image(features)
+        batch = len(seqs)
+        if image.shape[0] != batch:
+            raise ShapeError(f"{image.shape[0]} feature rows for {batch} captions")
+        _check_ids(chain.from_iterable(seqs), self.cfg.vocab_size, "token")
+        toks, _, lens = _padded_batch(seqs)
+        table = self.embed if isinstance(image, Tensor) else self.embed.data
+        x = _unroll(self.cells, concat(image, gather_rows(table, toks.T.ravel()), axis=0), batch)
+        steps = np.arange(1, toks.shape[1] + 1)
+        return gather_rows(x, (steps * batch + np.arange(batch)[:, None])[steps <= lens[:, None]])
+
     def head_logits(self, h_top, training: bool, rng=None):
         dropped = dropout(h_top, self.cfg.dropout, training, rng)
         return affine(dropped, self.head_w, self.head_b)
@@ -233,9 +267,9 @@ class MaskedLM(ParamStore):
         """States at mask position p[k] of seqs[owner[k]], one row per k.
 
         The one forward of the MLM: per direction the embedding gather of the
-        time-major [T*B] padded tokens from `table`, then per layer X @ Wx and
-        autodiff.lstm_seq, then one gather of the _context_steps rows (step -1,
-        the empty context, is a negative id and reads zeros), then combine.
+        time-major [T*B] padded tokens from `table`, then _unroll, then one
+        gather of the _context_steps rows (step -1, the empty context, is a
+        negative id and reads zeros), then combine.
         `table` is self.embed, which records a graph, or self.embed.data,
         which gives plain arrays."""
         toks, rev, lens = _padded_batch(seqs)
@@ -243,14 +277,12 @@ class MaskedLM(ParamStore):
         ctx = []
         for cells, matrix, steps in zip((self.fwd, self.bwd), (toks, rev),
                                         _context_steps(p, lens[owner])):
-            x = gather_rows(table, matrix.T.ravel())
-            for cell in cells:
-                x = lstm_seq(matmul(x, cell.wx), batch, cell.wh, cell.b)
+            x = _unroll(cells, gather_rows(table, matrix.T.ravel()), batch)
             ctx.append(gather_rows(x, steps * batch + owner))
         return self.combine(*ctx)
 
     def combine(self, fwd_ctx: Tensor, bwd_ctx: Tensor) -> Tensor:
-        return affine(concat_last(fwd_ctx, bwd_ctx), self.comb_w, self.comb_b)
+        return affine(concat(fwd_ctx, bwd_ctx), self.comb_w, self.comb_b)
 
     def head_logits(self, state):
         return affine(state, self.head_w, self.head_b)
@@ -265,11 +297,20 @@ class MaskedLM(ParamStore):
         return all(p.frozen for p in self.parameters())
 
 
+def _unroll(cells, x, batch: int):
+    """Top-layer states of stacked cells over a time-major input x of
+    [T*batch] rows, from a zero state: per layer one X @ Wx and one
+    autodiff.lstm_seq."""
+    for cell in cells:
+        x = lstm_seq(matmul(x, cell.wx), batch, cell.wh, cell.b)
+    return x
+
+
 def _padded_batch(seqs: list[list[int]]):
     """Pad sequences and build the per-sample reversed matrix for the
     backward encoder (reversal is per sample so padding stays on the right)."""
     batch = len(seqs)
-    width = max(len(s) for s in seqs)
+    width = max(map(len, seqs), default=0)
     toks = np.full((batch, width), PAD_ID, dtype=np.int64)
     rev = np.full((batch, width), PAD_ID, dtype=np.int64)
     lens = np.zeros(batch, dtype=np.int64)

@@ -8,8 +8,10 @@ full-size arrays, gradients by central finite differences, LSTM steps and
 the masked-LM loss as step-major graphs of elementary nodes (slice, sigmoid,
 tanh, products and broadcast sums), masked-LM states one masked sequence at a
 time, one step and one layer at a time, fusion logits from each scheme's
-equations in plain numpy, greedy decoding by a plain argmax loop, and beam
-expansion order by a three-key lexsort.
+equations in plain numpy, greedy decoding by a plain argmax loop, beam
+expansion order by a three-key lexsort, and a sequence's log-probability by
+the beam's own Stepper.step, one token at a time, against the one
+teacher-forced pass of decoding.sequence_logprob.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 
 from capfuse import autodiff
 from capfuse.autodiff import Tensor, _record, gather_rows, matmul, softmax_xent_rows
+from capfuse.decoding import EmendStepper, Stepper
 from capfuse.errors import InputError, NumericError
 from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
 
@@ -438,6 +441,23 @@ def greedy_oracle(stepper, max_len):
         if current == EOS_ID:
             break
     return tokens, score
+
+
+def stepped_logprob(model, features, tokens, mlm=None, draft=None) -> float:
+    """Log-probability of a token sequence as the beam scores it: the
+    decoding stepper (an EmendStepper against a draft) fed <start> and then
+    each token in turn, one Stepper.step per token, the log-probabilities
+    summed in a Python float."""
+    stepper = (Stepper(model, features) if draft is None
+               else EmendStepper(model, mlm, features, draft))
+    state = stepper.start()
+    total = 0.0
+    current = START_ID
+    for tok in tokens:
+        state, logprobs = stepper.step(state, np.array([current]))
+        total += float(logprobs[0][tok])
+        current = tok
+    return total
 
 
 def lexsort_cells(total, k):

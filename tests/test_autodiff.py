@@ -12,7 +12,7 @@ from capfuse.autodiff import (
     Parameter,
     Tensor,
     affine,
-    concat_last,
+    concat,
     dropout,
     gather_rows,
     glu,
@@ -116,29 +116,51 @@ class TestAffine:
         assert messages[0] == messages[1] == str(err.value)
 
 
+def concat_rows(a, b):
+    return concat(a, b, axis=0)
+
+
+# (axis, shape of a, shape of b): the operands differ only along the axis
+CONCAT_AXES = [(-1, (2, 3), (2, 2)), (0, (3, 2), (2, 2)), (1, (2, 3, 2), (2, 1, 2))]
+
+
 class TestConcat:
     def test_basic(self):
-        out = concat_last(t([1.0, 2.0]), t([3.0]))
+        out = concat(t([1.0, 2.0]), t([3.0]))
         assert np.array_equal(out.data, [1.0, 2.0, 3.0])
+        rows = concat_rows(t([[1.0, 2.0]]), t([[3.0, 4.0], [5.0, 6.0]]))
+        assert np.array_equal(rows.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
-    def test_rejects_empty_last_axis(self):
-        with pytest.raises(ShapeError):
-            concat_last(t(np.ones(0)), t([1.0]))
+    @pytest.mark.parametrize("axis, empty", [(-1, (1, 0)), (0, (0, 1))])
+    def test_rejects_an_empty_axis(self, axis, empty):
+        with pytest.raises(ShapeError, match="zero-sized"):
+            concat(t(np.ones(empty)), t([[1.0]]), axis=axis)
+        with pytest.raises(ShapeError, match="zero-sized"):
+            concat(t([[1.0]]), t(np.ones(empty)), axis=axis)
 
-    def test_gradient_splits(self):
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_rejects_an_axis_outside_the_operands(self, axis):
+        for wrap in (np.ones, lambda s: t(np.ones(s))):
+            with pytest.raises(ShapeError, match=f"axis {axis}"):
+                concat(wrap((2, 3)), wrap((2, 3)), axis=axis)
+
+    @pytest.mark.parametrize("axis, sa, sb", CONCAT_AXES)
+    def test_gradient_splits(self, axis, sa, sb):
         rng = np.random.default_rng(3)
-        a, b = rand(rng, 2, 3), rand(rng, 2, 2)
+        a, b = rand(rng, *sa), rand(rng, *sb)
         err = grad_check(
-            lambda x, y: (concat_last(x, y) * concat_last(x, y)).sum(), [a, b]
+            lambda x, y: (concat(x, y, axis) * concat(x, y, axis)).sum(), [a, b]
         )
         assert err <= 1e-6
 
-    def test_split_recovers_inputs(self):
+    @pytest.mark.parametrize("axis, sa, sb", CONCAT_AXES)
+    def test_split_recovers_inputs(self, axis, sa, sb):
         rng = np.random.default_rng(4)
-        a, b = rand(rng, 2, 3), rand(rng, 2, 2)
-        cat = concat_last(a, b).data
-        assert np.array_equal(cat[:, :3], a.data)
-        assert np.array_equal(cat[:, 3:], b.data)
+        a, b = rand(rng, *sa), rand(rng, *sb)
+        cat = concat(a, b, axis).data
+        head, tail = np.split(cat, [sa[axis]], axis=axis)
+        assert np.array_equal(head, a.data)
+        assert np.array_equal(tail, b.data)
 
 
 class TestHadamard:
@@ -236,8 +258,10 @@ def gather_with_an_empty_row(table):
 # or plain arrays
 ARRAY_OP_VALUES = [
     (affine, [(3, 4)], [(4, 2), (2,)]), (affine, [(1, 4)], [(4, 3), (3,)]),
-    (concat_last, [(2, 3), (2, 2)], []), (concat_last, [(3,), (1,)], []),
-    (concat_last, [(2, 1, 3), (2, 1, 4)], []),
+    (concat, [(2, 3), (2, 2)], []), (concat, [(3,), (1,)], []),
+    (concat, [(2, 1, 3), (2, 1, 4)], []),
+    (concat_rows, [(2, 3), (1, 3)], []), (concat_rows, [(3,), (1,)], []),
+    (concat_rows, [(2, 1, 3), (1, 1, 3)], []),
     (glu, [(4,)], []), (glu, [(3, 8)], []), (glu, [(2, 1, 6)], []),
     (relu, [(70,)], []), (relu, [(4, 5)], []),
     (xent_to_class_1, [(1, 3)], []), (xent_to_class_1, [(4, 6)], []),
@@ -248,8 +272,10 @@ ARRAY_OP_SHAPE_ERRORS = [
     (affine, [(3, 4)], [(5, 2), (2,)]), (affine, [(3, 4)], [(4, 2), (3,)]),
     (affine, [(2, 3, 4)], [(4, 2), (2,)]), (affine, [(3, 4)], [(4, 2, 2), (2,)]),
     (affine, [(4,)], [(4, 3), (3,)]), (affine, [(2, 4)], [(4, 3), (2, 3)]),
-    (concat_last, [(), (2,)], []), (concat_last, [(2, 3), (3, 3)], []),
-    (concat_last, [(2, 3), (2, 1, 3)], []), (concat_last, [(2, 3), (2, 0)], []),
+    (concat, [(), (2,)], []), (concat, [(2, 3), (3, 3)], []),
+    (concat, [(2, 3), (2, 1, 3)], []), (concat, [(2, 3), (2, 0)], []),
+    (concat_rows, [(), (2,)], []), (concat_rows, [(2, 3), (2, 4)], []),
+    (concat_rows, [(2, 3), (2, 1, 3)], []), (concat_rows, [(2, 3), (0, 3)], []),
     (glu, [(3,)], []), (glu, [(2, 5)], []),
     (xent_to_class_1, [(4,)], []), (xent_to_class_1, [(2, 3, 4)], []),
     (matmul, [(4,)], [(4, 3)]), (matmul, [(3, 4)], [(3, 4)]),
@@ -297,7 +323,7 @@ class TestArrayActivations:
         assert type(got) is np.ndarray and want._parents
         assert got.tobytes() == want.data.tobytes() and (got == 0.0).any()
 
-    @pytest.mark.parametrize("op", [operator.add, operator.mul, concat_last])
+    @pytest.mark.parametrize("op", [operator.add, operator.mul, concat, concat_rows])
     def test_a_tensor_and_an_array_raise_type_error_in_either_order(self, op):
         array = np.ones((2, 3))
         tensor = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -667,7 +693,7 @@ class TestGraphMechanics:
         outs = [x * x, x * y, (x * 2.0).sum(), relu(x),
                 matmul(Tensor(np.ones((1, 2))), w), affine(Tensor(np.ones((1, 2))), w, wb),
                 affine(Tensor(np.ones((1, 2))), w, Tensor(np.ones(2))),
-                concat_last(x, x), glu(Tensor(np.ones((1, 4)))),
+                concat(x, x), concat_rows(x, x), glu(Tensor(np.ones((1, 4)))),
                 dropout(x, 0.5, True, np.random.default_rng(0)),
                 gather_rows(w, np.array([1, 0])), lstm_seq(Tensor(np.ones((2, 4))), 1, wh, b),
                 softmax_xent_rows(Tensor(np.ones((1, 2))), np.array([0]))]

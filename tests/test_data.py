@@ -80,9 +80,11 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="noise"):
             generate_dataset(0, 20, 3, (0.5, 0.25, 0.25), noise=noise)
 
-    def test_small_corpus_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_dataset(0, 5, 3, (0.5, 0.25, 0.25))
+    @pytest.mark.parametrize("seed, n_scenes", [(0, 5), (-1, 20), (1.5, 20), (0, 20.5),
+                                                (0, -20), ("0", 20), (None, 20)], ids=repr)
+    def test_bad_seed_or_scene_count_rejected(self, seed, n_scenes):
+        with pytest.raises(ConfigError, match="seed" if n_scenes == 20 else "n_scenes"):
+            generate_dataset(seed, n_scenes, 3, (0.5, 0.25, 0.25))
 
     def test_feature_noise_deterministic(self):
         a = generate_dataset(11, 12, 3, (0.5, 0.25, 0.25))

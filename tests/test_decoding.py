@@ -33,7 +33,7 @@ from capfuse.models import (
     ModelConfig,
     mlm_context_rows,
 )
-from oracles import encode_masked, greedy_oracle, lexsort_cells, stack_step_graph
+from oracles import encode_masked, greedy_oracle, lexsort_cells, stack_step_graph, stepped_logprob
 
 V = 10
 MAX_LEN = 8  # the beam length cap of these tests
@@ -679,6 +679,32 @@ class TestNonFiniteLogits:
             sequence_logprob(model, feats(42), tokens)
 
 
+class TestRescoringOracle:
+    """sequence_logprob, one teacher-forced pass, against stepped_logprob,
+    the beam's own Stepper.step fed one token at a time."""
+
+    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
+    def test_teacher_forced_equals_the_stepped_score(self, kind):
+        mlm = tiny_mlm(50)
+        mlm.freeze()
+        rng = np.random.default_rng(50)
+        draft = [START_ID, 5, 6, EOS_ID]  # 4 rows; the 9-token captions read past them
+        extra = {} if kind == "none" else {"mlm": mlm, "draft": draft}
+        emitted = [t for t in range(V) if t not in decoding.BLOCKED_IDS]
+        for seed in range(3):
+            model = tiny_model(kind, seed=50 + seed)
+            f = feats(50 + seed)
+            for n in (1, 3, 9):
+                tokens = [int(t) for t in rng.choice(emitted, n - 1)] + [EOS_ID]
+                got = sequence_logprob(model, f, tokens, **extra)
+                want = stepped_logprob(model, f, tokens, **extra)
+                assert np.isfinite(got) and abs(got - want) <= 1e-9, (seed, tokens)
+            for blocked in (PAD_ID, START_ID, MASK_ID):
+                tokens = [5, 6, blocked, 7, 8, 9, 5, 6, EOS_ID]
+                got = sequence_logprob(model, f, tokens, **extra)
+                assert got == stepped_logprob(model, f, tokens, **extra) == -np.inf
+
+
 def test_steps_and_context_rows_build_no_graph(monkeypatch):
     created = []
     init = Tensor.__init__
@@ -700,6 +726,8 @@ def test_steps_and_context_rows_build_no_graph(monkeypatch):
             state, _ = stepper.step(state, np.array([tok]))
         state = stepper.select(state, np.array([0, 0, 0]))
         state, _ = stepper.step(state, np.array([5, 6, 7]))
+        draft = {} if kind == "none" else {"mlm": mlm, "draft": wrapped}
+        assert np.isfinite(sequence_logprob(model, feats(43), [5, 6, 7, 8, 9, EOS_ID], **draft))
         assert created == []
     created.clear()
     mlm_context_rows(mlm, [wrapped, [START_ID, 7, EOS_ID]], append_row=True)

@@ -14,7 +14,7 @@ from capfuse.autodiff import (
     softmax_xent_rows,
 )
 from capfuse import models
-from capfuse.errors import ConfigError, InputError, StateError
+from capfuse.errors import ConfigError, InputError, ShapeError, StateError
 from capfuse.fusion import build_model
 from capfuse.models import (
     EOS_ID,
@@ -127,17 +127,18 @@ class TestDecoderStep:
         assert all(np.isfinite(a).all() for a in [hs.data, *grads, *outs])
 
     def test_four_step_sequence_gradient(self):
-        # teacher forcing through the decoder's two cells: one gather, one
-        # X @ Wx and one lstm_seq per layer, one head and cross-entropy
+        # teacher forcing of a ragged batch of two captions from Tensor
+        # features: one encode_image, one gather, one X @ Wx and one lstm_seq
+        # per layer, one head and cross-entropy; the image rows are step 0,
+        # so the image projection is checked with the rest
         dec = tiny_decoder(seed=3)
-        tokens = np.array([START_ID, 5, 6, 7])
-        targets = np.array([5, 6, 7, 8])
+        features = Tensor(np.random.default_rng(3).normal(size=(2, dec.cfg.feature_dim)))
+        seqs = [[START_ID, 5, 6, 7], [START_ID, 9]]
+        targets = np.array([5, 6, 7, 8, 9, EOS_ID])
 
         def loss_fn(*params):
-            x = gather_rows(dec.embed, tokens)
-            for cell in dec.cells:
-                x = lstm_seq(matmul(x, cell.wx), 1, cell.wh, cell.b)
-            loss = softmax_xent_rows(dec.head_logits(x, False), targets).sum()
+            h = dec.teacher_forced(features, seqs)
+            loss = softmax_xent_rows(dec.head_logits(h, False), targets).sum()
             # linear probe: lifts every gradient coordinate by exactly 1e-3 so
             # central differences can resolve it; the ad-vs-fd difference that
             # the check measures is unaffected by a linear term
@@ -147,34 +148,94 @@ class TestDecoderStep:
 
         err = grad_check(loss_fn, dec.parameters())
         assert err <= 1e-4
+        for p in dec.parameters():
+            p.grad = None
+        loss_fn().backward()
+        assert all(np.abs(p.grad).sum() > 0 for p in (dec.img_w, dec.img_b))
 
-        # the same four steps through CaptionDecoder.step give the same states
-        state = dec.initial_state(1)
-        for t, tok in enumerate(tokens):
-            h, state = dec.step(dec.embed.data[[tok]], state)
-            x = gather_rows(dec.embed, tokens[:t + 1])
-            for cell in dec.cells:
-                x = lstm_seq(matmul(x, cell.wx), 1, cell.wh, cell.b)
-            assert np.allclose(h, x.data[-1:], rtol=0, atol=1e-15)
+        # plain features give the graph's values, and CaptionDecoder.step
+        # from each image gives the same states
+        rows = dec.teacher_forced(features.data, seqs)
+        assert type(rows) is np.ndarray
+        assert rows.tobytes() == dec.teacher_forced(features, seqs).data.tobytes()
+        stepped = []
+        for image, seq in zip(features.data, seqs):
+            _, state = dec.step(dec.encode_image(image), dec.initial_state(1))
+            for tok in seq:
+                h, state = dec.step(dec.embed.data[[tok]], state)
+                stepped.append(h[0])
+        assert np.allclose(rows, stepped, rtol=0, atol=1e-15)
 
     def test_causality_future_token_perturbation(self):
+        # a later token, in one caption or in another of the batch, leaves
+        # every earlier row bit-identical
         dec = tiny_decoder(seed=4)
+        features = np.random.default_rng(4).normal(size=(2, dec.cfg.feature_dim))
+        other = [START_ID, 9, 10]
         toks_a = [START_ID, 5, 6, 7, 8]
         toks_b = [START_ID, 5, 6, 9, 8]  # differs at position 3
-
-        def hiddens(tokens):
-            zeros = np.zeros((1, dec.cfg.hidden_dim))
-            state = [(zeros, zeros)] * dec.LAYERS
-            out = []
-            for t in tokens:
-                h, state = dec.step(dec.embed.data[[t]], state)
-                out.append(h)
-            return out
-
-        ha, hb = hiddens(toks_a), hiddens(toks_b)
-        for t in range(3):
-            assert np.array_equal(ha[t], hb[t])
+        ha = dec.teacher_forced(features, [toks_a, other])
+        hb = dec.teacher_forced(features, [toks_b, other])
+        assert ha[:3].tobytes() == hb[:3].tobytes()
+        assert ha[5:].tobytes() == hb[5:].tobytes()
         assert not np.array_equal(ha[3], hb[3])
+        alone = [dec.teacher_forced(features[:1], [t]) for t in (toks_a, toks_b)]
+        assert alone[0][:3].tobytes() == alone[1][:3].tobytes()
+        assert not np.array_equal(alone[0][3], alone[1][3])
+
+
+class TestTeacherForced:
+    """CaptionDecoder.teacher_forced: the top state after every input token
+    of a padded batch, sequence-major."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ragged_batch_equals_per_caption_calls(self, seed):
+        dec = tiny_decoder(seed=20 + seed)
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(3, dec.cfg.feature_dim))
+        seqs = [[START_ID] + [int(t) for t in rng.integers(5, V, n - 1)] for n in (1, 4, 7)]
+        batched = dec.teacher_forced(features, seqs)
+        assert batched.shape == (1 + 4 + 7, dec.cfg.hidden_dim)
+        singles = np.concatenate([dec.teacher_forced(f, [s]) for f, s in zip(features, seqs)])
+        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
+        order = [2, 0, 1]  # the rows follow the captions' order
+        shuffled = dec.teacher_forced(features[order], [seqs[i] for i in order])
+        assert np.allclose(shuffled, np.concatenate([singles[5:], singles[:1], singles[1:5]]),
+                           rtol=0, atol=1e-12)
+
+    def test_one_unroll_per_layer_and_no_cell_step(self, monkeypatch):
+        calls = []
+        original = models.lstm_seq
+
+        def counted(xp, batch, wh, b):
+            calls.append((xp.shape, batch))
+            return original(xp, batch, wh, b)
+
+        def step(*_):
+            raise AssertionError("teacher forcing stepped an LstmCell")
+
+        monkeypatch.setattr(models, "lstm_seq", counted)
+        monkeypatch.setattr(LstmCell, "step", step)
+        dec = tiny_decoder(seed=22)
+        h = dec.teacher_forced(np.ones((2, dec.cfg.feature_dim)), [[START_ID, 5, 6], [7]])
+        assert h.shape == (4, dec.cfg.hidden_dim)
+        # image step plus 3 padded token steps, 2 captions each
+        assert calls == [((8, 4 * dec.cfg.hidden_dim), 2)] * dec.LAYERS
+
+    def test_bad_inputs_raise_typed_errors(self):
+        dec = tiny_decoder(seed=23)
+        f = np.ones((2, dec.cfg.feature_dim))
+        with pytest.raises(ShapeError, match="2 feature rows for 1 captions"):
+            dec.teacher_forced(f, [[START_ID, 5]])
+        for empty, none in ((f, [[], []]), (f[:0], [])):
+            with pytest.raises(ShapeError, match="zero-sized"):
+                dec.teacher_forced(empty, none)
+        for bad in (-1, V):
+            with pytest.raises(InputError, match=f"id {bad}\\b"):
+                dec.teacher_forced(f, [[START_ID, 5], [START_ID, bad]])
+        with pytest.raises(ConfigError):
+            dec.teacher_forced(np.ones((2, dec.cfg.feature_dim + 1)), [[START_ID], [START_ID]])
+        assert dec.teacher_forced(f, [[], [START_ID, 5]]).shape == (2, dec.cfg.hidden_dim)
 
 
 class TestEncodeImage:
