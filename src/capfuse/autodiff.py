@@ -46,7 +46,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, StateError
+from .errors import ConfigError, InputError, NumericError, ShapeError, StateError
 
 # _backward of a node that backward() has freed
 _FREED = object()
@@ -425,14 +425,14 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 def softmax_xent_rows(logits, targets: np.ndarray):
     """Per-row cross-entropy for a batch of logits and integer targets."""
     ld = logits.data if isinstance(logits, Tensor) else logits
-    if ld.ndim != 2:
-        raise ShapeError(f"softmax_xent_rows expects 2D logits, got {ld.shape}")
+    if ld.ndim != 2 or not len(ld):
+        raise ShapeError(f"softmax_xent_rows expects 2D logits with rows, got {ld.shape}")
     n, v = ld.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (n,):
         raise ShapeError(f"targets shape {targets.shape} does not match {n} rows")
     if targets.min() < 0 or targets.max() >= v:
-        raise IndexError(f"target out of range for {v} classes")
+        raise InputError(f"target out of range for {v} classes")
     logp = log_softmax(ld)
     rows = np.arange(n)
     if not isinstance(logits, Tensor):

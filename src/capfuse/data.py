@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, check_int
 
 PAD, START, EOS, UNK, MASK = "<pad>", "<start>", "<eos>", "<unk>", "[MASK]"
 SPECIALS = [PAD, START, EOS, UNK, MASK]
@@ -174,11 +174,10 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
     Split sizes for train and val are round(n * fraction); test takes the
     remainder so every scene is covered.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(n_scenes, (int, np.integer)) or n_scenes < 10:
-        raise ConfigError(f"n_scenes must be an integer of at least 10, got {n_scenes!r}")
-    if not 3 <= refs_per_scene <= 5:
+    check_int("seed", seed, 0)
+    check_int("n_scenes", n_scenes, 10)
+    check_int("refs_per_scene", refs_per_scene, 3)
+    if refs_per_scene > 5:
         raise ConfigError("refs_per_scene must lie in 3..5 (distinct templates)")
     if len(split_fractions) != 3 or not abs(sum(split_fractions) - 1.0) <= 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {split_fractions}")

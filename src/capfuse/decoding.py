@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import log_softmax
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import ConfigError, InputError, NumericError, ShapeError, check_int
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID
 from .models import MaskedLM, _check_ids, mlm_context_rows
 
@@ -57,10 +57,8 @@ class BeamConfig:
     max_len: int = 40  # tokens emitted at most, <eos> included
 
     def validate(self):
-        if self.beam_width < 1:
-            raise ConfigError(f"beam_width must be at least 1, got {self.beam_width}")
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
+        check_int("beam_width", self.beam_width, 1)
+        check_int("max_len", self.max_len, 2)
 
 
 class Stepper:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of integer
+config values."""
+
+from numbers import Integral
 
 
 class ShapeError(ValueError):
@@ -27,3 +30,12 @@ class ParseError(ValueError):
 
 class CheckpointError(RuntimeError):
     """A checkpoint failed validation (version, checksum, or flags)."""
+
+
+def check_int(name: str, value, least: int):
+    """Raise ConfigError unless `value` is an integer (numpy's too) of at
+    least `least`."""
+    if not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")

@@ -17,12 +17,11 @@ BLEU and CIDEr-D read one array index per corpus (`NgramIndex`). It numbers
 each distinct caption once and each word once, then the n-grams of each order
 2..MAX_N by one sort of (id of the (n-1)-gram, next word), so the ids stay
 dense for any vocabulary size. Its table holds one (caption, order, n-gram,
-count) entry per distinct n-gram of each caption, and a sorted (caption,
-n-gram) key array answers, through `searchsorted`, how often each reference
-holds each n-gram of its hypothesis. The lookups go one reference slot at a
-time (first references, then second ones, ...), so no array spans all
-(hypothesis n-gram, reference) pairs at once. BLEU's clipped counts are
-integer sums of those lookups, so they are exact.
+count) entry per distinct n-gram of each caption, and one `searchsorted` over
+a sorted (caption, n-gram) key array answers how often each reference holds
+each n-gram of its hypothesis: one lookup per (hypothesis n-gram, reference)
+pair, by n-gram, then reference. BLEU's clipped counts are integer sums of
+those lookups, so they are exact.
 
 CIDEr-D sums floats, and a float sum depends on its order, so every sum
 follows each caption's first-occurrence order: within a caption and order,
@@ -69,10 +68,9 @@ ROUGE_BETA = 1.2  # recall weight of the ROUGE-L F-measure
 CIDER_SIGMA = 6.0  # width of CIDEr-D's Gaussian length penalty
 
 
-def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]],
-                  metric: str):
+def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]]):
     if not hypotheses:
-        raise InputError(f"{metric} needs a non-empty corpus")
+        raise InputError("a corpus metric needs a non-empty corpus")
     if len(hypotheses) != len(references):
         raise InputError("hypothesis and reference lists differ in length")
     if any(not refs for refs in references):
@@ -131,12 +129,10 @@ def _occurrences(captions: list[tuple[str, ...]], length: np.ndarray):
 class NgramIndex:
     """The n-grams of orders 1..MAX_N of one corpus, as arrays.
 
-    It is made for one pair of hypothesis and reference lists, and the first
-    metric that calls `built` builds it, so BLEU and CIDEr-D share one build.
-    Each distinct caption is numbered once, in order of first appearance,
-    hypotheses first. A pair is one reference of one hypothesis, numbered in
-    corpus order; its slot j is the reference's place in that hypothesis'
-    list.
+    BLEU and CIDEr-D are given the index, and the first of them to call
+    `built` builds it, so they share one build. Each distinct caption is
+    numbered once, in order of first appearance, hypotheses first. A pair is
+    one reference of one hypothesis, numbered in corpus order.
 
     Per caption: `length`, `first_entry` and `n_entries`. Per hypothesis:
     `hyp_cap`, `n_refs`, and `pair_start`, its first pair. Per pair:
@@ -144,33 +140,25 @@ class NgramIndex:
     entry per distinct n-gram of each caption, grouped by caption, then
     order, then first occurrence: `order` (0-based), `gram`, `count`.
     `keys` holds caption x n_grams + gram of every entry, sorted, then a
-    sentinel above them all. A row is one entry of a hypothesis:
-    `row_entry`, with its hypothesis' `row_refs` and first pair `row_pair`.
-    `look_count` holds the count of each row's n-gram in each reference of
-    its hypothesis, by row (from `row_start`), then slot.
+    sentinel above them all. A row is one entry of a hypothesis: `row_entry`,
+    with its hypothesis' `row_refs` and its first lookup `row_start`. A
+    lookup is one row in one reference of its hypothesis, by row, then
+    reference: `look_pair`, and `look_count`, the count of the row's n-gram
+    in that reference.
     """
 
     def __init__(self, hypotheses: list[Tokens], references: list[list[Tokens]]):
+        _check_corpus(hypotheses, references)
         self.hypotheses = hypotheses
         self.references = references
         self._built = False
 
-    def built(self, hypotheses: list[Tokens],
-              references: list[list[Tokens]]) -> NgramIndex:
-        """This index, built on the first call; the lists must be the very
-        objects it was made for."""
-        if hypotheses is not self.hypotheses or references is not self.references:
-            raise InputError("an n-gram index serves only the corpus it was made for")
+    def built(self) -> NgramIndex:
+        """This index, built on the first call."""
         if not self._built:
             self._look_up(self._build_table())
             self._built = True
         return self
-
-    def reference_slots(self):
-        """(j, rows) per slot j: the rows whose hypothesis has a reference in
-        slot j, whose pairs are therefore row_pair + j."""
-        for j in range(int(self.n_refs.max())):
-            yield j, np.flatnonzero(np.maximum(self.row_refs - j, 0))
 
     def _build_table(self) -> np.ndarray:
         """Number the captions, fill the table and `keys`, and return the
@@ -202,36 +190,30 @@ class NgramIndex:
         return np.append(key_count, 0)
 
     def _look_up(self, key_count: np.ndarray):
-        """Count each hypothesis entry in each reference of its hypothesis,
-        one slot at a time, which keeps the arrays small."""
+        """Count each hypothesis entry in each reference of its hypothesis."""
         hyp_entries = self.n_entries[self.hyp_cap]
         self.row_entry = _ranges(self.first_entry[self.hyp_cap], hyp_entries)
         self.row_refs = np.repeat(self.n_refs, hyp_entries)
-        self.row_pair = np.repeat(self.pair_start, hyp_entries)
         self.row_start = np.cumsum(self.row_refs) - self.row_refs
-        row_gram = self.gram[self.row_entry]
-        self.look_count = np.empty(self.row_refs.sum(), np.intp)
-        for j, rows in self.reference_slots():
-            query = self.pair_ref[self.row_pair[rows] + j] * self.n_grams + row_gram[rows]
-            at = np.searchsorted(self.keys, query)  # the first key >= query
-            miss = np.minimum(self.keys[at] - query, 1)  # 0 where the reference holds it
-            self.look_count[self.row_start[rows] + j] = key_count[at] * (1 - miss)
+        self.look_pair = _ranges(np.repeat(self.pair_start, hyp_entries), self.row_refs)
+        query = self.pair_ref[self.look_pair] * self.n_grams
+        query += np.repeat(self.gram[self.row_entry], self.row_refs)
+        at = np.searchsorted(self.keys, query)  # the first key >= query
+        self.look_count = key_count[at]
+        self.look_count[self.keys[at] != query] = 0  # the reference lacks the n-gram
 
 
 # -- BLEU ----------------------------------------------------------------------
 
 
-def bleu_all(hypotheses: list[Tokens], references: list[list[Tokens]], *,
-             index: NgramIndex | None = None) -> list[float]:
+def bleu_all(index: NgramIndex) -> list[float]:
     """Corpus BLEU for every order 1..MAX_N, on a 0-100 scale.
 
     Clipped n-gram counts are pooled over the corpus; the brevity penalty uses
     the closest reference length per hypothesis (ties going to the shorter).
     An order with no match scores 0, and so does every order above it.
-    `index`, made for these same lists, shares its build with CIDEr-D.
     """
-    _check_corpus(hypotheses, references, "BLEU")
-    ix = (index or NgramIndex(hypotheses, references)).built(hypotheses, references)
+    ix = index.built()
     lengths, ref_lengths = ix.length[ix.hyp_cap], ix.length[ix.pair_ref]
     # the closest reference length, ties to the shorter: the least (gap^2, length)
     span = int(ix.length.max()) + 1
@@ -265,15 +247,13 @@ def _symbol_masks(a: Tokens) -> dict[str, int]:
     return masks
 
 
-def _lcs_length(a: Tokens, b: Tokens, masks: dict[str, int] | None = None) -> int:
+def _lcs_length(a: Tokens, b: Tokens, masks: dict[str, int]) -> int:
     """LCS length of a and b, bit-parallel (see the module docstring).
 
     Bit i of v is cleared where a row of the LCS table steps up at a[i], so
     after all of b the clear bits of v count the LCS. `masks` is
-    `_symbol_masks(a)`, when the caller already built it.
+    `_symbol_masks(a)`.
     """
-    if masks is None:
-        masks = _symbol_masks(a)
     full = (1 << len(a)) - 1
     v = full
     for y in b:
@@ -305,7 +285,7 @@ def rouge_l_single(hypothesis: Tokens, references: list[Tokens]) -> float:
 
 def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]]) -> float:
     """Corpus ROUGE-L: mean of the per-example scores."""
-    _check_corpus(hypotheses, references, "ROUGE-L")
+    _check_corpus(hypotheses, references)
     return sum(rouge_l_single(h, r) for h, r in zip(hypotheses, references)) / len(hypotheses)
 
 
@@ -325,41 +305,40 @@ def _document_frequency(ix: NgramIndex) -> np.ndarray:
     return np.bincount(docs[_runs(docs)[0]] % ix.n_grams, minlength=ix.n_grams)
 
 
-def cider(hypotheses: list[Tokens], references: list[list[Tokens]], *,
-          index: NgramIndex | None = None) -> float:
+def cider(index: NgramIndex) -> float:
     """CIDEr-D on the conventional 0-10 scale.
 
     idf comes from the reference corpus (document = one example's reference
     set); per-reference similarity is the count-clipped tf-idf cosine per
     n-gram order, damped by a Gaussian penalty (width CIDER_SIGMA) on the
     length difference, averaged over orders 1..MAX_N and references, then
-    scaled by 10. `index`, made for these same lists, shares its build with
-    BLEU.
+    scaled by 10.
     """
-    _check_corpus(hypotheses, references, "CIDEr")
-    if len(hypotheses) < 2:
+    n_examples = len(index.references)
+    if n_examples < 2:
         raise InputError(
             "CIDEr needs at least 2 examples: with a single-document corpus "
             "every idf is log(1/1) = 0 and all vectors are degenerate"
         )
-    ix = (index or NgramIndex(hypotheses, references)).built(hypotheses, references)
-    log_docs = math.log(len(references))
-    idf = np.array([log_docs] + [log_docs - math.log(df) for df in range(1, len(references) + 1)])
+    ix = index.built()
+    log_docs = math.log(n_examples)
+    idf = np.array([log_docs] + [log_docs - math.log(df) for df in range(1, n_examples + 1)])
     idf = idf[_document_frequency(ix)]
     vec = ix.count * idf[ix.gram]
     n_caps, n_pairs = len(ix.length), len(ix.pair_ref)
     norms = np.sqrt(np.bincount(np.repeat(np.arange(n_caps) * MAX_N, ix.n_entries) + ix.order,
-                                weights=vec * vec, minlength=n_caps * MAX_N))
-    norms = norms.reshape(n_caps, MAX_N)
-    # one term per lookup, min(h_val, r_val) * r_val, summed per (pair, order);
-    # the pairs of one slot are those of no other, so adding the slots adds 0.0
-    h_val, row_idf = vec[ix.row_entry], idf[ix.gram[ix.row_entry]]
-    row_bin = ix.row_pair * MAX_N + ix.order[ix.row_entry]
-    dots = np.zeros(n_pairs * MAX_N)
-    for j, rows in ix.reference_slots():
-        r_val = row_idf[rows] * ix.look_count[ix.row_start[rows] + j]
-        dots += np.bincount(row_bin[rows] + j * MAX_N, minlength=n_pairs * MAX_N,
-                            weights=np.minimum(h_val[rows], r_val) * r_val)
+                                weights=vec * vec, minlength=n_caps * MAX_N)).reshape(n_caps, -1)
+    # one term per lookup, min(h_val, r_val) * r_val for the hypothesis'
+    # tf-idf value h_val and the reference's r_val, summed per (pair, order)
+    # bin; a bin's lookups are one pair's, in row order. The updates are in
+    # place because every extra lookup-sized array that the heap grows for
+    # costs page faults on each call, which `score` measured as a slowdown.
+    r_val = np.repeat(idf[ix.gram[ix.row_entry]], ix.row_refs) * ix.look_count
+    terms = np.minimum(np.repeat(vec[ix.row_entry], ix.row_refs), r_val)
+    terms *= r_val
+    bins = ix.look_pair * MAX_N
+    bins += np.repeat(ix.order[ix.row_entry], ix.row_refs)
+    dots = np.bincount(bins, weights=terms, minlength=n_pairs * MAX_N)
     span = int(ix.length.max())
     penalty = np.array([math.exp(-(d * d) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
                         for d in range(-span, span + 1)])
@@ -369,7 +348,7 @@ def cider(hypotheses: list[Tokens], references: list[list[Tokens]], *,
                      out=np.zeros((n_pairs, MAX_N)), where=(h_norm != 0.0) & (r_norm != 0.0))
     # cumsum adds in sequence, like every sum here
     total = np.bincount(ix.pair_hyp, weights=np.cumsum(sims, axis=1)[:, -1] / MAX_N,
-                        minlength=len(hypotheses))
+                        minlength=n_examples)
     scores = 10.0 * total / ix.n_refs
     return float(np.cumsum(scores)[-1]) / len(scores)
 
@@ -387,14 +366,13 @@ class EditOp:
 
 @dataclass
 class EditRecord:
-    example_id: str
     draft: Tokens
     emended: Tokens
     count: int
     ops: list[EditOp]
 
 
-def token_edits(draft: Tokens, emended: Tokens, example_id: str = "") -> EditRecord:
+def token_edits(draft: Tokens, emended: Tokens) -> EditRecord:
     """Token-level Levenshtein alignment with unit costs.
 
     On cost ties the backtrace prefers substitution over delete+insert, so a
@@ -432,7 +410,7 @@ def token_edits(draft: Tokens, emended: Tokens, example_id: str = "") -> EditRec
             ops.append(EditOp("ins", i, new=emended[j - 1]))
             j -= 1
     ops.reverse()
-    return EditRecord(example_id, list(draft), list(emended), dist[m][n], ops)
+    return EditRecord(list(draft), list(emended), dist[m][n], ops)
 
 
 def apply_edits(draft: Tokens, ops: list[EditOp]) -> Tokens:
@@ -504,9 +482,9 @@ def compute_metrics(hypotheses: list[Tokens],
     index = NgramIndex(hypotheses, references)
     return MetricsReport(
         counts=len(hypotheses),
-        bleu=bleu_all(hypotheses, references, index=index),
+        bleu=bleu_all(index),
         rouge_l=rouge_l(hypotheses, references),
-        cider=10.0 * cider(hypotheses, references, index=index),
+        cider=10.0 * cider(index),
     )
 
 

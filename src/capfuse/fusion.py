@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .autodiff import Parameter, affine, concat, dropout, glu, relu
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .models import (
     CaptionDecoder,
     MaskedLM,
@@ -157,9 +157,14 @@ class CaptionModel:
         return self.fusion is not None
 
 
+def _rng(seed: int) -> np.random.Generator:
+    check_int("seed", seed, 0)
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def build_model(cfg: ModelConfig, seed: int) -> CaptionModel:
-    return CaptionModel(cfg, np.random.default_rng(np.random.SeedSequence(seed)))
+    return CaptionModel(cfg, _rng(seed))
 
 
 def build_mlm(cfg: MlmConfig, seed: int) -> MaskedLM:
-    return MaskedLM(cfg, np.random.default_rng(np.random.SeedSequence(seed)))
+    return MaskedLM(cfg, _rng(seed))

@@ -63,7 +63,7 @@ from .autodiff import (
     softmax_xent_rows,
 )
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID  # noqa: F401 (re-exported)
-from .errors import ConfigError, InputError, ShapeError, StateError
+from .errors import ConfigError, InputError, ShapeError, StateError, check_int
 
 
 @dataclass
@@ -82,8 +82,7 @@ class ModelConfig:
     def validate(self):
         for name in ("vocab_size", "feature_dim", "embed_dim", "hidden_dim",
                      "mlm_hidden_dim", "fusion_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+            check_int(name, getattr(self, name), 1)
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.vocab_size <= MASK_ID:
@@ -230,8 +229,8 @@ class MlmConfig:
     hidden_dim: int = 128
 
     def validate(self):
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
-            raise ConfigError("MLM dims must be positive")
+        for name in ("vocab_size", "embed_dim", "hidden_dim"):
+            check_int(name, getattr(self, name), 1)
         if self.vocab_size <= MASK_ID:
             raise ConfigError("vocab_size must cover the special token ids")
 
@@ -376,10 +375,9 @@ class MlmPretrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from capfuse.autodiff import (
     relu,
     softmax_xent_rows,
 )
-from capfuse.errors import ConfigError, NumericError, ShapeError, StateError
+from capfuse.errors import ConfigError, InputError, NumericError, ShapeError, StateError
 
 from oracles import add, gather_rows_grad_full, grad_check, tanh
 
@@ -399,8 +399,13 @@ class TestSoftmaxXent:
 
     def test_target_out_of_range(self):
         for bad in (4, -1):
-            with pytest.raises(IndexError):
+            with pytest.raises(InputError, match="out of range"):
                 softmax_xent_rows(t(np.zeros((2, 4))), np.array([0, bad]))
+
+    def test_empty_batch_rejected(self):
+        for logits in (np.zeros((0, 4)), t(np.zeros((0, 4)))):
+            with pytest.raises(ShapeError, match="with rows"):
+                softmax_xent_rows(logits, np.array([], dtype=int))
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(8)

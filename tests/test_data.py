@@ -86,6 +86,11 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="seed" if n_scenes == 20 else "n_scenes"):
             generate_dataset(seed, n_scenes, 3, (0.5, 0.25, 0.25))
 
+    @pytest.mark.parametrize("refs_per_scene", [2, 6, 3.5])
+    def test_refs_per_scene_outside_3_to_5_rejected(self, refs_per_scene):
+        with pytest.raises(ConfigError, match="refs_per_scene"):
+            generate_dataset(0, 20, refs_per_scene)
+
     def test_feature_noise_deterministic(self):
         a = generate_dataset(11, 12, 3, (0.5, 0.25, 0.25))
         b = generate_dataset(11, 12, 3, (0.5, 0.25, 0.25))

@@ -311,11 +311,11 @@ class TestGreedyAndBeam:
         b = beam_search_scored(model, f, BeamConfig(beam_width=5, max_len=MAX_LEN))
         assert a == b
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            BeamConfig(beam_width=0).validate()
-        with pytest.raises(ConfigError):
-            BeamConfig(max_len=1).validate()
+    @pytest.mark.parametrize("field, value", [("beam_width", 0), ("max_len", 1),
+                                              ("beam_width", 2.5), ("max_len", 3.5)])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            BeamConfig(**{field: value}).validate()
 
     def test_fusion_decode_requires_mlm(self):
         # a fusion model decodes and rescores only against a draft

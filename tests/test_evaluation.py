@@ -8,6 +8,7 @@ from capfuse.evaluation import (
     MetricsReport,
     NgramIndex,
     _lcs_length,
+    _symbol_masks,
     aggregate_seeds,
     apply_edits,
     bleu_all,
@@ -31,6 +32,14 @@ from oracles import (
 )
 
 
+def bleu_of(hyps, refs):
+    return bleu_all(NgramIndex(hyps, refs))
+
+
+def cider_of(hyps, refs):
+    return cider(NgramIndex(hyps, refs))
+
+
 def random_corpus(rng, n_examples, vocab=("a", "b", "c", "d"), max_len=7,
                   max_refs=3):
     hyps, refs = [], []
@@ -50,40 +59,40 @@ class TestBleu:
         hyps = [["a", "red", "circle", "here"], ["two", "blue", "stars", "shine"]]
         refs = [[h] for h in hyps]
         for n in range(1, 5):
-            assert bleu_all(hyps, refs)[n - 1] == pytest.approx(100.0, abs=1e-9)
+            assert bleu_of(hyps, refs)[n - 1] == pytest.approx(100.0, abs=1e-9)
 
     def test_worked_clipped_unigram_example(self):
         hyp = "the the the the the the the".split()
         ref = "the cat is on the mat".split()
-        score = bleu_all([hyp], [[ref]])[0]
+        score = bleu_of([hyp], [[ref]])[0]
         assert score == pytest.approx(100.0 * 2.0 / 7.0, abs=1e-9)
 
     def test_brevity_penalty_applies_to_short_hypothesis(self):
         hyp = ["the", "cat"]
         ref = ["the", "cat", "is", "here"]
         expect = 100.0 * np.exp(1.0 - 4.0 / 2.0)  # precisions are 1
-        assert bleu_all([hyp], [[ref]])[0] == pytest.approx(expect, abs=1e-9)
+        assert bleu_of([hyp], [[ref]])[0] == pytest.approx(expect, abs=1e-9)
 
     def test_closest_reference_tie_prefers_shorter(self):
         hyp = ["a", "b", "c"]
         refs = [["a", "b"], ["a", "b", "c", "d"]]  # both at distance 1
         # shorter wins the tie, so r=2 < c=3 and BP is 1
-        assert bleu_all([hyp], [refs])[0] == pytest.approx(100.0 * 3.0 / 3.0, abs=1e-9)
+        assert bleu_of([hyp], [refs])[0] == pytest.approx(100.0 * 3.0 / 3.0, abs=1e-9)
 
     def test_zero_ngram_matches_scores_zero(self):
-        assert bleu_all([["x"]], [[["y"]]]) == [0.0] * 4
+        assert bleu_of([["x"]], [[["y"]]]) == [0.0] * 4
         # unsmoothed: no bigram match zeroes BLEU-2 and above
-        assert bleu_all([["a", "b"]], [[["a", "c"]]]) == [50.0, 0.0, 0.0, 0.0]
+        assert bleu_of([["a", "b"]], [[["a", "c"]]]) == [50.0, 0.0, 0.0, 0.0]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
-            bleu_all([], [])
+            bleu_of([], [])
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             hyps, refs = random_corpus(rng, int(rng.integers(2, 7)))
-            scores = bleu_all(hyps, refs)
+            scores = bleu_of(hyps, refs)
             for n in range(1, 5):
                 assert scores[n - 1] == pytest.approx(
                     bleu_brute(hyps, refs, n), abs=1e-9
@@ -93,7 +102,7 @@ class TestBleu:
         rng = np.random.default_rng(1)
         hyps, _ = random_corpus(rng, 5)
         refs = [[h] for h in hyps]
-        assert all(s == pytest.approx(100.0, abs=1e-9) for s in bleu_all(hyps, refs))
+        assert all(s == pytest.approx(100.0, abs=1e-9) for s in bleu_of(hyps, refs))
 
 
 class TestRouge:
@@ -137,11 +146,11 @@ class TestCider:
     def test_no_overlap_scores_zero(self):
         hyps = [["x", "y"], ["a", "b"]]
         refs = [[["p", "q"]], [["r", "s"]]]
-        assert cider(hyps, refs) == 0.0
+        assert cider_of(hyps, refs) == 0.0
 
     def test_single_image_corpus_rejected(self):
         with pytest.raises(InputError, match="idf"):
-            cider([["a"]], [[["a"]]])
+            cider_of([["a"]], [[["a"]]])
 
     def test_matches_brute_force_on_toy_corpus(self):
         hyps = [["a", "red", "circle"], ["two", "blue", "stars"]]
@@ -149,19 +158,19 @@ class TestCider:
             [["a", "red", "circle"], ["one", "red", "circle", "here"]],
             [["two", "blue", "stars"], ["blue", "stars", "twinkle"]],
         ]
-        assert cider(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-6)
+        assert cider_of(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-6)
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             hyps, refs = random_corpus(rng, int(rng.integers(2, 6)), max_len=5)
-            assert cider(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-6)
+            assert cider_of(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-6)
 
     def test_reference_order_invariance(self):
         hyps = [["a", "b"], ["c", "d"]]
         refs = [[["a", "b"], ["a", "x"]], [["c", "d"], ["c", "y"]]]
         flipped = [bundle[::-1] for bundle in refs]
-        assert cider(hyps, refs) == pytest.approx(cider(hyps, flipped), abs=1e-12)
+        assert cider_of(hyps, refs) == pytest.approx(cider_of(hyps, flipped), abs=1e-12)
 
 
 class TestTokenEdits:
@@ -279,14 +288,14 @@ class TestReports:
         examples = generate_dataset(6, 30, 3, (0.5, 0.25, 0.25))
         hyps = [ex.references[int(rng.integers(3))].split() for ex in examples]
         refs = [[r.split() for r in ex.references] for ex in examples]
-        scores = bleu_all(hyps, refs)
+        scores = bleu_of(hyps, refs)
         assert scores[0] >= scores[1] >= scores[2] >= scores[3]
 
 
 # -- input checks shared by the three corpus metrics ----------------------------
 
 
-METRICS = {"bleu": bleu_all, "rouge_l": rouge_l, "cider": cider}
+METRICS = {"bleu": bleu_of, "rouge_l": rouge_l, "cider": cider_of}
 BAD_CORPORA = {
     "empty corpus": ([], []),
     "lengths differ": ([["a"], ["b"]], [[["a"]]]),
@@ -305,7 +314,7 @@ def test_bad_corpus_rejected(metric, case):
 # -- the fast paths against their oracles ------------------------------------------
 
 captions = st.lists(st.sampled_from("abcd"), max_size=6)
-corpus_rows = st.tuples(captions, st.lists(captions, min_size=1, max_size=3))
+corpus_rows = st.tuples(captions, st.lists(captions, min_size=1, max_size=6))
 
 
 @given(captions, captions)
@@ -314,17 +323,19 @@ corpus_rows = st.tuples(captions, st.lists(captions, min_size=1, max_size=3))
 @example(["a"], ["a"])
 @settings(max_examples=200, deadline=None)
 def test_bit_parallel_lcs_matches_recursive(a, b):
-    assert _lcs_length(a, b) == lcs_recursive(tuple(a), tuple(b))
+    assert _lcs_length(a, b, _symbol_masks(a)) == lcs_recursive(tuple(a), tuple(b))
 
 
 @given(st.lists(corpus_rows, min_size=1, max_size=5))
 @example([([], [["a"]])])
 @example([(["a"], [[], ["a"]]), ([], [["b"]])])
+@example([(["a", "b"], [["a"], ["b", "a"], [], ["a", "b"], ["b"], ["a", "b", "a"]]),
+          (["b"], [["b"]])])
 @settings(max_examples=100, deadline=None)
 def test_bleu_matches_brute_force(corpus):
     hyps = [h for h, _ in corpus]
     refs = [r for _, r in corpus]
-    scores = bleu_all(hyps, refs)
+    scores = bleu_of(hyps, refs)
     for n in range(1, 5):
         assert scores[n - 1] == pytest.approx(bleu_brute(hyps, refs, n), abs=1e-9)
 
@@ -332,11 +343,13 @@ def test_bleu_matches_brute_force(corpus):
 @given(st.lists(corpus_rows, min_size=2, max_size=5))
 @example([([], [["a"]]), (["a"], [[]])])
 @example([(["a"], [["a"]]), (["b"], [["a"], ["b"]])])
+@example([(["a", "b"], [["a"], ["b", "a"], [], ["a", "b"], ["b"], ["a", "b", "a"]]),
+          (["b"], [["b"]])])
 @settings(max_examples=100, deadline=None)
 def test_cider_matches_brute_force(corpus):
     hyps = [h for h, _ in corpus]
     refs = [r for _, r in corpus]
-    assert cider(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-12)
+    assert cider_of(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-12)
 
 
 def test_token_edits_match_full_table_oracle():
@@ -368,25 +381,54 @@ def score_shaped_corpus(seed: int, scenes: int = 10):
     return hyps, refs
 
 
-# compute_metrics on score_shaped_corpus(seed), pinned as float.hex: BLEU-1..4,
-# ROUGE-L, CIDEr-D; the n-gram index must reproduce these bits exactly. They
-# were taken with CPython 3.11 and glibc's libm: ROUGE-L's mean uses the
-# builtin sum, which CPython 3.12 made compensated, and math.log/exp come from
-# the platform's libm, so another platform may differ in the last bit.
+def ragged_corpus(seed: int, scenes: int = 12):
+    """Every reference of the scenes is a hypothesis, with one token replaced
+    (every third one kept verbatim), scored against the next 1-6 captions of
+    the corpus, so reference counts are ragged and captions repeat."""
+    from capfuse.data import generate_dataset
+
+    rng = np.random.default_rng(seed)
+    caps = [r.split() for ex in generate_dataset(seed, scenes, refs_per_scene=5)
+            for r in ex.references]
+    hyps, refs = [], []
+    for j, cap in enumerate(caps):
+        hyp = list(cap)
+        if j % 3:
+            hyp[int(rng.integers(len(hyp)))] = caps[j - 1][0]
+        hyps.append(hyp)
+        refs.append([caps[(j + k) % len(caps)] for k in range(1, int(rng.integers(2, 8)))])
+    return hyps, refs
+
+
+# compute_metrics on each corpus, pinned as float.hex: BLEU-1..4, ROUGE-L,
+# CIDEr-D; the n-gram index must reproduce these bits exactly. They were taken
+# with CPython 3.11 and glibc's libm: ROUGE-L's mean uses the builtin sum,
+# which CPython 3.12 made compensated, and math.log/exp come from the
+# platform's libm, so another platform may differ in the last bit.
 GOLDEN_HEX = {
-    11: ["0x1.37fc6b02d7dbep+6", "0x1.0869e59d4781dp+6", "0x1.d9866a9cef789p+5",
-         "0x1.b01112eef3fa2p+5", "0x1.1e1722327e6bfp+6", "0x1.45d588a5c20b1p+5"],
-    12: ["0x1.3e2c58ee290d7p+6", "0x1.0db9e1938bc8fp+6", "0x1.e4f012e73990bp+5",
-         "0x1.ba9f0b7adc051p+5", "0x1.1f99b1028c4c4p+6", "0x1.53de30d5a9714p+5"],
-    13: ["0x1.5054f245a4b8bp+6", "0x1.26184659e7047p+6", "0x1.0d14101d06929p+6",
-         "0x1.f2d706ade8889p+5", "0x1.323f2198b863dp+6", "0x1.7a0681db9f127p+5"],
+    (score_shaped_corpus, 11): [
+        "0x1.37fc6b02d7dbep+6", "0x1.0869e59d4781dp+6", "0x1.d9866a9cef789p+5",
+        "0x1.b01112eef3fa2p+5", "0x1.1e1722327e6bfp+6", "0x1.45d588a5c20b1p+5"],
+    (score_shaped_corpus, 12): [
+        "0x1.3e2c58ee290d7p+6", "0x1.0db9e1938bc8fp+6", "0x1.e4f012e73990bp+5",
+        "0x1.ba9f0b7adc051p+5", "0x1.1f99b1028c4c4p+6", "0x1.53de30d5a9714p+5"],
+    (score_shaped_corpus, 13): [
+        "0x1.5054f245a4b8bp+6", "0x1.26184659e7047p+6", "0x1.0d14101d06929p+6",
+        "0x1.f2d706ade8889p+5", "0x1.323f2198b863dp+6", "0x1.7a0681db9f127p+5"],
+    (ragged_corpus, 14): [
+        "0x1.2b31cf68e5f38p+6", "0x1.faec1aa491aabp+5", "0x1.b7d93bed36d5ap+5",
+        "0x1.7d466fe3119dap+5", "0x1.ef08256d53f92p+5", "0x1.9241b5b5f3264p+4"],
 }
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_HEX))
-def test_compute_metrics_bits_are_pinned(seed):
-    rep = compute_metrics(*score_shaped_corpus(seed))
-    assert [x.hex() for x in rep.bleu + [rep.rouge_l, rep.cider]] == GOLDEN_HEX[seed]
+@pytest.mark.parametrize("corpus, seed", GOLDEN_HEX, ids=[
+    str(seed) if corpus is score_shaped_corpus else f"ragged-{seed}" for corpus, seed in GOLDEN_HEX])
+def test_compute_metrics_bits_are_pinned(corpus, seed):
+    hyps, refs = corpus(seed)
+    if corpus is ragged_corpus:
+        assert sorted({len(r) for r in refs}) == [1, 2, 3, 4, 5, 6]
+    rep = compute_metrics(hyps, refs)
+    assert [x.hex() for x in rep.bleu + [rep.rouge_l, rep.cider]] == GOLDEN_HEX[corpus, seed]
 
 
 class TestSharedIndex:
@@ -398,33 +440,24 @@ class TestSharedIndex:
         assert rep.rouge_l == rouge_brute(hyps, refs)
         assert rep.cider == pytest.approx(10.0 * cider_brute(hyps, refs), abs=1e-11)
 
-    def test_passing_an_index_changes_no_bit(self):
-        hyps, refs = score_shaped_corpus(12)
-        index = NgramIndex(hyps, refs)
-        assert bleu_all(hyps, refs, index=index) == bleu_all(hyps, refs)
-        assert cider(hyps, refs, index=index) == cider(hyps, refs)
+    @pytest.mark.parametrize("make_corpus, seed", [(score_shaped_corpus, 12), (ragged_corpus, 15)],
+                             ids=["score", "ragged"])
+    def test_a_shared_index_changes_no_bit(self, make_corpus, seed):
+        corpus = make_corpus(seed)
+        bleu, cider_d = bleu_of(*corpus), cider_of(*corpus)
         # built once, by whichever metric reads it first
-        index = NgramIndex(hyps, refs)
-        assert cider(hyps, refs, index=index) == cider(hyps, refs)
-        assert bleu_all(hyps, refs, index=index) == bleu_all(hyps, refs)
-        rep = compute_metrics(hyps, refs)
-        assert rep.bleu == bleu_all(hyps, refs)
-        assert rep.cider == 10.0 * cider(hyps, refs)
-
-    def test_index_of_another_corpus_rejected(self):
-        hyps, refs = score_shaped_corpus(12)
-        other = NgramIndex(*score_shaped_corpus(13))
-        same_contents = NgramIndex(list(hyps), list(refs))
-        for metric in (bleu_all, cider):
-            for index in (other, same_contents):
-                with pytest.raises(InputError, match="made for"):
-                    metric(hyps, refs, index=index)
+        index = NgramIndex(*corpus)
+        assert bleu_all(index) == bleu and cider(index) == cider_d
+        index = NgramIndex(*corpus)
+        assert cider(index) == cider_d and bleu_all(index) == bleu
+        rep = compute_metrics(*corpus)
+        assert rep.bleu == bleu and rep.cider == 10.0 * cider_d
 
     def test_index_counts_each_caption_once(self):
         caption = ["a", "b", "a", "b"]
         hyps = [caption, ["b", "a"]]
         refs = [[list(caption), ["a", "b"]], [caption]]
-        index = NgramIndex(hyps, refs).built(hyps, refs)
+        index = NgramIndex(hyps, refs).built()
         assert len(index.length) == 3  # "a b a b", "b a", "a b"
         assert index.hyp_cap[0] == index.pair_ref[0] == index.pair_ref[2]
         entries = slice(index.first_entry[index.hyp_cap[0]],

@@ -3,7 +3,7 @@ import pytest
 
 from capfuse.autodiff import Tensor, affine, dropout, relu, softmax_xent_rows
 from capfuse.errors import ConfigError
-from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_model
+from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_mlm, build_model
 from capfuse.models import MaskedLM, MlmConfig, ModelConfig, START_ID
 from oracles import add, encode_masked, fusion_logits, grad_check
 
@@ -180,6 +180,18 @@ class TestDispatch:
     def test_none_kind_rejected(self):
         with pytest.raises(ConfigError):
             FusionLayer(FusionKind.NONE, tiny_cfg("none"), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        for build, cfg in ((build_model, tiny_cfg()), (build_mlm, MlmConfig(V))):
+            with pytest.raises(ConfigError, match="^seed must be"):
+                build(cfg, seed)
+
+    def test_a_dimension_that_is_not_an_integer_is_rejected(self):
+        with pytest.raises(ConfigError, match="^hidden_dim must be an integer, got 16.5"):
+            build_model(tiny_cfg(hidden_dim=16.5), 0)
+        with pytest.raises(ConfigError, match="^hidden_dim must be an integer, got 2.5"):
+            build_mlm(MlmConfig(V, hidden_dim=2.5), 0)
 
     def test_kind_name_round_trip(self):
         for kind in FusionKind:

@@ -641,13 +641,17 @@ class TestMlmPretrain:
         assert all(not p.requires_grad for p in mlm.parameters())
 
     @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
-                                              ("batch_size", 0), ("batch_size", -2)])
-    def test_epochs_or_batch_size_below_one_rejected(self, field, value):
+                                              ("batch_size", 0), ("batch_size", -2),
+                                              ("epochs", 1.5), ("batch_size", 2.5),
+                                              ("seed", -1), ("seed", 1.5)])
+    def test_bad_epochs_batch_size_or_seed_rejected(self, field, value):
         mlm = tiny_mlm(seed=16)
         before = mlm.checksum()
         cfg = MlmPretrainConfig(epochs=1, batch_size=4)
         setattr(cfg, field, value)
-        with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
+        least = 0 if field == "seed" else 1
+        want = f"an integer, got {value}" if value % 1 else f"at least {least}, got {value}"
+        with pytest.raises(ConfigError, match=f"{field} must be {want}"):
             mlm_pretrain(mlm, [[START_ID, 5, 6, EOS_ID]] * 4, cfg)
         assert not mlm.frozen() and mlm.checksum() == before
 
