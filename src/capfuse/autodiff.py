@@ -26,9 +26,12 @@ raises TypeError, as numpy arithmetic between the two does.
 
 lstm_step(xp, h, c, wh, b) is the one LSTM cell kernel. It takes the input
 already projected, xp = x @ Wx, so that lstm_seq, which unrolls a whole layer
-over a time-major [T*B x 4H] projection, runs it step by step; on a Tensor,
-lstm_seq records one node for the whole unroll and backpropagates through
-time by hand in its backward.
+over a time-major [T*B x 4H] projection, runs it step by step. lstm_seq steps
+each row only up to the last step its caller reads (its `last` argument),
+packed like a PyTorch PackedSequence: the rows still stepped at each step are
+a prefix of one order, so the state shrinks by slicing. On a Tensor, lstm_seq
+records one node for the whole unroll and backpropagates through time by
+hand in its backward, over the same packed rows.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -46,7 +49,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericError, ShapeError, StateError
+from .errors import ConfigError, InputError, NumericError, ShapeError, StateError, check_real
 
 # _backward of a node that backward() has freed
 _FREED = object()
@@ -356,58 +359,77 @@ def _cell_update(z, c):
     return o * np.tanh(c_new), c_new
 
 
-def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor):
+def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor, last):
     """One LSTM layer unrolled from a zero state over a time-major projected
     input xp = X @ Wx of shape [T*batch x 4H]; returns the hidden state after
     every step, [T*batch x H], step t in rows t*batch to (t+1)*batch - 1.
 
+    last[r] is the last step whose state row r's caller reads, -1 for none.
+    Row r is stepped up to last[r] only, and its rows after that are zero:
+    the rows are ordered once by last, descending and stable, so each step
+    steps a prefix of that order, and the stepped rows of xp are gathered
+    step-major with one index, as a PackedSequence packs them. While any row
+    is stepped at least min(2, batch) rows are, since a one-row product takes
+    another BLAS kernel; a stepped row gets the bits of the all-rows unroll.
     Each step is lstm_step's arithmetic (_gates, then _cell_update) on plain
     arrays. A plain-array xp gives a plain array and records no graph. A
-    Tensor xp records one node over xp, wh and b that saves each step's gates
-    and cell state; its backward is backpropagation through time, one
-    dz @ wh.T per step, then one product for wh's gradient. Rows are never
-    packed by length: padded steps are computed like the others, and a step
-    whose state no later op reads gets gradient zero.
+    Tensor xp records one node over xp, wh and b that saves the stepped rows'
+    gates and cell states; its backward is backpropagation through time over
+    the same prefixes, one dz @ wh.T per step, then one product over all rows
+    for wh's gradient. A row that is not stepped gets gradient zero.
     """
     tensor = isinstance(xp, Tensor)
     xd = xp.data if tensor else xp
     if xd.ndim != 2 or xd.shape[0] % batch or xd.shape[1] != wh.data.shape[1]:
         raise ShapeError(f"lstm_seq input {xd.shape} is not [T*{batch} x {wh.data.shape[1]}]")
-    hs = np.empty((xd.shape[0], wh.data.shape[0]))
+    last = np.asarray(last)
+    if last.shape != (batch,) or not -1 <= last.min() <= last.max() < len(xd) // batch:
+        raise ShapeError(f"lstm_seq last {last} is not one step in -1..T-1 per row of {batch}")
+    steps = np.arange(last.max() + 1)
+    rows = np.maximum((last >= steps[:, None]).sum(axis=1), min(2, batch))  # per step
+    packed = (steps[:, None] * batch + np.argsort(-last, kind="stable"))[
+        np.arange(batch) < rows[:, None]]
+    xs, hp = xd[packed], np.empty((len(packed), wh.data.shape[0]))
     h = c = np.zeros((batch, wh.data.shape[0]))
-    gates, cells = [], []
-    for lo in range(0, xd.shape[0], batch):
-        z = _gates(xd[lo:lo + batch], h, wh.data, b.data)
-        h, c = _cell_update(z, c)
-        hs[lo:lo + batch] = h
+    gates, cells, bounds = [], [], [0, *np.cumsum(rows).tolist()]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        z = _gates(xs[lo:hi], h[:hi - lo], wh.data, b.data)
+        h, c = _cell_update(z, c[:hi - lo])
+        hp[lo:hi] = h
         if tensor:
             gates.append(z)
             cells.append(c)
+    hs = np.zeros((len(xd), wh.data.shape[0]))
+    hs[packed] = hp
     if not tensor:
         return hs
-    back = functools.partial(_lstm_seq_backward, xp, batch, wh, b, hs, gates, cells)
+    back = functools.partial(_lstm_seq_backward, xp, batch, wh, b, hs, packed, bounds,
+                             gates, cells)
     return _record(hs, (xp, wh, b), back)
 
 
-def _lstm_seq_backward(xp, batch, wh, b, hs, gates, cells, g):
-    # dh and dc carry the gradient of the state entering step t + 1; dz holds
-    # every step's gate pre-activation gradient, time-major like xp
+def _lstm_seq_backward(xp, batch, wh, b, hs, packed, bounds, gates, cells, g):
+    # the first rows of dh and dc carry the gradient of the state entering
+    # step t + 1, the rest are zero; dzp holds the stepped rows' gate
+    # pre-activation gradients, packed like the forward
     n = hs.shape[1]
-    dz = np.empty((hs.shape[0], 4 * n))
-    dh = dc = np.zeros((batch, n))
+    gp, dzp = g[packed], np.empty((len(packed), 4 * n))
+    dh, dc = np.zeros((batch, n)), np.zeros((batch, n))
     for t in reversed(range(len(gates))):
-        lo = t * batch
-        z, tc = gates[t], np.tanh(cells[t])
+        lo, hi = bounds[t], bounds[t + 1]
+        m, z, tc = hi - lo, gates[t], np.tanh(cells[t])
         i, f, cand, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
-        dh = dh + g[lo:lo + batch]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        d = dz[lo:lo + batch]
-        d[:, :n] = dc * cand * i * (1.0 - i)
-        d[:, n:2 * n] = (dc * cells[t - 1] if t else 0.0) * f * (1.0 - f)
-        d[:, 2 * n:3 * n] = dc * i * (1.0 - cand * cand)
-        d[:, 3 * n:] = dh * tc * o * (1.0 - o)
-        dc = dc * f
-        dh = d @ wh.data.T
+        dht = dh[:m] + gp[lo:hi]
+        dct = dc[:m] + dht * o * (1.0 - tc * tc)
+        d = dzp[lo:hi]
+        d[:, :n] = dct * cand * i * (1.0 - i)
+        d[:, n:2 * n] = (dct * cells[t - 1][:m] if t else 0.0) * f * (1.0 - f)
+        d[:, 2 * n:3 * n] = dct * i * (1.0 - cand * cand)
+        d[:, 3 * n:] = dht * tc * o * (1.0 - o)
+        dc[:m] = dct * f
+        dh[:m] = d @ wh.data.T
+    dz = np.zeros((len(hs), 4 * n))
+    dz[packed] = dzp
     if xp.requires_grad:
         xp._accum(dz)
     if wh.requires_grad:
@@ -448,8 +470,7 @@ def softmax_xent_rows(logits, targets: np.ndarray):
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
     """Inverted dropout: identity at inference, rescaled mask in training,
     which needs `rng` when rate > 0."""
-    if not (0.0 <= rate < 1.0):
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    check_real("dropout rate", rate, "in [0, 1)", lambda r: 0.0 <= r < 1.0)
     if not training or rate == 0.0:
         return x
     if rng is None:
@@ -508,8 +529,7 @@ class Adam:
     EPS = 1e-8
 
     def __init__(self, params, lr: float = 5e-4):
-        if not (0.0 < lr < np.inf):  # NaN fails both comparisons
-            raise ConfigError(f"learning rate must be finite and positive, got {lr}")
+        check_real("learning rate", lr, "finite and positive", lambda r: 0.0 < r < np.inf)
         self.params = list(params)
         self.lr = lr
         self.t = 0

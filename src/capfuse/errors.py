@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the check of integer
-config values."""
+"""Exception types shared across the package, and the checks of integer
+and real config values."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ShapeError(ValueError):
@@ -39,3 +39,11 @@ def check_int(name: str, value, least: int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+
+
+def check_real(name: str, value, rule: str, holds):
+    """Raise ConfigError unless `value` is a real number (numpy's too) for
+    which holds(value) is true; `rule` says what holds asks, and a NaN fails
+    every comparison in it."""
+    if not isinstance(value, Real) or not holds(value):
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")

@@ -10,25 +10,30 @@ Image projections, steps, heads and affine layers follow the rule of
 autodiff's forward ops: a plain-array activation gives plain arrays and
 records no graph, and a Tensor activation records a graph. Stacked cells
 unroll over a sequence in one place, _unroll: per layer one [T*B x E] @ Wx and
-one autodiff.lstm_seq (the lstm_step kernel, step by step).
+one autodiff.lstm_seq (the lstm_step kernel, step by step), which steps each
+sequence only up to the last step whose state its caller reads.
 
 The decoder has two forwards. CaptionDecoder.step advances every layer by one
 autodiff.lstm_step(x @ Wx, h, c, Wh, b) on plain arrays, for the beam.
 CaptionDecoder.teacher_forced runs whole captions: one encode_image and one
 embedding gather of the time-major padded tokens, the image rows stacked
-above the token rows as step 0 (autodiff.concat on axis 0), then _unroll, then
-one gather of the rows after each real token. It scores sequences
+above the token rows as step 0 (autodiff.concat on axis 0), then _unroll up to
+each caption's length (its last token's state is step len), then one gather
+of the rows after each real token. It scores sequences
 (decoding.sequence_logprob) and, on Tensor features, records the one graph of
 a teacher-forced batch.
 
 The masked LM has one forward, MaskedLM._states: per direction one embedding
-gather of the time-major padded tokens, then _unroll, then one gather of each
-mask position's context rows, then combine. Pretraining runs it on the
-embedding Parameter and records one lstm_seq node per layer and direction,
-whose backward is backpropagation through time; mlm_context_rows runs it on
-the embedding's array and records nothing, so training and emendation read
-the same states. mlm_pretrain's initial loss is a batch's _masked_batch_loss
-taken on the embedding's array. mlm_pretrain ends
+gather of the time-major padded tokens, then _unroll up to each sequence's
+latest context step, then one gather of each mask position's context rows,
+then combine. A pretraining batch masks one position per caption, so each
+direction steps a caption only up to that position's context; the context
+rows of every position step a sequence up to its next-to-last token.
+Pretraining runs it on the embedding Parameter and records one lstm_seq node
+per layer and direction, whose backward is backpropagation through time;
+mlm_context_rows runs it on the embedding's array and records nothing, so
+training and emendation read the same states. mlm_pretrain's initial loss is
+a batch's _masked_batch_loss taken on the embedding's array. mlm_pretrain ends
 by freezing the MLM, and freezing is final: a frozen parameter's data can be
 neither written nor rebound (autodiff.Parameter.freeze). A model's parameters
 are its attributes: ParamStore.parameters() reads them off the model, each
@@ -63,7 +68,7 @@ from .autodiff import (
     softmax_xent_rows,
 )
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID  # noqa: F401 (re-exported)
-from .errors import ConfigError, InputError, ShapeError, StateError, check_int
+from .errors import ConfigError, InputError, ShapeError, StateError, check_int, check_real
 
 
 @dataclass
@@ -83,8 +88,7 @@ class ModelConfig:
         for name in ("vocab_size", "feature_dim", "embed_dim", "hidden_dim",
                      "mlm_hidden_dim", "fusion_dim"):
             check_int(name, getattr(self, name), 1)
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        check_real("dropout", self.dropout, "in [0, 1)", lambda r: 0.0 <= r < 1.0)
         if self.vocab_size <= MASK_ID:
             raise ConfigError("vocab_size must cover the special token ids")
 
@@ -201,8 +205,9 @@ class CaptionDecoder(ParamStore):
         The one sequence forward of the decoder, built like MaskedLM._states:
         one encode_image and one embedding gather of the time-major padded
         tokens, with the image rows stacked above the token rows as step 0,
-        then _unroll, then one gather of the real tokens' rows. Plain-array
-        features give a plain array and record no graph; Tensor features
+        then _unroll, which steps caption i up to step lens[i], the state
+        after its last token, then one gather of the real tokens' rows.
+        Plain-array features give a plain array and record no graph; Tensor features
         record one graph, through the embedding Parameter. Feature rows that
         are not one per caption, or a batch with no token, raise ShapeError; a
         token id outside the vocabulary raises InputError."""
@@ -213,7 +218,8 @@ class CaptionDecoder(ParamStore):
         _check_ids(chain.from_iterable(seqs), self.cfg.vocab_size, "token")
         toks, _, lens = _padded_batch(seqs)
         table = self.embed if isinstance(image, Tensor) else self.embed.data
-        x = _unroll(self.cells, concat(image, gather_rows(table, toks.T.ravel()), axis=0), batch)
+        x = concat(image, gather_rows(table, toks.T.ravel()), axis=0)
+        x = _unroll(self.cells, x, batch, lens)
         steps = np.arange(1, toks.shape[1] + 1)
         return gather_rows(x, (steps * batch + np.arange(batch)[:, None])[steps <= lens[:, None]])
 
@@ -266,17 +272,20 @@ class MaskedLM(ParamStore):
         """States at mask position p[k] of seqs[owner[k]], one row per k.
 
         The one forward of the MLM: per direction the embedding gather of the
-        time-major [T*B] padded tokens from `table`, then _unroll, then one
-        gather of the _context_steps rows (step -1, the empty context, is a
-        negative id and reads zeros), then combine.
-        `table` is self.embed, which records a graph, or self.embed.data,
-        which gives plain arrays."""
+        time-major [T*B] padded tokens from `table`, then _unroll, which
+        steps sequence i up to the latest _context_steps step of its queries
+        (not at all if it has none), then one gather of the _context_steps
+        rows (step -1, the empty context, is a negative id and reads zeros),
+        then combine. `table` is self.embed, which records a graph, or
+        self.embed.data, which gives plain arrays."""
         toks, rev, lens = _padded_batch(seqs)
         batch = len(seqs)
         ctx = []
         for cells, matrix, steps in zip((self.fwd, self.bwd), (toks, rev),
                                         _context_steps(p, lens[owner])):
-            x = _unroll(cells, gather_rows(table, matrix.T.ravel()), batch)
+            last = np.full(batch, -1)
+            np.maximum.at(last, owner, steps)
+            x = _unroll(cells, gather_rows(table, matrix.T.ravel()), batch, last)
             ctx.append(gather_rows(x, steps * batch + owner))
         return self.combine(*ctx)
 
@@ -296,12 +305,13 @@ class MaskedLM(ParamStore):
         return all(p.frozen for p in self.parameters())
 
 
-def _unroll(cells, x, batch: int):
+def _unroll(cells, x, batch: int, last: np.ndarray):
     """Top-layer states of stacked cells over a time-major input x of
     [T*batch] rows, from a zero state: per layer one X @ Wx and one
-    autodiff.lstm_seq."""
+    autodiff.lstm_seq, which steps row r up to step last[r] only (-1: not at
+    all) and leaves its later rows zero."""
     for cell in cells:
-        x = lstm_seq(matmul(x, cell.wx), batch, cell.wh, cell.b)
+        x = lstm_seq(matmul(x, cell.wx), batch, cell.wh, cell.b, last)
     return x
 
 
@@ -378,6 +388,7 @@ class MlmPretrainConfig:
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed, 0)
+        check_real("learning rate", self.lr, "finite and positive", lambda r: 0.0 < r < np.inf)
 
 
 @dataclass

@@ -247,7 +247,7 @@ def xent_to_class_1(logits):
 
 
 def lstm_seq_batch_2(xp, wh, b):
-    return lstm_seq(xp, 2, wh, b)
+    return lstm_seq(xp, 2, wh, b, np.full(2, xp.shape[0] // 2 - 1))  # every step
 
 
 def gather_with_an_empty_row(table):
@@ -352,8 +352,9 @@ class TestLstmSeq:
         for lo in range(0, steps * batch, batch):
             h, c = ad.lstm_step(xp.data[lo:lo + batch], h, c, wh.data, b.data)
             want.append(h)
-        got = lstm_seq(xp.data, batch, wh, b)
-        graph = lstm_seq(xp, batch, wh, b)
+        every = np.full(batch, steps - 1)
+        got = lstm_seq(xp.data, batch, wh, b, every)
+        graph = lstm_seq(xp, batch, wh, b, every)
         assert type(got) is np.ndarray and graph._parents
         assert got.tobytes() == np.concatenate(want).tobytes() == graph.data.tobytes()
 
@@ -366,11 +367,12 @@ class TestLstmSeq:
         batch, steps = len(lengths), max(lengths)
         xp, wh, b = self.case(10 + batch, steps, batch)
         rows = np.arange(batch)
-        ids = np.concatenate([rows, (np.array(lengths) - 1) * batch + rows, [-1]])
+        last = np.array(lengths) - 1
+        ids = np.concatenate([rows, last * batch + rows, [-1]])
         weights = Tensor(np.random.default_rng(batch).normal(size=(len(ids), 3)))
 
         def f(x, w, bias):
-            return (gather_rows(lstm_seq(x, batch, w, bias), ids) * weights).sum()
+            return (gather_rows(lstm_seq(x, batch, w, bias, last), ids) * weights).sum()
 
         assert grad_check(f, [xp, wh, b]) <= 1e-6
         # a padded step's state is read by no one, so its gradient is zero
@@ -382,8 +384,99 @@ class TestLstmSeq:
         xp, wh, b = self.case(3, 3, 2)
         wh.freeze()
         b.freeze()
-        lstm_seq(xp, 2, wh, b).sum().backward()
+        lstm_seq(xp, 2, wh, b, np.array([2, 2])).sum().backward()
         assert wh.grad is None and b.grad is None and np.abs(xp.grad).sum() > 0
+
+
+def stepped_rows(last, steps):
+    """The rows lstm_seq steps at each step: those that read step t or a
+    later one, and at least the first min(2, batch) rows of the stable
+    descending order of last while any row is stepped."""
+    order = sorted(range(len(last)), key=lambda r: -last[r])
+    counts = [sum(n >= t for n in last) for t in range(steps)]
+    return [order[:max(n, min(2, len(last)))] if n else [] for n in counts]
+
+
+# (last, steps): -1 entries, ties, one surviving row, batch 1, every row to T-1
+PACKED = [([3, -1, 1, 3, 0, -1], 4), ([2, 0, 2, 1], 4), ([-1, 3, -1], 4), ([1], 3),
+          ([-1], 2), ([-1, -1], 2), ([2, 2, 2], 3)]
+
+
+def packed_id(value):
+    return "_".join(map(str, value)) if isinstance(value, list) else f"T{value}"
+
+
+class TestPackedLstmSeq:
+    """lstm_seq steps each row up to its last read step only; every stepped
+    row is the all-steps unroll's, bit for bit, and the rest is zero."""
+
+    @staticmethod
+    def unrolls(last, steps, hidden=3, seed=0):
+        batch = len(last)
+        xp, wh, b = TestLstmSeq.case(seed, steps, batch, hidden)
+        every = Tensor(xp.data.copy(), requires_grad=True)
+        return ((xp, lstm_seq(xp, batch, wh, b, np.array(last))),
+                (every, lstm_seq(every, batch, wh, b, np.full(batch, steps - 1))), wh, b)
+
+    @pytest.mark.parametrize("hidden", [3, 128])
+    @pytest.mark.parametrize("last, steps", PACKED, ids=packed_id)
+    def test_stepped_rows_are_the_all_steps_rows_and_the_rest_is_zero(self, last, steps,
+                                                                       hidden):
+        (xp, packed), (_, every), wh, b = self.unrolls(last, steps, hidden)
+        batch, mask = len(last), np.zeros(steps * len(last), dtype=bool)
+        for t, rows in enumerate(stepped_rows(last, steps)):
+            mask[[t * batch + r for r in rows]] = True
+        read = [t * batch + r for r, n in enumerate(last) for t in range(n + 1)]
+        assert mask[read].all()
+        assert packed.data[mask].tobytes() == every.data[mask].tobytes()
+        assert (packed.data[~mask] == 0.0).all()
+        plain = lstm_seq(xp.data, batch, wh, b, last)
+        assert type(plain) is np.ndarray and plain.tobytes() == packed.data.tobytes()
+
+    @pytest.mark.parametrize("last, steps", PACKED, ids=packed_id)
+    def test_gradients_are_the_all_steps_gradients(self, last, steps):
+        (xp, packed), (every_xp, every), wh, b = self.unrolls(last, steps, seed=1)
+        batch = len(last)
+        weights = np.zeros((steps * batch, 3))
+        read = [t * batch + r for r, n in enumerate(last) for t in range(n + 1)]
+        weights[read] = np.random.default_rng(2).normal(size=(len(read), 3))
+        grads = []
+        for x, hs in ((xp, packed), (every_xp, every)):
+            wh.grad = b.grad = None
+            (hs * Tensor(weights)).sum().backward()
+            grads.append([x.grad, wh.grad, b.grad])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        stepped = {t * batch + r for t, rows in enumerate(stepped_rows(last, steps))
+                   for r in rows}
+        assert (xp.grad[sorted(set(range(steps * batch)) - stepped)] == 0.0).all()
+
+        def f(x, w, bias):
+            return (lstm_seq(x, batch, w, bias, np.array(last)) * Tensor(weights)).sum()
+
+        assert grad_check(f, [xp, wh, b]) <= 1e-6
+
+    def test_last_must_name_one_step_per_row(self):
+        xp, wh, b = TestLstmSeq.case(0, 3, 2)
+        for bad in ([2], [2, 3], [-2, 0], [[2, 2]]):
+            with pytest.raises(ShapeError, match="lstm_seq last"):
+                lstm_seq(xp, 2, wh, b, np.array(bad))
+
+
+class TestBlasRowBits:
+    """lstm_seq's packing rests on this: a product of M rows gives the rows
+    of the 64-row product bit for bit, for M = 2..64, at the cell's shapes
+    (embedding 64 or hidden 128 into 4 x 128 gates). One row takes another
+    BLAS kernel with other last bits, hence lstm_seq's two-row floor; so does
+    the backward's [M x 512] @ [512 x 128] for M up to 9 on OpenBLAS 0.3.31
+    (Haswell kernels), so a packed backward may move gradients by ulps."""
+
+    @pytest.mark.parametrize("inner", [64, 128])
+    def test_rows_do_not_depend_on_the_row_count(self, inner):
+        rng = np.random.default_rng(inner)
+        a, w = rng.normal(size=(64, inner)), rng.normal(size=(inner, 512))
+        full = a @ w
+        assert [m for m in range(2, 65) if (a[:m] @ w).tobytes() != full[:m].tobytes()] == []
 
 
 class TestSoftmaxXent:
@@ -474,8 +567,8 @@ class TestDropout:
         assert dropout(x, 0.5, training=False, rng=None) is x
 
     def test_invalid_rate(self):
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigError):
+        for bad in (-0.1, 1.0, 1.5, float("nan"), "x", None):
+            with pytest.raises(ConfigError, match="^dropout rate must be in"):
                 dropout(t([1.0]), bad, training=True, rng=np.random.default_rng(0))
 
     def test_empirical_drop_fraction(self):
@@ -538,7 +631,7 @@ class TestAdam:
         live = clone(Parameter("v", np.zeros(2)))
         assert not live.frozen and live.data.flags.writeable
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0, None, "a"])
     def test_a_learning_rate_that_is_not_finite_and_positive_is_rejected(self, lr):
         p = Parameter("w", np.array([1.0, 2.0]))
         with pytest.raises(ConfigError, match="learning rate must be finite and positive"):
@@ -700,7 +793,7 @@ class TestGraphMechanics:
                 affine(Tensor(np.ones((1, 2))), w, Tensor(np.ones(2))),
                 concat(x, x), concat_rows(x, x), glu(Tensor(np.ones((1, 4)))),
                 dropout(x, 0.5, True, np.random.default_rng(0)),
-                gather_rows(w, np.array([1, 0])), lstm_seq(Tensor(np.ones((2, 4))), 1, wh, b),
+                gather_rows(w, np.array([1, 0])), lstm_seq(Tensor(np.ones((2, 4))), 1, wh, b, [1]),
                 softmax_xent_rows(Tensor(np.ones((1, 2))), np.array([0]))]
         assert all(not y.requires_grad and y._parents == () and y._backward is None
                    for y in outs)

@@ -193,6 +193,11 @@ class TestDispatch:
         with pytest.raises(ConfigError, match="^hidden_dim must be an integer, got 2.5"):
             build_mlm(MlmConfig(V, hidden_dim=2.5), 0)
 
+    @pytest.mark.parametrize("rate", ["x", None, 1.0, -0.5, float("nan")])
+    def test_a_dropout_that_is_not_a_number_in_0_to_1_is_rejected(self, rate):
+        with pytest.raises(ConfigError, match=r"^dropout must be in \[0, 1\), got "):
+            build_model(tiny_cfg(dropout=rate), 0)
+
     def test_kind_name_round_trip(self):
         for kind in FusionKind:
             assert FusionKind.from_name(kind.value) is kind

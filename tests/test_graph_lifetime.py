@@ -12,7 +12,7 @@ import pytest
 
 from capfuse import data
 from capfuse.autodiff import Tensor, lstm_seq
-from capfuse.models import MaskedLM, MlmConfig, _masked_batch_loss
+from capfuse.models import MaskedLM, MlmConfig, _context_steps, _masked_batch_loss
 
 # deeper than the interpreter's recursion limit, so neither the topological
 # walk nor the release of the chain may recurse per node
@@ -121,7 +121,14 @@ def test_backward_peak_stays_near_the_forward_graph_and_leaves_only_gradients(co
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph > 5 * grad_bytes  # the graph, not the weights, dominates
+    # the graph holds at least the gates and cell state of every row that
+    # lstm_seq steps, in each layer of each direction, and those alone
+    # outweigh the weights; a row is stepped up to its direction's context
+    # step, with at least two rows stepped per step
+    lens = np.array([len(s) for s in seqs])
+    stepped = sum(max((last >= t).sum(), 2) for last in _context_steps(positions, lens)
+                  for t in range(last.max() + 1))
+    assert graph > mlm.LAYERS * stepped * 5 * mlm.cfg.hidden_dim * 8 > grad_bytes
     # the walk adds to the forward graph no more than the parameter gradients
     # and one lstm_seq backward's [T*B x 4H] gradient with its copy
     steps = max(len(s) for s in seqs)
@@ -158,10 +165,11 @@ def test_an_lstm_seq_node_holds_no_saved_arrays_after_backward():
     xp = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
     wh = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
     b = Tensor(rng.normal(size=8), requires_grad=True)
-    hs = lstm_seq(xp, 2, wh, b)
+    hs = lstm_seq(xp, 2, wh, b, np.array([2, 2]))
     arrays = [weakref.ref(a) for arg in hs._backward.args
               for a in (arg if isinstance(arg, list) else [arg]) if isinstance(a, np.ndarray)]
-    assert len(arrays) == 1 + 3 + 3  # the states, then each step's gates and cell state
+    # the states and the packed row index, then each step's gates and cell state
+    assert len(arrays) == 1 + 1 + 3 + 3
     (hs * Tensor(rng.normal(size=(6, 2)))).sum().backward()
     assert hs._parents == () and hs.grad is None
     assert [r for r in arrays if r() is not None and r() is not hs.data] == []

@@ -120,7 +120,7 @@ class TestDecoderStep:
         for t in (cell.wx, cell.wh, cell.b, *xhc):
             t.data[...] = np.sign(t.data) * 1000.0
         x = Tensor(np.concatenate([xhc[0].data] * 4), requires_grad=True)
-        hs = lstm_seq(matmul(x, cell.wx), 3, cell.wh, cell.b)
+        hs = lstm_seq(matmul(x, cell.wx), 3, cell.wh, cell.b, np.full(3, 3))
         (hs * hs).sum().backward()
         outs = cell.step(*(t.data for t in xhc))
         grads = [t.grad for t in (cell.wx, cell.wh, cell.b, x)]
@@ -207,9 +207,9 @@ class TestTeacherForced:
         calls = []
         original = models.lstm_seq
 
-        def counted(xp, batch, wh, b):
-            calls.append((xp.shape, batch))
-            return original(xp, batch, wh, b)
+        def counted(xp, batch, wh, b, last):
+            calls.append((xp.shape, batch, list(last)))
+            return original(xp, batch, wh, b, last)
 
         def step(*_):
             raise AssertionError("teacher forcing stepped an LstmCell")
@@ -219,8 +219,9 @@ class TestTeacherForced:
         dec = tiny_decoder(seed=22)
         h = dec.teacher_forced(np.ones((2, dec.cfg.feature_dim)), [[START_ID, 5, 6], [7]])
         assert h.shape == (4, dec.cfg.hidden_dim)
-        # image step plus 3 padded token steps, 2 captions each
-        assert calls == [((8, 4 * dec.cfg.hidden_dim), 2)] * dec.LAYERS
+        # image step plus 3 padded token steps, 2 captions each; each caption
+        # is stepped up to the state after its last token, step lens
+        assert calls == [((8, 4 * dec.cfg.hidden_dim), 2, [3, 1])] * dec.LAYERS
 
     def test_bad_inputs_raise_typed_errors(self):
         dec = tiny_decoder(seed=23)
@@ -359,9 +360,10 @@ class TestLayerMajorEncoder:
                 tops.append(top.data)
             ids = matrix.T.ravel()  # time-major
             x, graph = mlm.embed.data[ids], gather_rows(mlm.embed, ids)
+            every = np.full(batch, matrix.shape[1] - 1)
             for cell in cells:
-                x = lstm_seq(x @ cell.wx.data, batch, cell.wh, cell.b)
-                graph = lstm_seq(matmul(graph, cell.wx), batch, cell.wh, cell.b)
+                x = lstm_seq(x @ cell.wx.data, batch, cell.wh, cell.b, every)
+                graph = lstm_seq(matmul(graph, cell.wx), batch, cell.wh, cell.b, every)
             assert graph._parents and graph.data.tobytes() == x.tobytes()
             assert np.allclose(x, np.concatenate(tops), rtol=0, atol=1e-12)
 
@@ -493,7 +495,7 @@ class TestMaskedLossGraph:
                    requires_grad=True)  # 3 steps of 2 sequences
         top = x
         for cell in mlm.fwd:
-            top = lstm_seq(matmul(top, cell.wx), 2, cell.wh, cell.b)
+            top = lstm_seq(matmul(top, cell.wx), 2, cell.wh, cell.b, np.array([2, 2]))
         (top * top).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
         assert all(p.grad is None for p in mlm.parameters())
@@ -655,11 +657,14 @@ class TestMlmPretrain:
             mlm_pretrain(mlm, [[START_ID, 5, 6, EOS_ID]] * 4, cfg)
         assert not mlm.frozen() and mlm.checksum() == before
 
-    def test_a_nan_learning_rate_raises_before_any_parameter_changes(self):
+    @pytest.mark.parametrize("lr", [float("nan"), "a", None, 0.0])
+    def test_a_bad_learning_rate_raises_before_any_parameter_changes(self, lr):
         mlm = tiny_mlm(seed=19)
         before = mlm.checksum()
-        with pytest.raises(ConfigError, match="learning rate must be finite and positive"):
-            mlm_pretrain(mlm, SHORT_CORPUS, MlmPretrainConfig(epochs=1, lr=float("nan")))
+        with pytest.raises(ConfigError, match="^learning rate must be finite and positive"):
+            MlmPretrainConfig(lr=lr).validate()
+        with pytest.raises(ConfigError, match="^learning rate must be finite and positive"):
+            mlm_pretrain(mlm, SHORT_CORPUS, MlmPretrainConfig(epochs=1, lr=lr))
         assert mlm.checksum() == before and not mlm.frozen()
 
     def test_empty_corpus_rejected(self):
