@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, check_int
+from .errors import ConfigError, InputError, ParseError, check_int, check_real
 
 PAD, START, EOS, UNK, MASK = "<pad>", "<start>", "<eos>", "<unk>", "[MASK]"
 SPECIALS = [PAD, START, EOS, UNK, MASK]
@@ -107,11 +107,8 @@ def _make_scene(seed: int, index: int) -> tuple[Scene, np.random.Generator]:
 
 def scene_features(scene: Scene, rng: np.random.Generator,
                    feature_dim: int, noise: float) -> np.ndarray:
-    """Concatenated per-slot one-hot encodings plus additive Gaussian noise."""
-    if feature_dim < BASE_FEATURE_DIM:
-        raise ConfigError(
-            f"feature_dim must be at least {BASE_FEATURE_DIM}, got {feature_dim}"
-        )
+    """Concatenated per-slot one-hot encodings plus additive Gaussian noise;
+    feature_dim is at least BASE_FEATURE_DIM."""
     vec = np.zeros(feature_dim)
     for slot, obj in enumerate(scene.objects):
         base = slot * SLOT_DIM
@@ -179,12 +176,12 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
     check_int("refs_per_scene", refs_per_scene, 3)
     if refs_per_scene > 5:
         raise ConfigError("refs_per_scene must lie in 3..5 (distinct templates)")
+    for f in split_fractions:  # a NaN passes here and fails the sum
+        check_real("split fractions", f, "non-negative", lambda r: not r < 0)
     if len(split_fractions) != 3 or not abs(sum(split_fractions) - 1.0) <= 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {split_fractions}")
-    if not all(f >= 0 for f in split_fractions):
-        raise ConfigError("split fractions must be non-negative")
-    if not noise >= 0:
-        raise ConfigError(f"noise must be a non-negative number, got {noise}")
+    check_int("feature_dim", feature_dim, BASE_FEATURE_DIM)
+    check_real("noise", noise, "finite and non-negative", lambda r: 0.0 <= r < np.inf)
     n_train = round(n_scenes * split_fractions[0])
     n_val = round(n_scenes * split_fractions[1])
     if n_train + n_val > n_scenes:
@@ -243,6 +240,7 @@ def check_scene_consistency(example: CaptionExample) -> bool:
 
 def build_vocab(train_examples: list[CaptionExample], min_count: int = 5) -> Vocab:
     """Lowercased whitespace tokens occurring at least min_count times."""
+    check_int("min_count", min_count, 1)
     counts: dict[str, int] = {}
     for ex in train_examples:
         for ref in ex.references:

@@ -6,13 +6,13 @@ state plus log-probabilities for the next token, and select() keeps the states
 of the surviving hypotheses. No call records a graph or makes a Tensor: the
 state is plain arrays, (t, [(h, c) per decoder layer]), start() passes the
 features as an array to CaptionDecoder.encode_image, and step() passes arrays
-to the embedding gather, CaptionDecoder.step and CaptionModel.step_logits (the
-vocabulary head or FusionLayer.fuse), the code that training runs on Tensors,
-then takes log_softmax of the logits (_logprobs, the one rule from logits to
-log-probabilities, which sequence_logprob shares). beam_over is the only
-decode loop; greedy decoding is beam width 1. Each expansion ranks the
-[hypotheses x vocab] scores with one stable argsort of the token-major
-flattening. A baseline model decodes from the image alone. A fusion model
+to the embedding gather, CaptionDecoder.step and CaptionModel.step_logits
+(FusionLayer.fuse for a fusion model, then the model's one vocabulary head),
+the code that training runs on Tensors, then takes log_softmax of the logits
+(_logprobs, the one rule from logits to log-probabilities, which
+sequence_logprob shares). beam_over is the only decode loop; greedy decoding
+is beam width 1. Each expansion ranks the [hypotheses x vocab] scores with one
+stable argsort of the token-major flattening. A baseline model decodes from the image alone. A fusion model
 decodes only against a draft: at step t the frozen masked LM has read the
 draft with position t+1 masked, and that row is shared by every hypothesis in
 the beam. Freezing is final (a frozen parameter's data can be neither written
@@ -136,7 +136,8 @@ class EmendStepper(Stepper):
     mlm_hidden_dim, replaces every row and skips the MLM. A baseline model,
     or an MLM whose width is not the model's mlm_hidden_dim, raises
     ConfigError; an override of any other shape raises ShapeError; a draft
-    with no words raises InputError."""
+    with no words, or with an id that is not an integer in the vocabulary,
+    raises InputError."""
 
     def __init__(self, model, mlm: MaskedLM, features, draft,
                  mlm_override: np.ndarray | None = None):
@@ -149,11 +150,11 @@ class EmendStepper(Stepper):
         if mlm.cfg.hidden_dim != width:
             raise ConfigError(f"the masked LM's hidden_dim {mlm.cfg.hidden_dim} is not "
                               f"the model's mlm_hidden_dim {width}")
+        _check_ids(draft, mlm.cfg.vocab_size, "draft token")
         words = strip_specials(draft)
         if not words:
             raise InputError("draft caption is empty")
         wrapped = [START_ID] + words + [EOS_ID]
-        _check_ids(wrapped, mlm.cfg.vocab_size, "draft token")
         if mlm_override is None:
             self.rows = draft_rows(mlm, wrapped)
             return

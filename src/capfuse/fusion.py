@@ -1,11 +1,13 @@
-"""Fusion layers combining decoder and masked-LM hidden states into logits.
+"""Fusion layers combining decoder and masked-LM hidden states into features.
 
 Three schemes are supported. Simple fusion concatenates both states and
 applies one gated projection. Cold fusion first projects the LM state, gates
 it with a learned relu gate, and re-projects the concatenation. Hierarchical
 fusion applies two elementwise relu gates to the concatenated states and
-stacks two gated-linear-unit layers. Every scheme ends in the same
-dropout + vocabulary head, and all gates use relu.
+stacks two gated-linear-unit layers. All gates use relu. A scheme returns
+features of width FusionLayer.out_dim; CaptionModel owns the model's one
+dropout + vocabulary head, which reads the fused features of a fusion model
+and the top decoder state of a baseline model.
 
 Each scheme is written once over the forward ops of autodiff: given plain
 arrays, as a beam step passes, it returns arrays and records no graph; given
@@ -46,15 +48,14 @@ class FusionKind(str, Enum):
 
 
 class FusionLayer(ParamStore):
-    """Trainable fusion parameters for one scheme plus the vocabulary head."""
+    """Trainable fusion parameters for one scheme; out_dim is the width of
+    its features."""
 
     def __init__(self, kind: FusionKind, cfg: ModelConfig, rng: np.random.Generator):
         if kind == FusionKind.NONE:
             raise ConfigError("fusion kind 'none' has no fusion layer")
         self.kind = kind
-        self.cfg = cfg
         h, m, d = cfg.hidden_dim, cfg.mlm_hidden_dim, cfg.fusion_dim
-        v = cfg.vocab_size
         if kind == FusionKind.SIMPLE:
             self.gate_w = Parameter("fusion.sf.gate.W", xavier_uniform(rng, h + m, d))
             self.gate_b = Parameter("fusion.sf.gate.b", np.zeros(d))
@@ -77,8 +78,6 @@ class FusionLayer(ParamStore):
             self.expand_b = Parameter("fusion.hf.expand.b", np.zeros(2 * full))
             out_dim = full
         self.out_dim = out_dim
-        self.out_w = Parameter("fusion.out.W", xavier_uniform(rng, out_dim, v))
-        self.out_b = Parameter("fusion.out.b", np.zeros(v))
 
     # -- schemes: each returns the fused features -------------------------------
 
@@ -106,17 +105,16 @@ class FusionLayer(ParamStore):
 
     _SCHEMES = {FusionKind.SIMPLE: _simple, FusionKind.COLD: _cold, FusionKind.HIER: _hier}
 
-    def fuse(self, h_lstm, h_mlm, training: bool = False, rng=None):
-        """The vocabulary head's logits over the scheme's features, after
-        dropout in training: a Tensor from Tensors, a plain array from plain
-        arrays."""
-        features = self._SCHEMES[self.kind](self, h_lstm, h_mlm)
-        dropped = dropout(features, self.cfg.dropout, training, rng)
-        return affine(dropped, self.out_w, self.out_b)
+    def fuse(self, h_lstm, h_mlm):
+        """The scheme's features: a Tensor from Tensors, a plain array from
+        plain arrays."""
+        return self._SCHEMES[self.kind](self, h_lstm, h_mlm)
 
 
-class CaptionModel:
-    """Decoder plus optional fusion layer; the unit that gets checkpointed."""
+class CaptionModel(ParamStore):
+    """Decoder, optional fusion layer and the model's one vocabulary head;
+    the unit that gets checkpointed. parameters() is the trainable set:
+    decoder, fusion layer, then head, in the order they are drawn."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         cfg.validate()
@@ -124,34 +122,18 @@ class CaptionModel:
         self.kind = FusionKind.from_name(cfg.fusion_kind)
         self.decoder = CaptionDecoder(cfg, rng)
         self.fusion = None if self.kind == FusionKind.NONE else FusionLayer(self.kind, cfg, rng)
-
-    def parameters(self):
-        params = self.decoder.parameters()
-        if self.fusion is not None:
-            params.extend(self.fusion.parameters())
-        return params
-
-    def trainable_parameters(self):
-        """Parameters updated during training.
-
-        For fusion models the decoder's own vocabulary head is bypassed (the
-        fusion head produces the logits), so it is excluded here.
-        """
-        if self.fusion is None:
-            return self.decoder.parameters()
-        skip = {"decoder.head.W", "decoder.head.b"}
-        params = [p for p in self.decoder.parameters() if p.name not in skip]
-        params.extend(self.fusion.parameters())
-        return params
+        width = cfg.hidden_dim if self.fusion is None else self.fusion.out_dim
+        self.head_w = Parameter("head.W", xavier_uniform(rng, width, cfg.vocab_size))
+        self.head_b = Parameter("head.b", np.zeros(cfg.vocab_size))
 
     def step_logits(self, h_top, h_mlm, training: bool = False, rng=None):
-        """Next-token logits of the top decoder state, through the fusion
-        layer with masked-LM state h_mlm or through the decoder's own head."""
-        if self.fusion is None:
-            return self.decoder.head_logits(h_top, training, rng)
-        if h_mlm is None:
+        """Next-token logits: the head over the top decoder state, or over
+        the fusion layer's features of it and masked-LM state h_mlm, after
+        dropout in training."""
+        if self.fusion is not None and h_mlm is None:
             raise ConfigError("fusion model needs a masked-LM state per step")
-        return self.fusion.fuse(h_top, h_mlm, training, rng)
+        features = h_top if self.fusion is None else self.fusion.fuse(h_top, h_mlm)
+        return affine(dropout(features, self.cfg.dropout, training, rng), self.head_w, self.head_b)
 
     def needs_mlm(self) -> bool:
         return self.fusion is not None

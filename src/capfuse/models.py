@@ -1,7 +1,8 @@
 """Neural models: LSTM caption decoder and the frozen bidirectional masked LM.
 
 The decoder consumes a projected image feature vector at step 0 and then its
-token sequence; it exposes the top-layer hidden state at every step. The
+token sequence; it exposes the top-layer hidden state at every step and has
+no vocabulary head: fusion.CaptionModel owns a caption model's one head. The
 masked LM encodes a sequence with exactly one mask token by running a forward
 recurrent encoder over the tokens left of the mask and a backward encoder over
 the tokens right of it, combining both context states with an affine layer.
@@ -37,8 +38,9 @@ a batch's _masked_batch_loss taken on the embedding's array. mlm_pretrain ends
 by freezing the MLM, and freezing is final: a frozen parameter's data can be
 neither written nor rebound (autodiff.Parameter.freeze). A model's parameters
 are its attributes: ParamStore.parameters() reads them off the model, each
-Parameter and the weights of each tuple of LstmCells, in binding order, so
-there is no registry to fall out of step with what the model computes with.
+Parameter, the parameters of each nested ParamStore and the weights of each
+tuple of LstmCells, in binding order, so there is no registry to fall out of
+step with what the model computes with.
 An attribute of a model (a ParamStore) or of an LstmCell is bound once:
 rebinding or deleting it raises StateError, frozen or not. The Parameters
 that a model computes with are therefore always the ones it freezes and
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from .autodiff import (
     Tensor,
     affine,
     concat,
-    dropout,
     gather_rows,
     lstm_seq,
     lstm_step,
@@ -117,12 +119,15 @@ class ParamStore(_BoundOnce):
     is bound once."""
 
     def parameters(self) -> list[Parameter]:
-        """Each Parameter attribute, and the wx, wh and b of each cell of a
-        tuple of LstmCells, in binding order."""
+        """Each Parameter attribute, the parameters of each ParamStore
+        attribute, and the wx, wh and b of each cell of a tuple of LstmCells,
+        in binding order."""
         params = []
         for value in vars(self).values():
             if isinstance(value, Parameter):
                 params.append(value)
+            elif isinstance(value, ParamStore):
+                params.extend(value.parameters())
             elif isinstance(value, tuple):
                 params.extend(p for cell in value if isinstance(cell, LstmCell)
                               for p in (cell.wx, cell.wh, cell.b))
@@ -166,8 +171,6 @@ class CaptionDecoder(ParamStore):
         self.img_b = Parameter("decoder.image_proj.b", np.zeros(e))
         self.cells = tuple(LstmCell(f"decoder.lstm{i}", e if i == 0 else h, h, rng)
                            for i in range(self.LAYERS))
-        self.head_w = Parameter("decoder.head.W", xavier_uniform(rng, h, v))
-        self.head_b = Parameter("decoder.head.b", np.zeros(v))
 
     def initial_state(self, batch: int):
         """Zero (h, c) arrays for every layer."""
@@ -222,10 +225,6 @@ class CaptionDecoder(ParamStore):
         x = _unroll(self.cells, x, batch, lens)
         steps = np.arange(1, toks.shape[1] + 1)
         return gather_rows(x, (steps * batch + np.arange(batch)[:, None])[steps <= lens[:, None]])
-
-    def head_logits(self, h_top, training: bool, rng=None):
-        dropped = dropout(h_top, self.cfg.dropout, training, rng)
-        return affine(dropped, self.head_w, self.head_b)
 
 
 @dataclass
@@ -341,9 +340,13 @@ def _context_steps(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _check_ids(ids, vocab: int, what: str):
-    bad = [t for t in ids if not 0 <= t < vocab]
+    """InputError naming the first id that is not an integer (numpy's too)
+    in [0, vocab)."""
+    bad = [t for t in ids if not (isinstance(t, Integral) and 0 <= t < vocab)]
     if bad:
-        raise InputError(f"{what} id {bad[0]} is outside the vocabulary of {vocab}")
+        t = bad[0]
+        raise InputError(f"{what} id {t} is outside the vocabulary of {vocab}"
+                         if isinstance(t, Integral) else f"{what} id {t!r} is not an integer")
 
 
 # sequences per padded batch of mlm_context_rows; bounds its [T*B x 4H] projections

@@ -399,8 +399,8 @@ def encode_masked(mlm, tokens) -> Tensor:
     return mlm.combine(Tensor(fwd_ctx[None]), Tensor(bwd_ctx[None]))
 
 
-def fusion_logits(layer, h_lstm, h_mlm):
-    """Logits of a FusionLayer from its scheme's equations, on plain arrays:
+def fusion_features(layer, h_lstm, h_mlm):
+    """Features of a FusionLayer from its scheme's equations, on plain arrays:
     relu gates, [a; b] as np.hstack, the GLU's sigmoid as 1 / (1 + e^-z)."""
     def lin(x, w, b):
         return x @ w.data + b.data
@@ -413,17 +413,16 @@ def fusion_logits(layer, h_lstm, h_mlm):
         return a / (1.0 + np.exp(-g))
 
     if layer.kind.value == "simple":
-        fused = relu(lin(np.hstack([h_lstm, h_mlm]), layer.gate_w, layer.gate_b))
-    elif layer.kind.value == "cold":
+        return relu(lin(np.hstack([h_lstm, h_mlm]), layer.gate_w, layer.gate_b))
+    if layer.kind.value == "cold":
         h_lm = relu(lin(h_mlm, layer.lm_w, layer.lm_b))
         gate = relu(lin(np.hstack([h_lstm, h_lm]), layer.gate_w, layer.gate_b))
-        fused = relu(lin(np.hstack([h_lstm, gate * h_lm]), layer.merge_w, layer.merge_b))
-    else:  # hierarchical: the LM state comes first
-        h_c = np.hstack([h_mlm, h_lstm])
-        left = relu(lin(h_c, layer.left_w, layer.left_b)) * h_c
-        right = relu(lin(h_c, layer.right_w, layer.right_b)) * h_c
-        fused = glu(lin(glu(np.hstack([left, right])), layer.expand_w, layer.expand_b))
-    return lin(fused, layer.out_w, layer.out_b)
+        return relu(lin(np.hstack([h_lstm, gate * h_lm]), layer.merge_w, layer.merge_b))
+    # hierarchical: the LM state comes first
+    h_c = np.hstack([h_mlm, h_lstm])
+    left = relu(lin(h_c, layer.left_w, layer.left_b)) * h_c
+    right = relu(lin(h_c, layer.right_w, layer.right_b)) * h_c
+    return glu(lin(glu(np.hstack([left, right])), layer.expand_w, layer.expand_b))
 
 
 def greedy_oracle(stepper, max_len):

@@ -75,10 +75,21 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="sum to 1"):
             generate_dataset(0, 20, 3, (float("nan"), 0.5, 0.5))
 
-    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    @pytest.mark.parametrize("fraction", ["0.5", None])
+    def test_a_fraction_that_is_not_a_number_is_rejected(self, fraction):
+        with pytest.raises(ConfigError, match="^split fractions must be non-negative, got "):
+            generate_dataset(0, 20, 3, (fraction, 0.25, 0.25))
+
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf"), "x", None], ids=repr)
     def test_bad_noise_rejected(self, noise):
-        with pytest.raises(ConfigError, match="noise"):
+        with pytest.raises(ConfigError, match="^noise must be finite and non-negative, got "):
             generate_dataset(0, 20, 3, (0.5, 0.25, 0.25), noise=noise)
+
+    @pytest.mark.parametrize("feature_dim", [64.5, "64", None, data.BASE_FEATURE_DIM - 1],
+                             ids=repr)
+    def test_bad_feature_dim_rejected(self, feature_dim):
+        with pytest.raises(ConfigError, match="^feature_dim must be"):
+            generate_dataset(0, 20, 3, (0.5, 0.25, 0.25), feature_dim=feature_dim)
 
     @pytest.mark.parametrize("seed, n_scenes", [(0, 5), (-1, 20), (1.5, 20), (0, 20.5),
                                                 (0, -20), ("0", 20), (None, 20)], ids=repr)
@@ -126,6 +137,11 @@ class TestVocab:
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
             build_vocab([], min_count=1)
+
+    @pytest.mark.parametrize("min_count", ["a", 2.5, None, 0], ids=repr)
+    def test_a_min_count_that_is_not_a_positive_integer_is_rejected(self, min_count):
+        with pytest.raises(ConfigError, match="^min_count must be"):
+            build_vocab(small_dataset(), min_count=min_count)
 
 
 class TestTokenize:

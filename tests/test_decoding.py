@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -303,6 +304,11 @@ class TestGreedyAndBeam:
         for tokens in ([-1, EOS_ID], [V, EOS_ID]):
             with pytest.raises(InputError, match=f"id {tokens[0]}\\b"):
                 sequence_logprob(model, feats(7), tokens)
+        for bad in (5.5, "a", np.float64(5.0)):
+            with pytest.raises(InputError, match=re.escape(f"id {bad!r} is not an integer")):
+                sequence_logprob(model, feats(7), [bad])
+        assert (sequence_logprob(model, feats(7), [np.int64(5), EOS_ID])
+                == sequence_logprob(model, feats(7), [5, EOS_ID]))
 
     def test_beam_deterministic(self):
         model = tiny_model("none", seed=10)
@@ -366,14 +372,14 @@ class TestEmend:
         assert emend(model, mlm, f, draft, CAP) == emend(model, mlm, f, draft, CAP)
 
     def test_zero_collapsed_gates_ignore_draft(self):
-        # with all fusion parameters zero except the output bias, the logits
-        # are constant in the MLM state, so the emended output cannot depend
-        # on the draft
+        # with all fusion parameters zero the features are zero and the
+        # logits are the head's bias, constant in the MLM state, so the
+        # emended output cannot depend on the draft
         model = tiny_model("cold", seed=14)
         rng = np.random.default_rng(0)
         for p in model.fusion.parameters():
             p.data[...] = 0.0
-        model.fusion.out_b.data[...] = rng.normal(size=V)
+        model.head_b.data[...] = rng.normal(size=V)
         mlm = tiny_mlm(14)
         f = feats(14)
         out_a = emend(model, mlm, f, [5, 6, EOS_ID], CAP)
@@ -466,7 +472,17 @@ class TestEmend:
             emend(model, mlm, f, [5, V, EOS_ID])
         with pytest.raises(InputError, match=f"id {V + 3}\\b"):
             sequence_logprob(model, f, [5, EOS_ID], mlm=mlm, draft=[V + 3, 6, EOS_ID])
+        # the draft is checked as given: strip_specials calls int() and drops
+        # what is not a word, so a check after it would emend [5.5, 6] as
+        # [5, 6] and drop an id of -1
+        for bad in (5.5, "5", -1):
+            draft = [bad, 6]
+            with pytest.raises(InputError, match=re.escape(f"draft token id {bad!r}")):
+                emend(model, mlm, f, draft, CAP)
+            with pytest.raises(InputError, match=re.escape(f"draft token id {bad!r}")):
+                sequence_logprob(model, f, [5, EOS_ID], mlm=mlm, draft=draft)
         assert mlm not in decoding._ROWS_CACHE
+        assert emend(model, mlm, f, np.array([5, 6]), CAP) == emend(model, mlm, f, [5, 6], CAP)
 
     @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
     def test_override_must_be_one_state_of_the_masked_lm_width(self, kind):
@@ -649,7 +665,7 @@ class TestDraftRowsMemo:
 class TestNonFiniteLogits:
     def test_nan_weight_raises_instead_of_an_empty_caption(self):
         model = tiny_model("none", seed=40)
-        model.decoder.head_w.data[0, 5] = np.nan
+        model.head_w.data[0, 5] = np.nan
         with pytest.raises(NumericError, match="step 0"):
             beam_search_scored(model, feats(40), BeamConfig(3, max_len=5))
         with pytest.raises(NumericError):
@@ -667,12 +683,12 @@ class TestNonFiniteLogits:
 
     def test_plus_inf_raises_and_minus_inf_stays_legal(self):
         model = tiny_model("none", seed=42)
-        model.decoder.head_b.data[7] = -np.inf
+        model.head_b.data[7] = -np.inf
         tokens, score = beam_search_scored(model, feats(42), BeamConfig(3, max_len=5))
         assert tokens and 7 not in tokens and np.isfinite(score)
         assert sequence_logprob(model, feats(42), tokens) == pytest.approx(score, abs=1e-9)
         assert sequence_logprob(model, feats(42), [7, EOS_ID]) == -np.inf
-        model.decoder.head_b.data[8] = np.inf
+        model.head_b.data[8] = np.inf
         with pytest.raises(NumericError):
             beam_search_scored(model, feats(42), BeamConfig(3, max_len=5))
         with pytest.raises(NumericError):

@@ -4,8 +4,9 @@ import pytest
 from capfuse.autodiff import Tensor, affine, dropout, relu, softmax_xent_rows
 from capfuse.errors import ConfigError
 from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_mlm, build_model
-from capfuse.models import MaskedLM, MlmConfig, ModelConfig, START_ID
-from oracles import add, encode_masked, fusion_logits, grad_check
+from capfuse.models import (CaptionDecoder, MaskedLM, MlmConfig, ModelConfig, START_ID,
+                            xavier_uniform)
+from oracles import add, encode_masked, fusion_features, grad_check
 
 V = 11
 
@@ -29,31 +30,41 @@ def states(seed=0):
     return h_lstm, h_mlm
 
 
-def features(fl, h_lstm, h_mlm):
-    """The fused features that fl's vocabulary head reads."""
-    return FusionLayer._SCHEMES[fl.kind](fl, h_lstm, h_mlm)
+def caption_model(kind, seed=0, **kw):
+    return build_model(tiny_cfg(kind, **kw), seed)
 
 
-def zero_except_out_bias(fl, rng):
+def zero_params(fl):
     for p in fl.parameters():
         p.data[...] = 0.0
-    fl.out_b.data[...] = rng.normal(size=fl.out_b.shape)
+
+
+def end_to_end_loss(m, target):
+    """Cross-entropy of m's logits plus a linear probe that lifts every
+    gradient coordinate by 1e-3, so central differences can resolve it."""
+    def f(*args):
+        loss = softmax_xent_rows(m.step_logits(args[0], args[1]), np.array([target])).sum()
+        for p in args:
+            loss = add(loss, p.sum() * 1e-3)
+        return loss
+
+    return f
 
 
 class TestZeroCollapse:
     @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
-    def test_logits_equal_out_bias_bit_exact(self, kind):
-        fl = layer(kind)
-        rng = np.random.default_rng(42)
-        zero_except_out_bias(fl, rng)
+    def test_logits_equal_head_bias_bit_exact(self, kind):
+        m = caption_model(kind)
+        zero_params(m.fusion)
+        m.head_b.data[...] = np.random.default_rng(42).normal(size=V)
         h_lstm, h_mlm = states(1)
-        assert np.array_equal(fl.fuse(h_lstm, h_mlm).data[0], fl.out_b.data)
-        fused = features(fl, h_lstm, h_mlm).data
+        assert np.array_equal(m.step_logits(h_lstm, h_mlm).data[0], m.head_b.data)
+        fused = m.fusion.fuse(h_lstm, h_mlm).data
         assert np.array_equal(fused, np.zeros_like(fused))
 
     def test_cold_intermediate_structure(self):
         fl = layer("cold")
-        zero_except_out_bias(fl, np.random.default_rng(0))
+        zero_params(fl)
         h_lstm, h_mlm = states(2)
         h_lm = relu(affine(h_mlm, fl.lm_w, fl.lm_b))
         assert np.array_equal(h_lm.data, np.zeros((1, 6)))
@@ -71,20 +82,13 @@ class TestSimpleFusion:
         h_lstm = Tensor(rng.uniform(0, 1, size=(1, 6)))
         h_mlm = Tensor(rng.uniform(0, 1, size=(1, 7)))
         expect = np.concatenate([h_lstm.data, h_mlm.data], axis=-1)
-        assert np.array_equal(features(fl, h_lstm, h_mlm).data, expect)
+        assert np.array_equal(fl.fuse(h_lstm, h_mlm).data, expect)
 
     def test_end_to_end_gradient(self):
-        fl = layer("simple", seed=4)
+        m = caption_model("simple", seed=4)
         h_lstm, h_mlm = states(5)
-        inputs = [h_lstm, h_mlm] + fl.parameters()
-
-        def f(*args):
-            loss = softmax_xent_rows(fl.fuse(args[0], args[1]), np.array([3])).sum()
-            for p in args:
-                loss = add(loss, p.sum() * 1e-3)
-            return loss
-
-        assert grad_check(f, inputs) <= 1e-4
+        inputs = [h_lstm, h_mlm] + m.fusion.parameters() + [m.head_w, m.head_b]
+        assert grad_check(end_to_end_loss(m, 3), inputs) <= 1e-4
 
 
 class TestColdFusion:
@@ -99,17 +103,10 @@ class TestColdFusion:
         assert np.array_equal(out.data, out2.data)
 
     def test_end_to_end_gradient(self):
-        fl = layer("cold", seed=9)
+        m = caption_model("cold", seed=9)
         h_lstm, h_mlm = states(10)
-        inputs = [h_lstm, h_mlm] + fl.parameters()
-
-        def f(*args):
-            loss = softmax_xent_rows(fl.fuse(args[0], args[1]), np.array([2])).sum()
-            for p in args:
-                loss = add(loss, p.sum() * 1e-3)
-            return loss
-
-        assert grad_check(f, inputs) <= 1e-4
+        inputs = [h_lstm, h_mlm] + m.fusion.parameters() + [m.head_w, m.head_b]
+        assert grad_check(end_to_end_loss(m, 2), inputs) <= 1e-4
 
 
 class TestHierFusion:
@@ -128,52 +125,44 @@ class TestHierFusion:
     def test_glu_dimension_contract(self):
         fl = layer("hier", seed=13)
         h_lstm, h_mlm = states(14)
-        assert features(fl, h_lstm, h_mlm).shape == (1, 6 + 7)
+        assert fl.fuse(h_lstm, h_mlm).shape == (1, fl.out_dim) == (1, 6 + 7)
 
     def test_end_to_end_gradient(self):
-        fl = layer("hier", seed=15)
+        m = caption_model("hier", seed=15)
         h_lstm, h_mlm = states(16)
-        inputs = [h_lstm, h_mlm] + fl.parameters()
-
-        def f(*args):
-            loss = softmax_xent_rows(fl.fuse(args[0], args[1]), np.array([5])).sum()
-            for p in args:
-                loss = add(loss, p.sum() * 1e-3)
-            return loss
-
-        assert grad_check(f, inputs) <= 1e-4
+        inputs = [h_lstm, h_mlm] + m.fusion.parameters() + [m.head_w, m.head_b]
+        assert grad_check(end_to_end_loss(m, 5), inputs) <= 1e-4
 
 
 class TestDispatch:
     def test_dispatch_matches_scheme(self):
         h_lstm, h_mlm = states(18)
         for kind in ("simple", "cold", "hier"):
-            fl = layer(kind, seed=17)
-            fused = getattr(fl, f"_{kind}")(h_lstm, h_mlm)
-            assert np.array_equal(features(fl, h_lstm, h_mlm).data, fused.data)
-            assert np.array_equal(fl.fuse(h_lstm, h_mlm).data,
-                                  affine(fused, fl.out_w, fl.out_b).data)
+            m = caption_model(kind, seed=17)
+            fused = getattr(m.fusion, f"_{kind}")(h_lstm, h_mlm)
+            assert np.array_equal(m.fusion.fuse(h_lstm, h_mlm).data, fused.data)
+            assert np.array_equal(m.step_logits(h_lstm, h_mlm).data,
+                                  affine(fused, m.head_w, m.head_b).data)
 
-    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
     def test_training_drops_out_the_features_once_before_the_head(self, kind):
-        fl = FusionLayer(FusionKind(kind), tiny_cfg(kind, dropout=0.5),
-                         np.random.default_rng(31))
+        m = caption_model(kind, seed=31, dropout=0.5)
         h_lstm, h_mlm = (s.data for s in states(32))
-        logits = fl.fuse(h_lstm, h_mlm, True, np.random.default_rng(33))
-        dropped = dropout(features(fl, h_lstm, h_mlm), 0.5, True, np.random.default_rng(33))
+        logits = m.step_logits(h_lstm, h_mlm, True, np.random.default_rng(33))
+        features = h_lstm if m.fusion is None else m.fusion.fuse(h_lstm, h_mlm)
+        dropped = dropout(features, 0.5, True, np.random.default_rng(33))
         assert (dropped == 0.0).any()
-        assert np.array_equal(logits, affine(dropped, fl.out_w, fl.out_b))
+        assert np.array_equal(logits, affine(dropped, m.head_w, m.head_b))
 
     def test_all_schemes_emit_vocab_logits(self):
         h_lstm, h_mlm = states(19)
         for kind in ("simple", "cold", "hier"):
-            fl = layer(kind, seed=20)
-            assert fl.fuse(h_lstm, h_mlm).shape == (1, V)
+            assert caption_model(kind, seed=20).step_logits(h_lstm, h_mlm).shape == (1, V)
 
     def test_argmax_shift_invariance(self):
-        fl = layer("cold", seed=21)
+        m = caption_model("cold", seed=21)
         h_lstm, h_mlm = states(22)
-        logits = fl.fuse(h_lstm, h_mlm).data
+        logits = m.step_logits(h_lstm, h_mlm).data
         shifted = logits + 7.5
         assert logits.argmax() == shifted.argmax()
 
@@ -209,12 +198,13 @@ class TestEquations:
     @pytest.mark.parametrize("rows", [1, 4])
     @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
     def test_arrays_and_tensors_give_the_logits_of_the_equations(self, kind, rows):
-        fl = layer(kind, seed=30 + rows)
+        m = caption_model(kind, seed=30 + rows)
         rng = np.random.default_rng(rows)
         h_lstm, h_mlm = rng.uniform(-1, 1, (rows, 6)), rng.uniform(-1, 1, (rows, 7))
-        on_arrays = fl.fuse(h_lstm, h_mlm)
-        on_tensors = fl.fuse(Tensor(h_lstm, requires_grad=True), Tensor(h_mlm))
-        assert np.allclose(on_arrays, fusion_logits(fl, h_lstm, h_mlm), rtol=0, atol=1e-12)
+        on_arrays = m.step_logits(h_lstm, h_mlm)
+        on_tensors = m.step_logits(Tensor(h_lstm, requires_grad=True), Tensor(h_mlm))
+        expect = fusion_features(m.fusion, h_lstm, h_mlm) @ m.head_w.data + m.head_b.data
+        assert np.allclose(on_arrays, expect, rtol=0, atol=1e-12)
         assert on_tensors._parents and np.array_equal(on_tensors.data, on_arrays)
 
 
@@ -225,19 +215,19 @@ class TestProperties:
             fl = layer(kind, seed=24)
             h_lstm = Tensor(rng.uniform(-2, 2, size=(1, 6)))
             h_mlm = Tensor(rng.uniform(-2, 2, size=(1, 7)))
-            assert features(fl, h_lstm, h_mlm).data.min() >= 0.0
+            assert fl.fuse(h_lstm, h_mlm).data.min() >= 0.0
 
     def test_gradient_completeness_and_mlm_isolation(self):
         mlm = MaskedLM(MlmConfig(vocab_size=V, embed_dim=5, hidden_dim=7),
                        np.random.default_rng(25))
         mlm.freeze()
-        fl = layer("cold", seed=26)
+        m = caption_model("cold", seed=26)
         h_lstm = Tensor(np.random.default_rng(27).uniform(-1, 1, (1, 6)),
                         requires_grad=True)
         h_mlm = encode_masked(mlm, [START_ID, 5, 4, 6])  # 4 is the mask id
-        loss = softmax_xent_rows(fl.fuse(h_lstm, h_mlm), np.array([1])).sum()
+        loss = softmax_xent_rows(m.step_logits(h_lstm, h_mlm), np.array([1])).sum()
         loss.backward()
-        for p in fl.parameters():
+        for p in m.fusion.parameters() + [m.head_w, m.head_b]:
             assert p.grad is not None, p.name
         for p in mlm.parameters():
             assert p.grad is None, p.name
@@ -261,16 +251,26 @@ class TestCaptionModel:
         model = build_model(tiny_cfg("cold"), seed=1)
         names = [p.name for p in model.parameters()]
         assert any(n.startswith("fusion.cf.") for n in names)
-        assert any(n.startswith("fusion.out.") for n in names)
         assert len(names) == len(set(names))
 
-    def test_trainable_excludes_decoder_head_for_fusion(self):
-        model = build_model(tiny_cfg("simple"), seed=2)
-        names = {p.name for p in model.trainable_parameters()}
-        assert "decoder.head.W" not in names
-        assert "fusion.sf.gate.W" in names
-        baseline = build_model(tiny_cfg("none"), seed=3)
-        assert "decoder.head.W" in {p.name for p in baseline.trainable_parameters()}
+    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
+    def test_one_vocabulary_head_of_the_feature_width_comes_last(self, kind):
+        model = build_model(tiny_cfg(kind), seed=2)
+        params = model.parameters()
+        assert [p.name for p in params if "head" in p.name] == ["head.W", "head.b"]
+        assert params[-2] is model.head_w and params[-1] is model.head_b
+        width = 6 if model.fusion is None else model.fusion.out_dim
+        assert model.head_w.shape == (width, V) and model.head_b.shape == (V,)
+
+    def test_the_baseline_draws_its_head_right_after_the_decoder(self):
+        # the draw order of a baseline model is the decoder's, then the head
+        cfg = tiny_cfg("none")
+        model = CaptionModel(cfg, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        decoder = CaptionDecoder(cfg, rng)
+        assert [p.data.tobytes() for p in model.decoder.parameters()] == [
+            p.data.tobytes() for p in decoder.parameters()]
+        assert np.array_equal(model.head_w.data, xavier_uniform(rng, 6, V))
 
     def test_step_logits_requires_mlm_state(self):
         model = build_model(tiny_cfg("hier"), seed=4)

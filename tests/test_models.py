@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -129,16 +130,17 @@ class TestDecoderStep:
     def test_four_step_sequence_gradient(self):
         # teacher forcing of a ragged batch of two captions from Tensor
         # features: one encode_image, one gather, one X @ Wx and one lstm_seq
-        # per layer, one head and cross-entropy; the image rows are step 0,
-        # so the image projection is checked with the rest
-        dec = tiny_decoder(seed=3)
+        # per layer, the model's head and cross-entropy; the image rows are
+        # step 0, so the image projection is checked with the rest
+        model = build_model(tiny_cfg(), seed=3)
+        dec = model.decoder
         features = Tensor(np.random.default_rng(3).normal(size=(2, dec.cfg.feature_dim)))
         seqs = [[START_ID, 5, 6, 7], [START_ID, 9]]
         targets = np.array([5, 6, 7, 8, 9, EOS_ID])
 
         def loss_fn(*params):
             h = dec.teacher_forced(features, seqs)
-            loss = softmax_xent_rows(dec.head_logits(h, False), targets).sum()
+            loss = softmax_xent_rows(model.step_logits(h, None), targets).sum()
             # linear probe: lifts every gradient coordinate by exactly 1e-3 so
             # central differences can resolve it; the ad-vs-fd difference that
             # the check measures is unaffected by a linear term
@@ -146,9 +148,9 @@ class TestDecoderStep:
                 loss = add(loss, p.sum() * 1e-3)
             return loss
 
-        err = grad_check(loss_fn, dec.parameters())
+        err = grad_check(loss_fn, model.parameters())
         assert err <= 1e-4
-        for p in dec.parameters():
+        for p in model.parameters():
             p.grad = None
         loss_fn().backward()
         assert all(np.abs(p.grad).sum() > 0 for p in (dec.img_w, dec.img_b))
@@ -234,6 +236,11 @@ class TestTeacherForced:
         for bad in (-1, V):
             with pytest.raises(InputError, match=f"id {bad}\\b"):
                 dec.teacher_forced(f, [[START_ID, 5], [START_ID, bad]])
+        for bad in (5.5, "5", np.float64(5.0)):
+            with pytest.raises(InputError, match=re.escape(f"id {bad!r} is not an integer")):
+                dec.teacher_forced(f, [[START_ID, 5], [START_ID, bad]])
+        assert np.array_equal(dec.teacher_forced(f, [[START_ID, 5], [START_ID, np.int64(5)]]),
+                              dec.teacher_forced(f, [[START_ID, 5], [START_ID, 5]]))
         with pytest.raises(ConfigError):
             dec.teacher_forced(np.ones((2, dec.cfg.feature_dim + 1)), [[START_ID], [START_ID]])
         assert dec.teacher_forced(f, [[], [START_ID, 5]]).shape == (2, dec.cfg.hidden_dim)
@@ -532,10 +539,18 @@ class TestMaskedLossGraph:
             mlm.comb_b = Parameter("mlm.combine.b", np.ones(mlm.cfg.hidden_dim))
         with pytest.raises(StateError, match="LstmCell.b is bound once"):
             mlm.bwd[1].b = Parameter("mlm.bwd1.b", np.ones(4 * mlm.cfg.hidden_dim))
-        with pytest.raises(StateError, match="CaptionDecoder.head_w .* cannot be deleted"):
-            del dec.head_w
+        with pytest.raises(StateError, match="CaptionDecoder.embed .* cannot be deleted"):
+            del dec.embed
         with pytest.raises(TypeError):
             dec.cells[0] = dec.cells[1]
+        model = build_model(tiny_cfg(fusion_kind="cold"), seed=18)
+        with pytest.raises(StateError, match="CaptionModel.fusion is bound once.* rebound"):
+            model.fusion = None
+        with pytest.raises(StateError, match="CaptionModel.head_w is bound once.* rebound"):
+            model.head_w = Parameter("head.W", np.zeros_like(model.head_w.data))
+        for attr in ("fusion", "head_w"):
+            with pytest.raises(StateError, match=f"CaptionModel.{attr} .* cannot be deleted"):
+                delattr(model, attr)
         mlm.freeze()
         assert all(p.frozen for p in (mlm.comb_b, mlm.bwd[1].b))
         before = mlm.checksum()
@@ -572,6 +587,20 @@ class TestParameters:
         names = [p.name for p in model.parameters()]
         assert len(names) == len(set(names))
         assert sorted(map(id, model.parameters())) == sorted(reachable_parameters(model))
+
+    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
+    def test_a_teacher_forced_loss_reaches_every_parameter(self, kind):
+        # parameters() is the trainable set: no weight of a caption model is
+        # left unread by its loss, so none is drawn for nothing
+        model = build_model(tiny_cfg(fusion_kind=kind), seed=19)
+        rng = np.random.default_rng(19)
+        features = Tensor(rng.normal(size=(2, model.cfg.feature_dim)))
+        h = model.decoder.teacher_forced(features, [[START_ID, 5, 6, 7], [START_ID, 9]])
+        h_mlm = None if kind == "none" else Tensor(rng.uniform(-1, 1, (h.shape[0], 7)))
+        targets = np.array([5, 6, 7, 8, 9, EOS_ID])
+        softmax_xent_rows(model.step_logits(h, h_mlm), targets).sum().backward()
+        for p in model.parameters():
+            assert p.grad is not None and np.abs(p.grad).sum() > 0, p.name
 
     def test_freeze_freezes_every_weight_the_model_computes_with(self):
         mlm = tiny_mlm(seed=20)
@@ -686,12 +715,14 @@ class TestMlmPretrain:
                                        MlmPretrainConfig(epochs=2, batch_size=1, seed=seed))
             assert mlm.frozen() and np.isfinite(report.epoch_losses).all()
 
-    @pytest.mark.parametrize("bad", [-1, V])
+    @pytest.mark.parametrize("bad", [-1, V, 5.5, "a", np.float64(5.0)], ids=repr)
     def test_ids_outside_the_vocabulary_raise_before_any_update(self, bad):
+        # 0 <= 5.5 < V, so a range check alone would encode 5.5 as token 5
         mlm = tiny_mlm(seed=38)
         before = mlm.checksum()
         seq = [START_ID, bad, EOS_ID]
-        match = f"token id {bad} is outside the vocabulary of {V}"
+        match = re.escape(f"token id {bad} is outside the vocabulary of {V}"
+                          if isinstance(bad, int) else f"token id {bad!r} is not an integer")
         with pytest.raises(InputError, match=match):
             mlm_context_rows(mlm, [[START_ID, 5, EOS_ID], seq])
         with pytest.raises(InputError, match=match):
@@ -701,6 +732,8 @@ class TestMlmPretrain:
                 mlm_pretrain(mlm, SHORT_CORPUS + [seq],
                              MlmPretrainConfig(epochs=2, batch_size=2, seed=seed))
         assert mlm.checksum() == before and not mlm.frozen()
+        assert np.array_equal(mlm_context_rows(mlm, [[1, np.int64(5), 2]])[0],
+                              mlm_context_rows(mlm, [[1, 5, 2]])[0])
 
     def test_checksum_stable_after_freeze(self):
         mlm = tiny_mlm(seed=14)

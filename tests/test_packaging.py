@@ -20,7 +20,6 @@ AWAITING_TRAINING = {
     "read_captions": 1,
     "detokenize": 1,
     "histogram_csv": 1,
-    "CaptionModel.trainable_parameters": 1,
     "check_scene_consistency": 7,
     "mlm_masked_accuracy": 9,
     "aggregate_seeds": 12,
