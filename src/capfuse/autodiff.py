@@ -16,22 +16,24 @@ A Tensor carries what src calls on it and nothing more: the operator `*`
 method sum(). Everything else is a function: `x @ W + b` is affine, one node,
 and max(x, 0) is relu.
 
-The forward ops matmul, affine, concat, dropout, glu, relu, gather_rows,
-lstm_seq and softmax_xent_rows take activations as Tensors or as plain arrays,
+The forward ops affine, concat, dropout, glu, relu, gather_rows, lstm_seq
+and softmax_xent_rows take activations as Tensors or as plain arrays,
 and weights as Parameters either way. An array activation gives a plain array
 and records no graph; a Tensor activation gives a Tensor and records a graph,
 so a caller who trains passes Tensors. Both kinds compute the same products in
 the same order, bit for bit. Mixing a Tensor and a plain array in one op
 raises TypeError, as numpy arithmetic between the two does.
 
-lstm_step(xp, h, c, wh, b) is the one LSTM cell kernel. It takes the input
-already projected, xp = x @ Wx, so that lstm_seq, which unrolls a whole layer
-over a time-major [T*B x 4H] projection, runs it step by step. lstm_seq steps
+lstm_step(x, h, c, wx, wh, b) is one LSTM cell step and lstm_seq(x, batch,
+wx, wh, b, last) one whole layer over a time-major [T*B x E] input; both take
+the layer's input and all three of the cell's weights. lstm_seq projects its
+input with one [T*B x E] @ Wx, then runs the cell's arithmetic step by step,
 each row only up to the last step its caller reads (its `last` argument),
 packed like a PyTorch PackedSequence: the rows still stepped at each step are
 a prefix of one order, so the state shrinks by slicing. On a Tensor, lstm_seq
-records one node for the whole unroll and backpropagates through time by
-hand in its backward, over the same packed rows.
+records one node for the whole layer, projection included, and
+backpropagates through time by hand in its backward, over the same packed
+rows, then through the projection to the input and Wx.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -219,25 +221,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # -- structural operations ------------------------------------------------
 
 
-def matmul(a, b: Tensor):
-    """Matrix product of two 2D operands: a plain array from a plain-array a,
-    which records no graph; a Tensor from a Tensor."""
-    ad, bd = (a.data if isinstance(a, Tensor) else a), b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul needs 2D operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
-    if not isinstance(a, Tensor):
-        return ad @ bd
-
-    def back(g, x=a, y=b):
-        if x.requires_grad:
-            x._accum(g @ y.data.T)
-        if y.requires_grad:
-            y._accum(x.data.T @ g)
-    return _record(ad @ bd, (a, b), back)
-
-
 def affine(x, w: Tensor, b: Tensor):
     """x @ w + b for a 2D x and a 1-D bias added to every row: a plain array
     from a plain-array x, which records no graph; from a Tensor x, one node
@@ -320,15 +303,15 @@ def glu(x):
     return _record(a * gate, (x,), back)
 
 
-def lstm_step(xp: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, wx: np.ndarray, wh: np.ndarray,
               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM cell step on plain arrays; records no graph.
 
-    xp = x @ Wx is the projected input. z = xp + h @ wh, then z += b, holds the
-    gates in order (input, forget, candidate, output); all four come from one
-    in-place tanh, each sigmoid as 0.5 * (tanh(z / 2) + 1). Returns (h_new, c_new).
+    z = x @ wx + h @ wh, then z += b, holds the gates in order (input,
+    forget, candidate, output); all four come from one in-place tanh, each
+    sigmoid as 0.5 * (tanh(z / 2) + 1). Returns (h_new, c_new).
     """
-    return _cell_update(_gates(xp, h, wh, b), c)
+    return _cell_update(_gates(x @ wx, h, wh, b), c)
 
 
 def _gates(xp, h, wh, b) -> np.ndarray:
@@ -359,29 +342,32 @@ def _cell_update(z, c):
     return o * np.tanh(c_new), c_new
 
 
-def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor, last):
-    """One LSTM layer unrolled from a zero state over a time-major projected
-    input xp = X @ Wx of shape [T*batch x 4H]; returns the hidden state after
-    every step, [T*batch x H], step t in rows t*batch to (t+1)*batch - 1.
+def lstm_seq(x, batch: int, wx: Tensor, wh: Tensor, b: Tensor, last):
+    """One LSTM layer unrolled from a zero state over a time-major input x of
+    shape [T*batch x E]; returns the hidden state after every step,
+    [T*batch x H], step t in rows t*batch to (t+1)*batch - 1.
 
-    last[r] is the last step whose state row r's caller reads, -1 for none.
-    Row r is stepped up to last[r] only, and its rows after that are zero:
-    the rows are ordered once by last, descending and stable, so each step
-    steps a prefix of that order, and the stepped rows of xp are gathered
-    step-major with one index, as a PackedSequence packs them. While any row
-    is stepped at least min(2, batch) rows are, since a one-row product takes
-    another BLAS kernel; a stepped row gets the bits of the all-rows unroll.
-    Each step is lstm_step's arithmetic (_gates, then _cell_update) on plain
-    arrays. A plain-array xp gives a plain array and records no graph. A
-    Tensor xp records one node over xp, wh and b that saves the stepped rows'
-    gates and cell states; its backward is backpropagation through time over
-    the same prefixes, one dz @ wh.T per step, then one product over all rows
-    for wh's gradient. A row that is not stepped gets gradient zero.
+    The input is projected by one product xp = x @ wx over every row, padded
+    ones too. last[r] is the last step whose state row r's caller reads, -1
+    for none. Row r is stepped up to last[r] only, and its rows after that
+    are zero: the rows are ordered once by last, descending and stable, so
+    each step steps a prefix of that order, and the stepped rows of xp are
+    gathered step-major with one index, as a PackedSequence packs them. While
+    any row is stepped at least min(2, batch) rows are, since a one-row
+    product takes another BLAS kernel; a stepped row gets the bits of the
+    all-rows unroll. Each step is lstm_step's arithmetic (_gates, then
+    _cell_update) on plain arrays. A plain-array x gives a plain array and
+    records no graph. A Tensor x records one node over x, wx, wh and b that
+    saves the stepped rows' gates and cell states; its backward is
+    backpropagation through time over the same prefixes, one dz @ wh.T per
+    step, then one product over all rows for each weight's gradient and one
+    dz @ wx.T for the input's. A row that is not stepped gets gradient zero.
     """
-    tensor = isinstance(xp, Tensor)
-    xd = xp.data if tensor else xp
-    if xd.ndim != 2 or xd.shape[0] % batch or xd.shape[1] != wh.data.shape[1]:
-        raise ShapeError(f"lstm_seq input {xd.shape} is not [T*{batch} x {wh.data.shape[1]}]")
+    tensor = isinstance(x, Tensor)
+    xd = x.data if tensor else x
+    hidden = wh.data.shape[0]
+    if xd.ndim != 2 or xd.shape[0] % batch or xd.shape[1] != wx.data.shape[0]:
+        raise ShapeError(f"lstm_seq input {xd.shape} is not [T*{batch} x {wx.data.shape[0]}]")
     last = np.asarray(last)
     if last.shape != (batch,) or not -1 <= last.min() <= last.max() < len(xd) // batch:
         raise ShapeError(f"lstm_seq last {last} is not one step in -1..T-1 per row of {batch}")
@@ -389,8 +375,8 @@ def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor, last):
     rows = np.maximum((last >= steps[:, None]).sum(axis=1), min(2, batch))  # per step
     packed = (steps[:, None] * batch + np.argsort(-last, kind="stable"))[
         np.arange(batch) < rows[:, None]]
-    xs, hp = xd[packed], np.empty((len(packed), wh.data.shape[0]))
-    h = c = np.zeros((batch, wh.data.shape[0]))
+    xs, hp = (xd @ wx.data)[packed], np.empty((len(packed), hidden))
+    h = c = np.zeros((batch, hidden))
     gates, cells, bounds = [], [], [0, *np.cumsum(rows).tolist()]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         z = _gates(xs[lo:hi], h[:hi - lo], wh.data, b.data)
@@ -399,16 +385,16 @@ def lstm_seq(xp, batch: int, wh: Tensor, b: Tensor, last):
         if tensor:
             gates.append(z)
             cells.append(c)
-    hs = np.zeros((len(xd), wh.data.shape[0]))
+    hs = np.zeros((len(xd), hidden))
     hs[packed] = hp
     if not tensor:
         return hs
-    back = functools.partial(_lstm_seq_backward, xp, batch, wh, b, hs, packed, bounds,
+    back = functools.partial(_lstm_seq_backward, x, batch, wx, wh, b, hs, packed, bounds,
                              gates, cells)
-    return _record(hs, (xp, wh, b), back)
+    return _record(hs, (x, wx, wh, b), back)
 
 
-def _lstm_seq_backward(xp, batch, wh, b, hs, packed, bounds, gates, cells, g):
+def _lstm_seq_backward(x, batch, wx, wh, b, hs, packed, bounds, gates, cells, g):
     # the first rows of dh and dc carry the gradient of the state entering
     # step t + 1, the rest are zero; dzp holds the stepped rows' gate
     # pre-activation gradients, packed like the forward
@@ -430,8 +416,10 @@ def _lstm_seq_backward(xp, batch, wh, b, hs, packed, bounds, gates, cells, g):
         dh[:m] = d @ wh.data.T
     dz = np.zeros((len(hs), 4 * n))
     dz[packed] = dzp
-    if xp.requires_grad:
-        xp._accum(dz)
+    if x.requires_grad:
+        x._accum(dz @ wx.data.T)
+    if wx.requires_grad:
+        wx._accum(x.data.T @ dz)
     if wh.requires_grad:
         wh._accum(hs[:-batch].T @ dz[batch:])
     if b.requires_grad:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -259,10 +260,33 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     return [START_ID] + ids + [EOS_ID]
 
 
+def _check_ids(ids, vocab: int, what: str):
+    """InputError naming the first id that is not an integer (numpy's too)
+    in [0, vocab)."""
+    bad = [t for t in ids if not (isinstance(t, Integral) and 0 <= t < vocab)]
+    if bad:
+        t = bad[0]
+        raise InputError(f"{what} id {t} is outside the vocabulary of {vocab}"
+                         if isinstance(t, Integral) else f"{what} id {t!r} is not an integer")
+
+
+def strip_specials(tokens) -> list[int]:
+    """The words of a caption: drops <pad>, <start>, <eos> and <mask>, keeps
+    <unk>. An id that is not an integer raises InputError."""
+    tokens = list(tokens)
+    bad = [t for t in tokens if not isinstance(t, Integral)]
+    if bad:
+        raise InputError(f"token id {bad[0]!r} is not an integer")
+    return [int(t) for t in tokens if t > MASK_ID or t == UNK_ID]
+
+
 def detokenize(ids, vocab: Vocab) -> str:
-    """Strip special tokens and join the remainder with single spaces."""
-    words = [vocab.token_of(i) for i in ids if i >= len(SPECIALS)]
-    return " ".join(words)
+    """The words of a caption (strip_specials), <unk> included, joined with
+    single spaces. An id that is not an integer in the vocabulary raises
+    InputError."""
+    ids = list(ids)
+    _check_ids(ids, len(vocab), "token")
+    return " ".join(map(vocab.token_of, strip_specials(ids)))
 
 
 # -- captions file -----------------------------------------------------------

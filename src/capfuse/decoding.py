@@ -39,8 +39,8 @@ import numpy as np
 
 from .autodiff import log_softmax
 from .errors import ConfigError, InputError, NumericError, ShapeError, check_int
-from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID
-from .models import MaskedLM, _check_ids, mlm_context_rows
+from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, _check_ids, strip_specials
+from .models import MaskedLM, mlm_context_rows
 
 # tokens never emitted by a decoder
 BLOCKED_IDS = (PAD_ID, START_ID, MASK_ID)
@@ -163,11 +163,6 @@ class EmendStepper(Stepper):
             raise ShapeError(f"mlm_override must be one state of shape ({width},), "
                              f"got {override.shape}")
         self.rows = np.broadcast_to(override, (len(wrapped), width))
-
-
-def strip_specials(tokens) -> list[int]:
-    """The words of a caption: drops <pad>, <start>, <eos> and <mask>, keeps <unk>."""
-    return [int(t) for t in tokens if int(t) > MASK_ID or int(t) == UNK_ID]
 
 
 def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]:

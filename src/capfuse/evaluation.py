@@ -13,14 +13,15 @@ CIDEr-D over n-grams of orders n <= MAX_N with the length penalty's
 CIDER_SIGMA = 6 (R. Vedantam et al., "CIDEr: consensus-based image description
 evaluation", arXiv:1411.5726).
 
-BLEU and CIDEr-D read one array index per corpus (`NgramIndex`). It numbers
-each distinct caption once and each word once, then the n-grams of each order
-2..MAX_N by one sort of (id of the (n-1)-gram, next word), so the ids stay
-dense for any vocabulary size. Its table holds one (caption, order, n-gram,
-count) entry per distinct n-gram of each caption, and one `searchsorted` over
-a sorted (caption, n-gram) key array answers how often each reference holds
-each n-gram of its hypothesis: one lookup per (hypothesis n-gram, reference)
-pair, by n-gram, then reference. BLEU's clipped counts are integer sums of
+BLEU, ROUGE-L and CIDEr-D read one index per corpus (`NgramIndex`), which
+checks the corpus once. ROUGE-L reads only its captions; BLEU and CIDEr-D read
+its arrays. It numbers each distinct caption once and each word once, then the
+n-grams of each order 2..MAX_N by one sort of (id of the (n-1)-gram, next
+word), so the ids stay dense for any vocabulary size. Its table holds one
+(caption, order, n-gram, count) entry per distinct n-gram of each caption, and
+one `searchsorted` over a sorted (caption, n-gram) key array answers how often
+each reference holds each n-gram of its hypothesis: one lookup per (hypothesis
+n-gram, reference) pair, by n-gram, then reference. BLEU's clipped counts are integer sums of
 those lookups, so they are exact.
 
 CIDEr-D sums floats, and a float sum depends on its order, so every sum
@@ -129,10 +130,12 @@ def _occurrences(captions: list[tuple[str, ...]], length: np.ndarray):
 class NgramIndex:
     """The n-grams of orders 1..MAX_N of one corpus, as arrays.
 
-    BLEU and CIDEr-D are given the index, and the first of them to call
-    `built` builds it, so they share one build. Each distinct caption is
-    numbered once, in order of first appearance, hypotheses first. A pair is
-    one reference of one hypothesis, numbered in corpus order.
+    The three corpus metrics are given the index, which checks the corpus
+    when it is made. BLEU and CIDEr-D read its arrays, and the first of them
+    to call `built` builds it, so they share one build; ROUGE-L reads only
+    `hypotheses` and `references`. Each distinct caption is numbered once,
+    in order of first appearance, hypotheses first. A pair is one reference
+    of one hypothesis, numbered in corpus order.
 
     Per caption: `length`, `first_entry` and `n_entries`. Per hypothesis:
     `hyp_cap`, `n_refs`, and `pair_start`, its first pair. Per pair:
@@ -283,10 +286,12 @@ def rouge_l_single(hypothesis: Tokens, references: list[Tokens]) -> float:
     return 100.0 * best
 
 
-def rouge_l(hypotheses: list[Tokens], references: list[list[Tokens]]) -> float:
-    """Corpus ROUGE-L: mean of the per-example scores."""
-    _check_corpus(hypotheses, references)
-    return sum(rouge_l_single(h, r) for h, r in zip(hypotheses, references)) / len(hypotheses)
+def rouge_l(index: NgramIndex) -> float:
+    """Corpus ROUGE-L of the index's corpus: mean of the per-example
+    scores. It reads the hypotheses and references, not the n-gram table, so
+    it does not build the index."""
+    hyps = index.hypotheses
+    return sum(map(rouge_l_single, hyps, index.references)) / len(hyps)
 
 
 # -- CIDEr-D ---------------------------------------------------------------------
@@ -477,13 +482,14 @@ class MetricsReport:
 
 def compute_metrics(hypotheses: list[Tokens],
                     references: list[list[Tokens]]) -> MetricsReport:
-    """BLEU-1..4, ROUGE-L and CIDEr-D; BLEU and CIDEr-D share one index,
-    which the first of them builds."""
+    """BLEU-1..4, ROUGE-L and CIDEr-D over one index, which checks the
+    corpus once; BLEU and CIDEr-D share its n-gram table, which the first of
+    them builds."""
     index = NgramIndex(hypotheses, references)
     return MetricsReport(
         counts=len(hypotheses),
         bleu=bleu_all(index),
-        rouge_l=rouge_l(hypotheses, references),
+        rouge_l=rouge_l(index),
         cider=10.0 * cider(index),
     )
 

@@ -10,12 +10,13 @@ the tokens right of it, combining both context states with an affine layer.
 Image projections, steps, heads and affine layers follow the rule of
 autodiff's forward ops: a plain-array activation gives plain arrays and
 records no graph, and a Tensor activation records a graph. Stacked cells
-unroll over a sequence in one place, _unroll: per layer one [T*B x E] @ Wx and
-one autodiff.lstm_seq (the lstm_step kernel, step by step), which steps each
-sequence only up to the last step whose state its caller reads.
+unroll over a sequence in one place, _unroll: per layer one autodiff.lstm_seq,
+which projects the layer's [T*B x E] input by Wx and runs the lstm_step
+arithmetic step by step, stepping each sequence only up to the last step whose
+state its caller reads.
 
 The decoder has two forwards. CaptionDecoder.step advances every layer by one
-autodiff.lstm_step(x @ Wx, h, c, Wh, b) on plain arrays, for the beam.
+autodiff.lstm_step(x, h, c, Wx, Wh, b) on plain arrays, for the beam.
 CaptionDecoder.teacher_forced runs whole captions: one encode_image and one
 embedding gather of the time-major padded tokens, the image rows stacked
 above the token rows as step 0 (autodiff.concat on axis 0), then _unroll up to
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
@@ -65,11 +65,10 @@ from .autodiff import (
     gather_rows,
     lstm_seq,
     lstm_step,
-    matmul,
     params_checksum,
     softmax_xent_rows,
 )
-from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID  # noqa: F401 (re-exported)
+from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, _check_ids  # noqa: F401 (re-exported)
 from .errors import ConfigError, InputError, ShapeError, StateError, check_int, check_real
 
 
@@ -141,8 +140,8 @@ class LstmCell(_BoundOnce):
     """Single LSTM layer; gate order is (input, forget, candidate, output).
 
     step() is one autodiff.lstm_step on plain arrays. A sequence, with or
-    without a graph, runs through autodiff.lstm_seq over the cell's wh and b
-    after one product with wx for all steps."""
+    without a graph, runs through one autodiff.lstm_seq over the cell's wx,
+    wh and b."""
 
     def __init__(self, prefix: str, in_dim: int, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
@@ -154,7 +153,7 @@ class LstmCell(_BoundOnce):
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         """(h_new, c_new) of one step on plain arrays."""
-        return lstm_step(x @ self.wx.data, h, c, self.wh.data, self.b.data)
+        return lstm_step(x, h, c, self.wx.data, self.wh.data, self.b.data)
 
 
 class CaptionDecoder(ParamStore):
@@ -306,11 +305,11 @@ class MaskedLM(ParamStore):
 
 def _unroll(cells, x, batch: int, last: np.ndarray):
     """Top-layer states of stacked cells over a time-major input x of
-    [T*batch] rows, from a zero state: per layer one X @ Wx and one
-    autodiff.lstm_seq, which steps row r up to step last[r] only (-1: not at
-    all) and leaves its later rows zero."""
+    [T*batch] rows, from a zero state: per layer one autodiff.lstm_seq,
+    which steps row r up to step last[r] only (-1: not at all) and leaves its
+    later rows zero."""
     for cell in cells:
-        x = lstm_seq(matmul(x, cell.wx), batch, cell.wh, cell.b, last)
+        x = lstm_seq(x, batch, cell.wx, cell.wh, cell.b, last)
     return x
 
 
@@ -337,16 +336,6 @@ def _context_steps(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     final pre-end token, whose forward context is the prefix up to that token
     and whose backward context is the end token alone."""
     return np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)
-
-
-def _check_ids(ids, vocab: int, what: str):
-    """InputError naming the first id that is not an integer (numpy's too)
-    in [0, vocab)."""
-    bad = [t for t in ids if not (isinstance(t, Integral) and 0 <= t < vocab)]
-    if bad:
-        t = bad[0]
-        raise InputError(f"{what} id {t} is outside the vocabulary of {vocab}"
-                         if isinstance(t, Integral) else f"{what} id {t!r} is not an integer")
 
 
 # sequences per padded batch of mlm_context_rows; bounds its [T*B x 4H] projections

@@ -5,13 +5,13 @@ implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, gather gradients as zero-filled
 full-size arrays, gradients by central finite differences, LSTM steps and
-the masked-LM loss as step-major graphs of elementary nodes (slice, sigmoid,
-tanh, products and broadcast sums), masked-LM states one masked sequence at a
-time, one step and one layer at a time, fusion logits from each scheme's
-equations in plain numpy, greedy decoding by a plain argmax loop, beam
-expansion order by a three-key lexsort, and a sequence's log-probability by
-the beam's own Stepper.step, one token at a time, against the one
-teacher-forced pass of decoding.sequence_logprob.
+the masked-LM loss as step-major graphs of elementary nodes (matrix
+products, slices, sigmoid, tanh, elementwise products and broadcast sums),
+masked-LM states one masked sequence at a time, one step and one layer at a
+time, fusion logits from each scheme's equations in plain numpy, greedy
+decoding by a plain argmax loop, beam expansion order by a three-key lexsort,
+and a sequence's log-probability by the beam's own Stepper.step, one token at
+a time, against the one teacher-forced pass of decoding.sequence_logprob.
 """
 
 import math
@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from capfuse import autodiff
-from capfuse.autodiff import Tensor, _record, gather_rows, matmul, softmax_xent_rows
+from capfuse.autodiff import Tensor, _record, gather_rows, softmax_xent_rows
 from capfuse.decoding import EmendStepper, Stepper
 from capfuse.errors import InputError, NumericError
 from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
@@ -278,6 +278,16 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b of two 2D Tensors; a's gradient is g @ b.T and b's is a.T @ g."""
+    def back(g, x=a, y=b):
+        if x.requires_grad:
+            x._accum(g @ y.data.T)
+        if y.requires_grad:
+            y._accum(x.data.T @ g)
+    return _record(a.data @ b.data, (a, b), back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

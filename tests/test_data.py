@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from capfuse import data
 from capfuse.data import (
     EOS_ID,
+    MASK_ID,
+    PAD_ID,
     START_ID,
     UNK_ID,
     CaptionExample,
@@ -14,6 +18,7 @@ from capfuse.data import (
     detokenize,
     generate_dataset,
     read_captions,
+    strip_specials,
     tokenize,
     write_captions,
 )
@@ -168,6 +173,31 @@ class TestTokenize:
         vocab = Vocab(data.SPECIALS + ["a", "red", "circle", "left", "of"])
         text = " ".join(words)
         assert detokenize(tokenize(text, vocab), vocab) == text
+
+    def test_detokenize_keeps_unknown_words_as_strip_specials_does(self):
+        vocab = Vocab(data.SPECIALS + ["a", "red"])
+        ids = tokenize("a zebra red", vocab)
+        assert strip_specials(ids) == [5, UNK_ID, 6]
+        assert detokenize(ids, vocab) == "a <unk> red"
+        assert detokenize([PAD_ID, START_ID, MASK_ID, 6, EOS_ID, PAD_ID], vocab) == "red"
+
+    @pytest.mark.parametrize("ids", [[START_ID, 5.5, EOS_ID], [1, 5.5, 6.9, 2], [5, "6"],
+                                     [5, np.float64(6.0)]], ids=str)
+    def test_an_id_that_is_not_an_integer_raises_input_error(self, ids):
+        vocab = Vocab(data.SPECIALS + ["a", "red"])
+        message = f"token id {next(t for t in ids if not isinstance(t, int))!r} is not an integer"
+        for fn in (strip_specials, lambda i: detokenize(i, vocab)):
+            with pytest.raises(InputError, match=re.escape(message)):
+                fn(ids)
+
+    @pytest.mark.parametrize("bad", [7, 70, -1])
+    def test_detokenize_rejects_an_id_outside_the_vocabulary(self, bad):
+        vocab = Vocab(data.SPECIALS + ["a", "red"])
+        with pytest.raises(InputError, match=f"token id {bad} is outside the vocabulary of 7"):
+            detokenize([START_ID, 5, bad, EOS_ID], vocab)
+
+    def test_strip_specials_takes_numpy_integers(self):
+        assert strip_specials(np.array([START_ID, 5, UNK_ID, 9, EOS_ID])) == [5, UNK_ID, 9]
 
 
 class TestCaptionsFile:

@@ -472,9 +472,8 @@ class TestEmend:
             emend(model, mlm, f, [5, V, EOS_ID])
         with pytest.raises(InputError, match=f"id {V + 3}\\b"):
             sequence_logprob(model, f, [5, EOS_ID], mlm=mlm, draft=[V + 3, 6, EOS_ID])
-        # the draft is checked as given: strip_specials calls int() and drops
-        # what is not a word, so a check after it would emend [5.5, 6] as
-        # [5, 6] and drop an id of -1
+        # the draft is checked as given: strip_specials drops what is not a
+        # word, so a check after it would drop an id of -1
         for bad in (5.5, "5", -1):
             draft = [bad, 6]
             with pytest.raises(InputError, match=re.escape(f"draft token id {bad!r}")):

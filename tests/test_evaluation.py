@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from capfuse import evaluation
 from capfuse.errors import InputError
 from capfuse.evaluation import (
     EditOp,
@@ -38,6 +39,10 @@ def bleu_of(hyps, refs):
 
 def cider_of(hyps, refs):
     return cider(NgramIndex(hyps, refs))
+
+
+def rouge_of(hyps, refs):
+    return rouge_l(NgramIndex(hyps, refs))
 
 
 def random_corpus(rng, n_examples, vocab=("a", "b", "c", "d"), max_len=7,
@@ -126,13 +131,13 @@ class TestRouge:
         seqs = [s for s in all_sequences(("a", "b", "c"), 4) if s]
         hyps = seqs[::7]
         refs = [[seqs[(i * 13 + 5) % len(seqs)]] for i in range(len(hyps))]
-        assert rouge_l(hyps, refs) == rouge_brute(hyps, refs)
+        assert rouge_of(hyps, refs) == rouge_brute(hyps, refs)
 
     def test_matches_oracle_exactly_on_random_corpora(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             hyps, refs = random_corpus(rng, int(rng.integers(2, 7)))
-            assert rouge_l(hyps, refs) == rouge_brute(hyps, refs)
+            assert rouge_of(hyps, refs) == rouge_brute(hyps, refs)
 
     def test_reference_order_invariance(self):
         hyp = ["a", "b", "c"]
@@ -295,7 +300,7 @@ class TestReports:
 # -- input checks shared by the three corpus metrics ----------------------------
 
 
-METRICS = {"bleu": bleu_of, "rouge_l": rouge_l, "cider": cider_of}
+METRICS = {"bleu": bleu_of, "rouge_l": rouge_of, "cider": cider_of}
 BAD_CORPORA = {
     "empty corpus": ([], []),
     "lengths differ": ([["a"], ["b"]], [[["a"]]]),
@@ -452,6 +457,19 @@ class TestSharedIndex:
         assert cider(index) == cider_d and bleu_all(index) == bleu
         rep = compute_metrics(*corpus)
         assert rep.bleu == bleu and rep.cider == 10.0 * cider_d
+        assert rep.rouge_l == rouge_of(*corpus)
+
+    def test_compute_metrics_checks_its_corpus_once_and_rouge_l_builds_nothing(self,
+                                                                              monkeypatch):
+        checked = []
+        check = evaluation._check_corpus
+        monkeypatch.setattr(evaluation, "_check_corpus",
+                            lambda *corpus: checked.append(check(*corpus)))
+        corpus = score_shaped_corpus(13)
+        rep = compute_metrics(*corpus)
+        assert len(checked) == 1
+        index = NgramIndex(*corpus)
+        assert rouge_l(index) == rep.rouge_l and not index._built
 
     def test_index_counts_each_caption_once(self):
         caption = ["a", "b", "a", "b"]

@@ -129,11 +129,13 @@ def test_backward_peak_stays_near_the_forward_graph_and_leaves_only_gradients(co
     stepped = sum(max((last >= t).sum(), 2) for last in _context_steps(positions, lens)
                   for t in range(last.max() + 1))
     assert graph > mlm.LAYERS * stepped * 5 * mlm.cfg.hidden_dim * 8 > grad_bytes
-    # the walk adds to the forward graph no more than the parameter gradients
-    # and one lstm_seq backward's [T*B x 4H] gradient with its copy
-    steps = max(len(s) for s in seqs)
-    dz_bytes = steps * len(seqs) * 4 * mlm.cfg.hidden_dim * 8
-    assert peak - base <= graph + grad_bytes + 2 * dz_bytes
+    # the walk adds to the forward graph no more than the parameter gradients,
+    # one lstm_seq backward's [T*B x 4H] gate gradient and the [T*B x H]
+    # gradient of the upper layer's input, the widest input of a layer
+    rows = max(len(s) for s in seqs) * len(seqs)
+    dz_bytes = rows * 4 * mlm.cfg.hidden_dim * 8
+    input_bytes = rows * max(mlm.cfg.embed_dim, mlm.cfg.hidden_dim) * 8
+    assert peak - base <= graph + grad_bytes + dz_bytes + input_bytes
     assert after - base <= grad_bytes + 0.5e6
     assert all(p.grad is not None for p in params)
 
@@ -157,18 +159,21 @@ def test_a_pretraining_loss_has_the_same_few_nodes_for_any_caption_length():
         seqs = [[1] + [5 + (i + k) % 25 for i in range(words)] + [2] for k in range(4)]
         positions = np.array([1, words + 1, 2, words])
         counts.append(len(graph_nodes(_masked_batch_loss(mlm, mlm.embed, seqs, positions))))
-    assert counts[0] == counts[1] < 50
+    # 17 parameters; per direction one embedding gather, one lstm_seq per
+    # layer and one context gather; then concat, combine, head,
+    # cross-entropy, sum and the 1/B scale
+    assert counts == [31, 31]
 
 
 def test_an_lstm_seq_node_holds_no_saved_arrays_after_backward():
     rng = np.random.default_rng(1)
-    xp = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    wh = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
-    b = Tensor(rng.normal(size=8), requires_grad=True)
-    hs = lstm_seq(xp, 2, wh, b, np.array([2, 2]))
+    x = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    wx, wh, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((5, 8), (2, 8), (8,)))
+    hs = lstm_seq(x, 2, wx, wh, b, np.array([2, 2]))
     arrays = [weakref.ref(a) for arg in hs._backward.args
               for a in (arg if isinstance(arg, list) else [arg]) if isinstance(a, np.ndarray)]
-    # the states and the packed row index, then each step's gates and cell state
+    # the states and the packed row index, then each step's gates and cell
+    # state; the input's projection is not kept, and the input is a parent
     assert len(arrays) == 1 + 1 + 3 + 3
     (hs * Tensor(rng.normal(size=(6, 2)))).sum().backward()
     assert hs._parents == () and hs.grad is None

@@ -10,7 +10,6 @@ from capfuse.autodiff import (
     Tensor,
     gather_rows,
     lstm_seq,
-    matmul,
     params_checksum,
     softmax_xent_rows,
 )
@@ -121,7 +120,7 @@ class TestDecoderStep:
         for t in (cell.wx, cell.wh, cell.b, *xhc):
             t.data[...] = np.sign(t.data) * 1000.0
         x = Tensor(np.concatenate([xhc[0].data] * 4), requires_grad=True)
-        hs = lstm_seq(matmul(x, cell.wx), 3, cell.wh, cell.b, np.full(3, 3))
+        hs = lstm_seq(x, 3, cell.wx, cell.wh, cell.b, np.full(3, 3))
         (hs * hs).sum().backward()
         outs = cell.step(*(t.data for t in xhc))
         grads = [t.grad for t in (cell.wx, cell.wh, cell.b, x)]
@@ -129,9 +128,9 @@ class TestDecoderStep:
 
     def test_four_step_sequence_gradient(self):
         # teacher forcing of a ragged batch of two captions from Tensor
-        # features: one encode_image, one gather, one X @ Wx and one lstm_seq
-        # per layer, the model's head and cross-entropy; the image rows are
-        # step 0, so the image projection is checked with the rest
+        # features: one encode_image, one gather, one lstm_seq per layer,
+        # the model's head and cross-entropy; the image rows are step 0, so
+        # the image projection is checked with the rest
         model = build_model(tiny_cfg(), seed=3)
         dec = model.decoder
         features = Tensor(np.random.default_rng(3).normal(size=(2, dec.cfg.feature_dim)))
@@ -209,9 +208,9 @@ class TestTeacherForced:
         calls = []
         original = models.lstm_seq
 
-        def counted(xp, batch, wh, b, last):
-            calls.append((xp.shape, batch, list(last)))
-            return original(xp, batch, wh, b, last)
+        def counted(x, batch, wx, wh, b, last):
+            calls.append((x.shape, batch, list(last)))
+            return original(x, batch, wx, wh, b, last)
 
         def step(*_):
             raise AssertionError("teacher forcing stepped an LstmCell")
@@ -223,7 +222,8 @@ class TestTeacherForced:
         assert h.shape == (4, dec.cfg.hidden_dim)
         # image step plus 3 padded token steps, 2 captions each; each caption
         # is stepped up to the state after its last token, step lens
-        assert calls == [((8, 4 * dec.cfg.hidden_dim), 2, [3, 1])] * dec.LAYERS
+        assert calls == [((8, width), 2, [3, 1])
+                         for width in (dec.cfg.embed_dim, dec.cfg.hidden_dim)]
 
     def test_bad_inputs_raise_typed_errors(self):
         dec = tiny_decoder(seed=23)
@@ -369,8 +369,8 @@ class TestLayerMajorEncoder:
             x, graph = mlm.embed.data[ids], gather_rows(mlm.embed, ids)
             every = np.full(batch, matrix.shape[1] - 1)
             for cell in cells:
-                x = lstm_seq(x @ cell.wx.data, batch, cell.wh, cell.b, every)
-                graph = lstm_seq(matmul(graph, cell.wx), batch, cell.wh, cell.b, every)
+                x = lstm_seq(x, batch, cell.wx, cell.wh, cell.b, every)
+                graph = lstm_seq(graph, batch, cell.wx, cell.wh, cell.b, every)
             assert graph._parents and graph.data.tobytes() == x.tobytes()
             assert np.allclose(x, np.concatenate(tops), rtol=0, atol=1e-12)
 
@@ -502,7 +502,7 @@ class TestMaskedLossGraph:
                    requires_grad=True)  # 3 steps of 2 sequences
         top = x
         for cell in mlm.fwd:
-            top = lstm_seq(matmul(top, cell.wx), 2, cell.wh, cell.b, np.array([2, 2]))
+            top = lstm_seq(top, 2, cell.wx, cell.wh, cell.b, np.array([2, 2]))
         (top * top).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
         assert all(p.grad is None for p in mlm.parameters())

@@ -1,17 +1,22 @@
 """Every console script that pyproject.toml declares resolves to a callable,
 and every name that src/capfuse defines has a caller in the program: in src/
 or in bench/, whose workloads are the program's traffic. A test is not a
-caller."""
+caller. src/capfuse stays within its code-line budget, counted by code_lines,
+the one count that ROADMAP's line figures use."""
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+# ROADMAP item 13: src/capfuse code lines once the pipeline is complete
+SRC_LINE_BUDGET = 1526
 # names with no caller yet, each with the ROADMAP item that will call it
 AWAITING_TRAINING = {
     "clip_grad_norm": 1,
@@ -70,3 +75,63 @@ def dead_names() -> set[str]:
 
 def test_every_name_has_a_caller_in_src_or_bench():
     assert dead_names() == set(AWAITING_TRAINING)
+
+
+# tokens that are not code: comments, line breaks and indentation
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path) -> int:
+    """Code lines of a Python file: lines on which a token other than a
+    comment or a line break starts, runs or ends, less the lines of
+    docstrings (a string that opens a module, class or function body). Blank
+    lines, comments and docstrings do not count; every line of a multi-line
+    statement or string that holds a token does."""
+    text = Path(path).read_text()
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+SNIPPET = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(a,
+      b):
+    """One-line docstring."""
+    return [a,
+
+            b]
+
+
+class C:
+    """Class
+    docstring."""
+    x = """a string
+that is not a docstring"""
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    path = tmp_path / "snippet.py"
+    path.write_text(SNIPPET)
+    # import, the two lines of def, the return's two lines with a token, the
+    # class line and the two lines of the assignment
+    assert code_lines(path) == 8
+
+
+def test_src_stays_within_the_item_13_line_budget():
+    assert sum(map(code_lines, (ROOT / "src" / "capfuse").glob("*.py"))) <= SRC_LINE_BUDGET
