@@ -11,13 +11,13 @@ every op computes its value, defines its backward closure and ends in
 Adam optimizer; the finite-difference gradient checker that tests use as the
 independent oracle, grad_check, lives in tests/oracles.py.
 
-A Tensor carries what src calls on it and nothing more: the operator `*`
-(elementwise, with a Tensor of the same shape or with a scalar) and the
-method sum(). Everything else is a function: `x @ W + b` is affine, one node,
-and max(x, 0) is relu.
+A Tensor carries what src calls on it and nothing more: the operator `*`,
+elementwise with a Tensor of the same shape; `tensor * 2.0` raises TypeError.
+Everything else is a function: `x @ W + b` is affine, one node, max(x, 0) is
+relu, and a batch's mean cross-entropy is softmax_xent, one node.
 
 The forward ops affine, concat, dropout, glu, relu, gather_rows, lstm_seq
-and softmax_xent_rows take activations as Tensors or as plain arrays,
+and softmax_xent take activations as Tensors or as plain arrays,
 and weights as Parameters either way. An array activation gives a plain array
 and records no graph; a Tensor activation gives a Tensor and records a graph,
 so a caller who trains passes Tensors. Both kinds compute the same products in
@@ -139,32 +139,23 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- elementwise product and sum -------------------------------------
+    # -- elementwise product --------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            if self.data.shape != other.data.shape:
-                raise ShapeError(
-                    f"elementwise product needs identical shapes, got "
-                    f"{self.data.shape} and {other.data.shape}"
-                )
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        if self.data.shape != other.data.shape:
+            raise ShapeError(
+                f"elementwise product needs identical shapes, got "
+                f"{self.data.shape} and {other.data.shape}"
+            )
 
-            def back(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accum(g * b.data)
-                if b.requires_grad:
-                    b._accum(g * a.data)
-            return _record(self.data * other.data, (self, other), back)
-        c = float(other)
-
-        def back(g, a=self, k=c):
-            a._accum(g * k)
-        return _record(self.data * c, (self,), back)
-
-    def sum(self):
-        def back(g, a=self):
-            a._accum(np.full_like(a.data, float(g)))
-        return _record(np.asarray(self.data.sum()), (self,), back)
+        def back(g, a=self, b=other):
+            if a.requires_grad:
+                a._accum(g * b.data)
+            if b.requires_grad:
+                b._accum(g * a.data)
+        return _record(self.data * other.data, (self, other), back)
 
 
 class Parameter(Tensor):
@@ -432,11 +423,14 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_xent_rows(logits, targets: np.ndarray):
-    """Per-row cross-entropy for a batch of logits and integer targets."""
+def softmax_xent(logits, targets: np.ndarray):
+    """Mean cross-entropy of 2D logits against one integer target per row,
+    as (-logp[rows, targets]).sum() * (1 / n) over the n rows: a 0-d array
+    from plain-array logits, which records no graph; from Tensor logits, one
+    scalar node whose backward gives the logits (softmax - onehot) * (g / n)."""
     ld = logits.data if isinstance(logits, Tensor) else logits
     if ld.ndim != 2 or not len(ld):
-        raise ShapeError(f"softmax_xent_rows expects 2D logits with rows, got {ld.shape}")
+        raise ShapeError(f"softmax_xent expects 2D logits with rows, got {ld.shape}")
     n, v = ld.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (n,):
@@ -445,14 +439,15 @@ def softmax_xent_rows(logits, targets: np.ndarray):
         raise InputError(f"target out of range for {v} classes")
     logp = log_softmax(ld)
     rows = np.arange(n)
+    loss = np.asarray((-logp[rows, targets]).sum() * (1.0 / n))
     if not isinstance(logits, Tensor):
-        return -logp[rows, targets]
+        return loss
 
-    def back(g, a=logits, lp=logp, t=targets, r=rows):
+    def back(g, a=logits, lp=logp, t=targets, r=rows, k=1.0 / n):
         d = np.exp(lp)
         d[r, t] -= 1.0
-        a._accum(d * g[:, None])
-    return _record(-logp[rows, targets], (logits,), back)
+        a._accum(d * (float(g) * k))
+    return _record(loss, (logits,), back)
 
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):

@@ -272,11 +272,13 @@ def _check_ids(ids, vocab: int, what: str):
 
 def strip_specials(tokens) -> list[int]:
     """The words of a caption: drops <pad>, <start>, <eos> and <mask>, keeps
-    <unk>. An id that is not an integer raises InputError."""
+    <unk>. An id that is not an integer, or is negative, raises InputError."""
     tokens = list(tokens)
-    bad = [t for t in tokens if not isinstance(t, Integral)]
+    bad = [t for t in tokens if not (isinstance(t, Integral) and t >= 0)]
     if bad:
-        raise InputError(f"token id {bad[0]!r} is not an integer")
+        t = bad[0]
+        raise InputError(f"token id {t} is negative" if isinstance(t, Integral)
+                         else f"token id {t!r} is not an integer")
     return [int(t) for t in tokens if t > MASK_ID or t == UNK_ID]
 
 

@@ -39,14 +39,13 @@ a batch's _masked_batch_loss taken on the embedding's array. mlm_pretrain ends
 by freezing the MLM, and freezing is final: a frozen parameter's data can be
 neither written nor rebound (autodiff.Parameter.freeze). A model's parameters
 are its attributes: ParamStore.parameters() reads them off the model, each
-Parameter, the parameters of each nested ParamStore and the weights of each
-tuple of LstmCells, in binding order, so there is no registry to fall out of
-step with what the model computes with.
-An attribute of a model (a ParamStore) or of an LstmCell is bound once:
-rebinding or deleting it raises StateError, frozen or not. The Parameters
-that a model computes with are therefore always the ones it freezes and
-checksums, and a frozen MLM and every copy of it compute with the same
-values for good.
+Parameter and the parameters of each nested ParamStore (an LstmCell is one),
+whether an attribute or an element of a tuple attribute, in binding order, so
+there is no registry to fall out of step with what the model computes with.
+An attribute of a ParamStore is bound once: rebinding or deleting it raises
+StateError, frozen or not. The Parameters that a model computes with are
+therefore always the ones it freezes and checksums, and a frozen MLM and
+every copy of it compute with the same values for good.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .autodiff import (
     lstm_seq,
     lstm_step,
     params_checksum,
-    softmax_xent_rows,
+    softmax_xent,
 )
 from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, _check_ids  # noqa: F401 (re-exported)
 from .errors import ConfigError, InputError, ShapeError, StateError, check_int, check_real
@@ -99,10 +98,11 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class _BoundOnce:
-    """Mixin: an attribute, once bound, can be neither rebound nor deleted
-    (StateError). A copy or an unpickled object restores its attributes
-    without __setattr__."""
+class ParamStore:
+    """Mixin for a model or a layer whose parameters are its attributes. An
+    attribute, once bound, can be neither rebound nor deleted (StateError); a
+    copy or an unpickled object restores its attributes without
+    __setattr__."""
 
     def __setattr__(self, attr, value):
         if attr in vars(self):
@@ -112,31 +112,23 @@ class _BoundOnce:
     def __delattr__(self, attr):
         raise StateError(f"{type(self).__name__}.{attr} is bound once and cannot be deleted")
 
-
-class ParamStore(_BoundOnce):
-    """Mixin for a model whose parameters are its attributes; each attribute
-    is bound once."""
-
     def parameters(self) -> list[Parameter]:
-        """Each Parameter attribute, the parameters of each ParamStore
-        attribute, and the wx, wh and b of each cell of a tuple of LstmCells,
-        in binding order."""
+        """Each Parameter and the parameters of each ParamStore, whether an
+        attribute or an element of a tuple attribute, in binding order."""
         params = []
         for value in vars(self).values():
-            if isinstance(value, Parameter):
-                params.append(value)
-            elif isinstance(value, ParamStore):
-                params.extend(value.parameters())
-            elif isinstance(value, tuple):
-                params.extend(p for cell in value if isinstance(cell, LstmCell)
-                              for p in (cell.wx, cell.wh, cell.b))
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, Parameter):
+                    params.append(item)
+                elif isinstance(item, ParamStore):
+                    params.extend(item.parameters())
         return params
 
     def checksum(self) -> str:
         return params_checksum(self.parameters())
 
 
-class LstmCell(_BoundOnce):
+class LstmCell(ParamStore):
     """Single LSTM layer; gate order is (input, forget, candidate, output).
 
     step() is one autodiff.lstm_step on plain arrays. A sequence, with or
@@ -144,7 +136,6 @@ class LstmCell(_BoundOnce):
     wh and b."""
 
     def __init__(self, prefix: str, in_dim: int, hidden: int, rng: np.random.Generator):
-        self.hidden = hidden
         self.wx = Parameter(f"{prefix}.Wx", xavier_uniform(rng, in_dim, 4 * hidden))
         self.wh = Parameter(f"{prefix}.Wh", xavier_uniform(rng, hidden, 4 * hidden))
         bias = np.zeros(4 * hidden)
@@ -391,12 +382,13 @@ class MlmPretrainReport:
 
 def _masked_batch_loss(mlm: MaskedLM, table, seqs: list[list[int]], positions: np.ndarray):
     """Mean cross-entropy of predicting the token at one masked position
-    per sequence (the mask position is never 0). `table` is mlm.embed, which
-    gives a Tensor that records a graph, or mlm.embed.data, which gives a
-    numpy float and records nothing (MaskedLM._states)."""
+    per sequence (the mask position is never 0): one autodiff.softmax_xent
+    over the head's logits. `table` is mlm.embed, which gives a scalar Tensor
+    that records a graph, or mlm.embed.data, which gives a 0-d array and
+    records nothing (MaskedLM._states)."""
     state = mlm._states(table, seqs, np.arange(len(seqs)), positions)
     targets = [s[p] for s, p in zip(seqs, positions)]
-    return softmax_xent_rows(mlm.head_logits(state), targets).sum() * (1.0 / len(seqs))
+    return softmax_xent(mlm.head_logits(state), targets)
 
 
 def mlm_pretrain(mlm: MaskedLM, corpus: list[list[int]],

@@ -4,7 +4,8 @@ These deliberately avoid the data structures and shortcuts of the package
 implementations: counting is done by scanning lists, LCS recursively,
 edit distance by plain recursion, edit alignments over the full table
 without the package's shared-suffix trim, gather gradients as zero-filled
-full-size arrays, gradients by central finite differences, LSTM steps and
+full-size arrays, gradients by central finite differences (from a scalar
+such as total, the sum of a tensor's elements), LSTM steps and
 the masked-LM loss as step-major graphs of elementary nodes (matrix
 products, slices, sigmoid, tanh, elementwise products and broadcast sums),
 masked-LM states one masked sequence at a time, one step and one layer at a
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from capfuse import autodiff
-from capfuse.autodiff import Tensor, _record, gather_rows, softmax_xent_rows
+from capfuse.autodiff import Tensor, _record, gather_rows, softmax_xent
 from capfuse.decoding import EmendStepper, Stepper
 from capfuse.errors import InputError, NumericError
 from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
@@ -301,6 +302,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data + b.data, (a, b), back)
 
 
+def total(x: Tensor) -> Tensor:
+    """The sum of every element of x, a scalar node: the scalar output that a
+    gradient check or a backward() needs; each element's gradient is g."""
+    def back(g, a=x):
+        a._accum(np.full_like(a.data, float(g)))
+    return _record(np.asarray(x.data.sum()), (x,), back)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid node, through autodiff.sigmoid's tanh form."""
     s = autodiff.sigmoid(x.data)
@@ -331,7 +340,7 @@ def lstm_step_graph(cell, x: Tensor, h: Tensor, c: Tensor):
     """One LSTM cell step as a graph of elementary nodes, with the
     arithmetic of autodiff.lstm_step: z = x @ Wx + h @ Wh, then + b."""
     z = add(add(matmul(x, cell.wx), matmul(h, cell.wh)), cell.b)
-    n = cell.hidden
+    n = cell.wh.shape[0]
     i = sigmoid(slice_last(z, 0, n))
     f = sigmoid(slice_last(z, n, 2 * n))
     g = tanh(slice_last(z, 2 * n, 3 * n))
@@ -370,7 +379,7 @@ def masked_batch_loss_graph(mlm, seqs, positions) -> Tensor:
         ctx.append(chosen)
     logits = mlm.head_logits(mlm.combine(*ctx))
     targets = toks[np.arange(batch), positions]
-    return softmax_xent_rows(logits, targets).sum() * (1.0 / batch)
+    return softmax_xent(logits, targets)
 
 
 # -- masked LM and decoding -----------------------------------------------------------
@@ -379,7 +388,7 @@ def masked_batch_loss_graph(mlm, seqs, positions) -> Tensor:
 def _unroll(cells, embed, tokens):
     """Top-layer hidden state after the last token, one step and one layer at
     a time in plain numpy, with the logistic sigmoid as exp(-log(1 + e^-z))."""
-    state = [(np.zeros(cell.hidden), np.zeros(cell.hidden)) for cell in cells]
+    state = [(np.zeros(cell.wh.shape[0]), np.zeros(cell.wh.shape[0])) for cell in cells]
     for tok in tokens:
         x = embed.data[tok]
         for k, cell in enumerate(cells):

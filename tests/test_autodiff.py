@@ -19,11 +19,11 @@ from capfuse.autodiff import (
     log_softmax,
     lstm_seq,
     relu,
-    softmax_xent_rows,
+    softmax_xent,
 )
 from capfuse.errors import ConfigError, InputError, NumericError, ShapeError, StateError
 
-from oracles import add, gather_rows_grad_full, grad_check, matmul, tanh
+from oracles import add, gather_rows_grad_full, grad_check, matmul, tanh, total
 
 
 def t(values, rg=True):
@@ -51,7 +51,7 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(0)
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
-        err = grad_check(lambda x, y: matmul(x, y).sum(), [a, b])
+        err = grad_check(lambda x, y: total(matmul(x, y)), [a, b])
         assert err <= 1e-6
 
 
@@ -78,7 +78,7 @@ class TestAffine:
     def test_gradient(self):
         rng = np.random.default_rng(2)
         x, w, b = rand(rng, 3, 4), rand(rng, 4, 2), rand(rng, 2)
-        err = grad_check(lambda *a: affine(*a).sum(), [x, w, b])
+        err = grad_check(lambda *a: total(affine(*a)), [x, w, b])
         assert err <= 1e-6
 
     @pytest.mark.parametrize("shapes", [((3, 4), (4, 2), (2,)), ((1, 4), (4, 3), (3,))])
@@ -144,7 +144,7 @@ class TestConcat:
         rng = np.random.default_rng(3)
         a, b = rand(rng, *sa), rand(rng, *sb)
         err = grad_check(
-            lambda x, y: (concat(x, y, axis) * concat(x, y, axis)).sum(), [a, b]
+            lambda x, y: total(concat(x, y, axis) * concat(x, y, axis)), [a, b]
         )
         assert err <= 1e-6
 
@@ -171,10 +171,17 @@ class TestHadamard:
         with pytest.raises(ShapeError):
             t([1.0, 2.0]) * t([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("scalar", [2.0, 2, np.float64(2.0)], ids=repr)
+    def test_a_scalar_factor_raises_type_error(self, scalar):
+        with pytest.raises(TypeError):
+            t([1.0, 2.0]) * scalar
+        with pytest.raises(TypeError):
+            scalar * t([1.0, 2.0])
+
     def test_gradient(self):
         rng = np.random.default_rng(5)
         a, b = rand(rng, 3, 3), rand(rng, 3, 3)
-        assert grad_check(lambda x, y: (x * y).sum(), [a, b]) <= 1e-6
+        assert grad_check(lambda x, y: total(x * y), [a, b]) <= 1e-6
 
 
 class TestActivations:
@@ -189,11 +196,11 @@ class TestActivations:
 
     def test_relu_gradient_away_from_kink(self):
         x = t([-1.5, -0.2, 0.4, 1.9])
-        assert grad_check(lambda a: (relu(a) * relu(a)).sum(), [x]) <= 1e-6
+        assert grad_check(lambda a: total(relu(a) * relu(a)), [x]) <= 1e-6
 
     def test_relu_derivative_at_zero_is_zero(self):
         x = t([0.0])
-        y = relu(x).sum()
+        y = total(relu(x))
         y.backward()
         assert x.grad[0] == 0.0
 
@@ -208,7 +215,7 @@ class TestActivations:
         g = rng.normal(size=data.shape)
         x = t(data)
         y = relu(x)
-        (y * Tensor(g)).sum().backward()
+        total(y * Tensor(g)).backward()
         # the masked-select relu: np.where(x > 0, x, 0), gradient g * (x > 0)
         assert y.data.tobytes() == np.where(data > 0.0, data, 0.0).tobytes()
         assert x.grad.tobytes() == (np.zeros_like(data) + g * (data > 0.0)).tobytes()
@@ -234,11 +241,11 @@ class TestGlu:
     def test_gradient(self):
         rng = np.random.default_rng(7)
         x = rand(rng, 2, 6)
-        assert grad_check(lambda a: glu(a).sum(), [x]) <= 1e-6
+        assert grad_check(lambda a: total(glu(a)), [x]) <= 1e-6
 
 
 def xent_to_class_1(logits):
-    return softmax_xent_rows(logits, np.ones(logits.shape[0], dtype=np.int64))
+    return softmax_xent(logits, np.ones(logits.shape[0], dtype=np.int64))
 
 
 def lstm_seq_batch_2(x, wx, wh, b):
@@ -374,7 +381,7 @@ class TestLstmSeq:
         weights = Tensor(np.random.default_rng(batch).normal(size=(len(ids), 3)))
 
         def f(inp, w_x, w_h, bias):
-            return (gather_rows(lstm_seq(inp, batch, w_x, w_h, bias, last), ids) * weights).sum()
+            return total(gather_rows(lstm_seq(inp, batch, w_x, w_h, bias, last), ids) * weights)
 
         assert grad_check(f, [x, wx, wh, b]) <= 1e-6
         # a padded step's state is read by no one, so its gradient is zero
@@ -386,7 +393,7 @@ class TestLstmSeq:
         x, wx, wh, b = self.case(3, 3, 2)
         for p in (wx, wh, b):
             p.freeze()
-        lstm_seq(x, 2, wx, wh, b, np.array([2, 2])).sum().backward()
+        total(lstm_seq(x, 2, wx, wh, b, np.array([2, 2]))).backward()
         assert wx.grad is None and wh.grad is None and b.grad is None
         assert np.abs(x.grad).sum() > 0
 
@@ -455,7 +462,7 @@ class TestPackedLstmSeq:
         for inp, hs in ((x, packed), (every_x, every)):
             for w in weights:
                 w.grad = None
-            (hs * Tensor(scale)).sum().backward()
+            total(hs * Tensor(scale)).backward()
             grads.append([inp.grad] + [w.grad for w in weights])
         for got, want in zip(*grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -465,7 +472,7 @@ class TestPackedLstmSeq:
 
         for rows in (np.array(last), np.full(batch, steps - 1)):  # packed, then all steps
             def f(inp, w_x, w_h, bias, last=rows):
-                return (lstm_seq(inp, batch, w_x, w_h, bias, last) * Tensor(scale)).sum()
+                return total(lstm_seq(inp, batch, w_x, w_h, bias, last) * Tensor(scale))
 
             assert grad_check(f, [x, *weights]) <= 1e-6
 
@@ -493,60 +500,73 @@ class TestBlasRowBits:
 
 
 class TestSoftmaxXent:
+    """softmax_xent: the mean over rows of each row's cross-entropy, one node."""
+
     def test_uniform_logits(self):
-        loss = softmax_xent_rows(t(np.zeros((1, 4))), np.array([2]))
-        assert loss.data[0] == pytest.approx(np.log(4.0), abs=1e-12)
+        loss = softmax_xent(t(np.zeros((1, 4))), np.array([2]))
+        assert loss.shape == () and loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_saturated(self):
         logits = np.zeros((1, 5))
         logits[0, 3] = 1e3
-        assert softmax_xent_rows(t(logits), np.array([3])).data[0] == \
-            pytest.approx(0.0, abs=1e-9)
+        assert softmax_xent(t(logits), np.array([3])).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_target_out_of_range(self):
         for bad in (4, -1):
             with pytest.raises(InputError, match="out of range"):
-                softmax_xent_rows(t(np.zeros((2, 4))), np.array([0, bad]))
+                softmax_xent(t(np.zeros((2, 4))), np.array([0, bad]))
 
     def test_empty_batch_rejected(self):
         for logits in (np.zeros((0, 4)), t(np.zeros((0, 4)))):
             with pytest.raises(ShapeError, match="with rows"):
-                softmax_xent_rows(logits, np.array([], dtype=int))
+                softmax_xent(logits, np.array([], dtype=int))
 
-    def test_gradient_is_softmax_minus_onehot(self):
+    def test_gradient_is_softmax_minus_onehot_over_the_rows(self):
         rng = np.random.default_rng(8)
         x = rand(rng, 2, 6)
         targets = np.array([1, 4])
-        softmax_xent_rows(x, targets).sum().backward()
+        softmax_xent(x, targets).backward()
         expect = np.exp(log_softmax(x.data))
         expect[[0, 1], targets] -= 1.0
-        assert np.allclose(x.grad, expect, atol=1e-12)
-        x2 = Tensor(x.data.copy(), requires_grad=True)
-        assert grad_check(lambda a: softmax_xent_rows(a, targets).sum(), [x2]) <= 1e-6
+        assert np.allclose(x.grad, expect / 2.0, atol=1e-12)
 
-    def test_rows_variant_matches_single(self):
+    def test_value_is_the_mean_of_the_single_rows(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=(3, 5))
         targets = np.array([0, 4, 2])
-        rows = softmax_xent_rows(t(logits), targets)
+        singles = []
         for i in range(3):
-            single = softmax_xent_rows(t(logits[i:i + 1]), targets[i:i + 1])
-            assert rows.data[i] == pytest.approx(single.data[0], abs=1e-12)
+            single = softmax_xent(t(logits[i:i + 1]), targets[i:i + 1]).item()
             naive = -np.log(np.exp(logits[i]) / np.exp(logits[i]).sum())[targets[i]]
-            assert rows.data[i] == pytest.approx(naive, abs=1e-12)
+            assert single == pytest.approx(naive, abs=1e-12)
+            singles.append(single)
+        assert softmax_xent(t(logits), targets).item() == pytest.approx(np.mean(singles),
+                                                                        abs=1e-12)
 
-    def test_rows_gradient(self):
-        rng = np.random.default_rng(10)
-        x = rand(rng, 3, 5)
-        targets = np.array([1, 0, 3])
-        err = grad_check(lambda a: softmax_xent_rows(a, targets).sum(), [x])
-        assert err <= 1e-6
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_gradient_vs_finite_differences(self, n):
+        rng = np.random.default_rng(10 + n)
+        x = rand(rng, n, 5)
+        targets = rng.integers(5, size=n)
+        assert grad_check(lambda a: softmax_xent(a, targets), [x]) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_value_is_the_row_losses_summed_then_scaled_by_1_over_n(self, n):
+        # np.mean divides instead, which moves the last bits of the
+        # pretraining losses; plain-array logits give the Tensor's bits
+        rng = np.random.default_rng(12 + n)
+        logits = rng.normal(scale=3.0, size=(n, 7))
+        targets = rng.integers(7, size=n)
+        want = np.asarray((-log_softmax(logits)[np.arange(n), targets]).sum() * (1.0 / n))
+        got = softmax_xent(logits, targets)
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+        assert softmax_xent(t(logits), targets).data.tobytes() == want.tobytes()
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             logits = rng.normal(scale=3.0, size=(4, 7))
-            assert (softmax_xent_rows(t(logits), rng.integers(7, size=4)).data >= 0.0).all()
+            assert softmax_xent(t(logits), rng.integers(7, size=4)).item() >= 0.0
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=9))
     @settings(max_examples=60, deadline=None)
@@ -601,7 +621,7 @@ class TestDropout:
         x = t(np.linspace(-1.0, 1.0, 8))
 
         def f(a):
-            return dropout(a, 0.5, training=True, rng=np.random.default_rng(99)).sum()
+            return total(dropout(a, 0.5, training=True, rng=np.random.default_rng(99)))
 
         assert grad_check(f, [x]) <= 1e-6
 
@@ -762,12 +782,13 @@ class TestAdam:
 class TestGradCheck:
     def test_quadratic(self):
         x = t([1.0, 2.0])
-        assert grad_check(lambda a: (a * a).sum(), [x]) <= 1e-8
+        assert grad_check(lambda a: total(a * a), [x]) <= 1e-8
 
     def test_constant_function(self):
         x = t([1.0, 2.0])
         c = Tensor(np.array(3.0))
-        assert grad_check(lambda a: add((a * 0.0).sum(), c), [x]) == 0.0
+        zero = Tensor(np.zeros(2))
+        assert grad_check(lambda a: add(total(a * zero), c), [x]) == 0.0
 
     def test_nonfinite_raises(self):
         x = t([1.0])
@@ -787,7 +808,7 @@ class TestGraphMechanics:
 
     def test_grad_accumulates_over_reuse(self):
         x = t([3.0])
-        y = add((x * x).sum(), x.sum())
+        y = add(total(x * x), total(x))
         y.backward()
         assert x.grad[0] == pytest.approx(7.0)
 
@@ -802,19 +823,19 @@ class TestGraphMechanics:
         wb = Parameter("wb", np.ones(2))
         wb.freeze()
         y = t([3.0, 4.0], rg=False)
-        outs = [x * x, x * y, (x * 2.0).sum(), relu(x), affine(Tensor(np.ones((1, 2))), w, wb),
+        outs = [x * x, x * y, relu(x), affine(Tensor(np.ones((1, 2))), w, wb),
                 affine(Tensor(np.ones((1, 2))), w, Tensor(np.ones(2))),
                 concat(x, x), concat_rows(x, x), glu(Tensor(np.ones((1, 4)))),
                 dropout(x, 0.5, True, np.random.default_rng(0)), gather_rows(w, np.array([1, 0])),
                 lstm_seq(Tensor(np.ones((2, 4))), 1, wx, wh, b, [1]),
-                softmax_xent_rows(Tensor(np.ones((1, 2))), np.array([0]))]
+                softmax_xent(Tensor(np.ones((1, 2))), np.array([0]))]
         assert all(not y.requires_grad and y._parents == () and y._backward is None
                    for y in outs)
 
     def test_leaf_not_requiring_a_gradient_gets_none(self):
         x = t([1.0, 2.0])
         c = Tensor(np.array([4.0, 5.0]))
-        ((x * c).sum()).backward()
+        total(x * c).backward()
         assert c.grad is None
         assert x.grad is not None
 
@@ -822,7 +843,7 @@ class TestGraphMechanics:
         table = Parameter("e", np.arange(12, dtype=np.float64).reshape(4, 3))
         ids = np.array([1, 1, 3])
         out = gather_rows(table, ids)
-        out.sum().backward()
+        total(out).backward()
         expect = np.zeros((4, 3))
         expect[1] = 2.0
         expect[3] = 1.0
@@ -838,7 +859,7 @@ class TestGraphMechanics:
         for _ in range(4):
             ids = rng.integers(0, 5, 8)
             g_rows = rng.normal(size=(8, 3))
-            (gather_rows(table, ids) * Tensor(g_rows)).sum().backward()
+            total(gather_rows(table, ids) * Tensor(g_rows)).backward()
             want = want + gather_rows_grad_full(table.shape, ids, g_rows)
         assert table.grad.tobytes() == want.tobytes()
 
@@ -848,7 +869,7 @@ class TestGraphMechanics:
         out = gather_rows(table, ids)
         assert np.array_equal(out.data, [[0.0] * 3, [7.0, 8.0, 9.0], [0.0] * 3, [7.0, 8.0, 9.0]])
         assert np.array_equal(gather_rows(table.data, ids), out.data)
-        (out * Tensor(np.full((4, 3), 2.0))).sum().backward()
+        total(out * Tensor(np.full((4, 3), 2.0))).backward()
         want = np.zeros((4, 3))
         want[2] = 4.0
         assert np.array_equal(table.grad, want)
@@ -856,14 +877,14 @@ class TestGraphMechanics:
     @pytest.mark.parametrize("add_first", [True, False])
     def test_parents_of_one_sum_get_separate_gradient_arrays(self, add_first):
         a, b = t([1.0, 2.0]), t([3.0, 4.0])
-        terms = [add(a, b).sum(), (a * a).sum()]
+        terms = [total(add(a, b)), total(a * a)]
         (add(terms[0], terms[1]) if add_first else add(terms[1], terms[0])).backward()
         assert np.array_equal(a.grad, [3.0, 5.0])
         assert np.array_equal(b.grad, [1.0, 1.0])
 
     def test_second_backward_raises_and_keeps_the_first_gradients(self):
         x = t([3.0])
-        y = (x * x).sum()
+        y = total(x * x)
         y.backward()
         assert x.grad[0] == 6.0
         with pytest.raises(StateError):
@@ -873,7 +894,7 @@ class TestGraphMechanics:
     def test_backward_through_a_freed_node_raises_before_any_gradient_moves(self):
         x = t([2.0])
         h = x * x
-        first, second = h.sum(), add((h * h).sum(), x.sum())
+        first, second = total(h), add(total(h * h), total(x))
         first.backward()
         assert h.grad is None and first.grad is None
         x.grad = None
@@ -882,11 +903,11 @@ class TestGraphMechanics:
         assert x.grad is None
 
     def test_deep_graph_iterative_topo(self):
-        x = t([1.0])
+        x, one = t([1.0]), Tensor(np.ones(1))
         y = x
         for _ in range(5000):
-            y = y * 1.0
-        y.sum().backward()
+            y = y * one
+        total(y).backward()
         assert x.grad[0] == 1.0
 
     @given(
@@ -900,7 +921,7 @@ class TestGraphMechanics:
 
         def f(xx, ww, bb):
             out = tanh(affine(xx, ww, bb))
-            return (out * out).sum()
+            return total(out * out)
 
         assert grad_check(f, [x, w, b]) <= 1e-4
 
@@ -914,7 +935,7 @@ def saturated_tanh_case():
 
     def f(xx, ww, bb):
         out = tanh(affine(xx, ww, bb))
-        return (out * out).sum()
+        return total(out * out)
 
     return f, [x, w, b]
 

@@ -196,6 +196,13 @@ class TestTokenize:
         with pytest.raises(InputError, match=f"token id {bad} is outside the vocabulary of 7"):
             detokenize([START_ID, 5, bad, EOS_ID], vocab)
 
+    @pytest.mark.parametrize("ids", [[1, -1, 6, 2], [5, np.int64(-3), -1]], ids=str)
+    def test_strip_specials_rejects_a_negative_id(self, ids):
+        # a negative id is no word and no special token; it was dropped silently
+        bad = next(t for t in ids if t < 0)
+        with pytest.raises(InputError, match=re.escape(f"token id {bad} is negative")):
+            strip_specials(ids)
+
     def test_strip_specials_takes_numpy_integers(self):
         assert strip_specials(np.array([START_ID, 5, UNK_ID, 9, EOS_ID])) == [5, UNK_ID, 9]
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from capfuse.autodiff import Tensor, affine, dropout, relu, softmax_xent_rows
+from capfuse.autodiff import Tensor, affine, dropout, relu, softmax_xent
 from capfuse.errors import ConfigError
 from capfuse.fusion import CaptionModel, FusionKind, FusionLayer, build_mlm, build_model
 from capfuse.models import (CaptionDecoder, MaskedLM, MlmConfig, ModelConfig, START_ID,
                             xavier_uniform)
-from oracles import add, encode_masked, fusion_features, grad_check
+from oracles import add, encode_masked, fusion_features, grad_check, total
 
 V = 11
 
@@ -43,9 +43,9 @@ def end_to_end_loss(m, target):
     """Cross-entropy of m's logits plus a linear probe that lifts every
     gradient coordinate by 1e-3, so central differences can resolve it."""
     def f(*args):
-        loss = softmax_xent_rows(m.step_logits(args[0], args[1]), np.array([target])).sum()
+        loss = softmax_xent(m.step_logits(args[0], args[1]), np.array([target]))
         for p in args:
-            loss = add(loss, p.sum() * 1e-3)
+            loss = add(loss, total(p) * Tensor(1e-3))
         return loss
 
     return f
@@ -225,7 +225,7 @@ class TestProperties:
         h_lstm = Tensor(np.random.default_rng(27).uniform(-1, 1, (1, 6)),
                         requires_grad=True)
         h_mlm = encode_masked(mlm, [START_ID, 5, 4, 6])  # 4 is the mask id
-        loss = softmax_xent_rows(m.step_logits(h_lstm, h_mlm), np.array([1])).sum()
+        loss = softmax_xent(m.step_logits(h_lstm, h_mlm), np.array([1]))
         loss.backward()
         for p in m.fusion.parameters() + [m.head_w, m.head_b]:
             assert p.grad is not None, p.name

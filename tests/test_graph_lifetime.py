@@ -13,6 +13,7 @@ import pytest
 from capfuse import data
 from capfuse.autodiff import Tensor, lstm_seq
 from capfuse.models import MaskedLM, MlmConfig, _context_steps, _masked_batch_loss
+from oracles import total
 
 # deeper than the interpreter's recursion limit, so neither the topological
 # walk nor the release of the chain may recurse per node
@@ -21,12 +22,12 @@ CHAIN_DEPTH = 50_000
 
 def chain():
     """(build, leaves): build() makes a deep chain from the leaf x."""
-    x = Tensor(np.array(1.0), requires_grad=True)
+    x, one = Tensor(np.array(1.0), requires_grad=True), Tensor(np.array(1.0))
 
     def build():
         y = x
         for _ in range(CHAIN_DEPTH):
-            y = y * 1.0
+            y = y * one
         return y
 
     return build, [x]
@@ -160,9 +161,9 @@ def test_a_pretraining_loss_has_the_same_few_nodes_for_any_caption_length():
         positions = np.array([1, words + 1, 2, words])
         counts.append(len(graph_nodes(_masked_batch_loss(mlm, mlm.embed, seqs, positions))))
     # 17 parameters; per direction one embedding gather, one lstm_seq per
-    # layer and one context gather; then concat, combine, head,
-    # cross-entropy, sum and the 1/B scale
-    assert counts == [31, 31]
+    # layer and one context gather; then concat, combine, head and the mean
+    # cross-entropy
+    assert counts == [29, 29]
 
 
 def test_an_lstm_seq_node_holds_no_saved_arrays_after_backward():
@@ -175,7 +176,7 @@ def test_an_lstm_seq_node_holds_no_saved_arrays_after_backward():
     # the states and the packed row index, then each step's gates and cell
     # state; the input's projection is not kept, and the input is a parent
     assert len(arrays) == 1 + 1 + 3 + 3
-    (hs * Tensor(rng.normal(size=(6, 2)))).sum().backward()
+    total(hs * Tensor(rng.normal(size=(6, 2)))).backward()
     assert hs._parents == () and hs.grad is None
     assert [r for r in arrays if r() is not None and r() is not hs.data] == []
     assert [o for o in gc.get_referents(hs) if isinstance(o, np.ndarray)] == [hs.data]
