@@ -40,12 +40,30 @@ ROUGE-L's LCS is bit-parallel over Python ints (L. Allison and T. I. Dix,
 H. Hyyro, "Bit-parallel LCS-length computation revisited", AWOCA 2004): one
 big-int update per reference token instead of a row of the O(n*m) table.
 
-token_edits keeps its table, since it needs the alignment, but drops the
-longest shared suffix first: when the last tokens match, d(i, j) equals
-d(i-1, j-1) and the backtrace takes that diagonal first, so the ops do not
-change. A shared prefix is not dropped, because the backtrace runs from the
-end and would place some ops differently ("a a" -> "a" deletes position 0,
-not 1).
+token_edits computes the Levenshtein table d(i, j) (draft prefix i,
+emended prefix j) one column per emended token, as bit-vectors over Python
+ints (G. Myers, "A fast bit-vector algorithm for approximate string matching
+based on dynamic programming", JACM 46(3), 1999; H. Hyyro, "A note on
+bit-parallel alignment computation", PSC 2004). Bit i-1 of a word describes
+row i. Column j reads its match word Eq (the draft positions of emended
+token j) and the vertical deltas d(i, j-1) - d(i-1, j-1) of column j-1 as
+VP (+1) and VN (-1). It derives D0, where d(i, j) = d(i-1, j-1), then the
+horizontal deltas d(i, j) - d(i, j-1) as HP and HN, with row 0's delta +1
+shifted in because d(0, j) = j, and then column j's own VP and VN. The
+distance is n + popcount(VP) - popcount(VN) of the last column.
+
+The backtrace is the table's, read from the bits: from (m, n) it takes a
+match where Eq is set, else a substitution where D0 is clear, else a delete
+where VP is set, else an insert; those are exactly the table's tests
+d(i, j) = d(i-1, j-1), d(i-1, j-1) + 1, d(i-1, j) + 1, so the forward
+pass keeps Eq, the complement of D0 and VP of each column. Every op lowers
+d by 1 and every match by 0, so d at the current cell is the distance less
+the ops taken; once it is 0 the two prefixes are equal and the table's
+backtrace takes only matches, so the walk stops there. The longest shared
+suffix is dropped first: when the last tokens match, the backtrace takes
+that diagonal first, so the ops do not change. A shared prefix is not
+dropped, because the backtrace runs from the end and would place some ops
+differently ("a a" -> "a" deletes position 0, not 1).
 
 Scores for BLEU and ROUGE-L are reported on a 0-100 scale. cider() returns
 the conventional 0-10 scale; reports multiply it by 10 so the printed table
@@ -380,49 +398,65 @@ class EditRecord:
 def token_edits(draft: Tokens, emended: Tokens) -> EditRecord:
     """Token-level Levenshtein alignment with unit costs.
 
-    On cost ties the backtrace prefers substitution over delete+insert, so a
-    one-word change reports as a single substitution at its position. The
-    shared suffix is trimmed before the table is built (see the module
-    docstring).
+    On cost ties the backtrace prefers a match, then a substitution, a
+    delete, an insert, so a one-word change reports as a single
+    substitution at its position. The table is computed bit-parallel, one
+    column per emended token after the shared suffix is trimmed, and the
+    backtrace stops at the first cell of distance 0 (see the module
+    docstring). The ops are in draft order, with draft-side positions.
     """
     m, n = len(draft), len(emended)
     while m and n and draft[m - 1] == emended[n - 1]:
         m, n = m - 1, n - 1
-    dist = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        dist[i][0] = i
-    for j in range(n + 1):
-        dist[0][j] = j
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if draft[i - 1] == emended[j - 1]:
-                dist[i][j] = dist[i - 1][j - 1]
-            else:
-                dist[i][j] = 1 + min(dist[i - 1][j - 1], dist[i - 1][j], dist[i][j - 1])
+    masks = _symbol_masks(draft)  # bits at or above m are masked off or never read
+    full = (1 << m) - 1
+    vp, vn = full, 0  # column 0: d(i, 0) = i
+    cols = [(0, 0, full)]  # per column: Eq, the complement of D0, VP
+    for y in emended[:n]:
+        eq = masks.get(y, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & full
+        hp = (vn | (full ^ (d0 | vp))) << 1 | 1
+        hn = (vp & d0) << 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = hp & d0
+        cols.append((eq, full ^ d0, vp))
+    count = n + vp.bit_count() - vn.bit_count()
     ops: list[EditOp] = []
     i, j = m, n
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and draft[i - 1] == emended[j - 1] \
-                and dist[i][j] == dist[i - 1][j - 1]:
+    while len(ops) < count:  # d(i, j) = count - len(ops)
+        eq, sub, up = cols[j]
+        row = 1 << i >> 1  # row i's bit; row 0 has none and only inserts
+        if eq & row:
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
+        elif sub & row:
             ops.append(EditOp("sub", i - 1, draft[i - 1], emended[j - 1]))
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            ops.append(EditOp("del", i - 1, draft[i - 1]))
+        elif up & row:
             i -= 1
+            ops.append(EditOp("del", i, draft[i]))
         else:
-            ops.append(EditOp("ins", i, new=emended[j - 1]))
             j -= 1
+            ops.append(EditOp("ins", i, new=emended[j]))
     ops.reverse()
-    return EditRecord(list(draft), list(emended), dist[m][n], ops)
+    return EditRecord(list(draft), list(emended), count, ops)
 
 
 def apply_edits(draft: Tokens, ops: list[EditOp]) -> Tokens:
-    """Replay an op list against the draft (ops carry draft-side indices)."""
-    out = list(draft)
-    shift = 0
+    """Replay an op list against the draft.
+
+    Ops carry draft-side positions in draft order, as token_edits gives
+    them: an insert goes before its position (0..len(draft)), and a
+    substitution or delete names the draft token it replaces as `old`. No op
+    may come before a draft token that an earlier op replaced or deleted.
+    Raises InputError for an op that does not fit the draft.
+    """
+    out, shift, first = list(draft), 0, 0  # first: the first draft position still open
     for op in ops:
+        end = len(draft) if op.kind == "ins" else len(draft) - 1
+        if op.kind not in ("sub", "del", "ins") or not isinstance(op.pos, int) \
+                or not first <= op.pos <= end or op.kind != "ins" and op.old != draft[op.pos]:
+            raise InputError(f"{op} does not fit a draft of {len(draft)} tokens "
+                             f"open from position {first}")
         pos = op.pos + shift
         if op.kind == "sub":
             out[pos] = op.new
@@ -432,6 +466,7 @@ def apply_edits(draft: Tokens, ops: list[EditOp]) -> Tokens:
         else:
             out.insert(pos, op.new)
             shift += 1
+        first = op.pos + (op.kind != "ins")
     return out
 
 

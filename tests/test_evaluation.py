@@ -357,15 +357,117 @@ def test_cider_matches_brute_force(corpus):
     assert cider_of(hyps, refs) == pytest.approx(cider_brute(hyps, refs), abs=1e-12)
 
 
+def as_tuples(ops):
+    return [(op.kind, op.pos, op.old, op.new) for op in ops]
+
+
+def assert_table_ops(a, b):
+    rec = token_edits(a, b)
+    count, ops = token_edits_table(a, b)
+    assert rec.count == count and as_tuples(rec.ops) == ops
+    assert rec.draft == a and rec.emended == b
+
+
 def test_token_edits_match_full_table_oracle():
     # every pair of captions up to length 4 over three tokens
     seqs = all_sequences(("a", "b", "c"), 4)
     for a in seqs:
         for b in seqs:
-            rec = token_edits(a, b)
-            count, ops = token_edits_table(a, b)
-            assert rec.count == count
-            assert [(op.kind, op.pos, op.old, op.new) for op in rec.ops] == ops
+            assert_table_ops(a, b)
+
+
+# two or three distinct tokens, so cost ties are dense
+dense_pairs = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.tuples(*[st.lists(st.sampled_from(alphabet), max_size=12)] * 2))
+
+
+@given(dense_pairs)
+@example(([], []))
+@example(([], ["a", "b"]))
+@example((["a", "b"], []))
+@settings(max_examples=300, deadline=None)
+def test_bit_parallel_token_edits_match_the_table_and_replay(pair):
+    draft, emended = pair
+    assert_table_ops(draft, emended)
+    assert apply_edits(draft, token_edits(draft, emended).ops) == emended
+
+
+@pytest.mark.parametrize("draft, emended", [([], []), ([], ["a", "b", "a"]), (["b", "a"], [])],
+                         ids=["both-empty", "empty-draft", "empty-emended"])
+def test_token_edits_of_empty_captions(draft, emended):
+    assert_table_ops(draft, emended)
+    rec = token_edits(draft, emended)
+    assert rec.count == max(len(draft), len(emended))
+    assert {op.kind for op in rec.ops} <= ({"ins"} if not draft else {"del"})
+
+
+@pytest.mark.parametrize("length", [70, 130])
+@pytest.mark.parametrize("kind", ["sub", "ins", "del"])
+def test_token_edits_span_several_machine_words(length, kind):
+    # edits at both ends and on both sides of the first 64-bit boundary
+    rng = np.random.default_rng(length)
+    draft = [str(x) for x in rng.integers(0, 3, length)]
+    for positions in ([0], [63], [64], [length - 1], [0, 63, 64, length - 1]):
+        emended = list(draft)
+        for p in reversed(positions):
+            if kind == "sub":
+                emended[p] = "x"
+            elif kind == "ins":
+                emended.insert(p, "x")
+            else:
+                del emended[p]
+        assert_table_ops(draft, emended)
+        assert token_edits(draft, emended).count == len(positions)
+    assert_table_ops(draft, draft[::-1])
+
+
+def test_token_edits_match_the_table_on_corrupted_captions():
+    """Dataset captions with 0-3 seeded substitutions, insertions and
+    deletions each, as the score benchmark corrupts them."""
+    from capfuse.data import generate_dataset
+
+    rng = np.random.default_rng(7)
+    caps = [r.split() for ex in generate_dataset(7, 400, refs_per_scene=5) for r in ex.references]
+    words = sorted({w for cap in caps for w in cap})
+    assert len(caps) == 2000
+    for cap in caps:
+        hyp = list(cap)
+        for _ in range(int(rng.integers(0, 4))):
+            kind, word = int(rng.integers(3)), words[int(rng.integers(len(words)))]
+            if kind == 0:
+                hyp[int(rng.integers(len(hyp)))] = word
+            elif kind == 1:
+                hyp.insert(int(rng.integers(len(hyp) + 1)), word)
+            elif len(hyp) > 1:
+                del hyp[int(rng.integers(len(hyp)))]
+        assert_table_ops(hyp, cap)
+
+
+MALFORMED_OPS = {
+    "ins past the end": [EditOp("ins", 3, new="z")],
+    "sub of another token": [EditOp("sub", 1, "a", "z")],
+    "del at -1": [EditOp("del", -1, "b")],
+    "unknown kind": [EditOp("swap", 0, "a", "b")],
+    "sub past the end": [EditOp("sub", 2, "c", "z")],
+    "del past the end": [EditOp("del", 2, "c")],
+    "del without its old token": [EditOp("del", 0)],
+    "position not an int": [EditOp("sub", 0.5, "a", "z")],
+    "out of draft order": [EditOp("del", 1, "b"), EditOp("sub", 0, "a", "z")],
+    "one token edited twice": [EditOp("del", 0, "a"), EditOp("sub", 0, "a", "z")],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_OPS)
+def test_apply_edits_rejects_ops_that_do_not_fit_the_draft(case):
+    with pytest.raises(InputError):
+        apply_edits(["a", "b"], MALFORMED_OPS[case])
+
+
+def test_apply_edits_replays_ops_that_fit():
+    ops = [EditOp("ins", 0, new="x"), EditOp("del", 0, "a"), EditOp("ins", 1, new="y"),
+           EditOp("sub", 1, "b", "z"), EditOp("ins", 2, new="w")]
+    assert apply_edits(["a", "b"], ops) == ["x", "y", "z", "w"]
+    assert apply_edits(["a", "b"], []) == ["a", "b"]
 
 
 def score_shaped_corpus(seed: int, scenes: int = 10):
