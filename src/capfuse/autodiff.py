@@ -51,7 +51,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericError, ShapeError, StateError, check_real
+from .errors import InputError, NumericError, ShapeError, StateError, check_real
 
 # _backward of a node that backward() has freed
 _FREED = object()
@@ -450,14 +450,13 @@ def softmax_xent(logits, targets: np.ndarray):
     return _record(loss, (logits,), back)
 
 
-def dropout(x, rate: float, training: bool, rng: np.random.Generator | None):
-    """Inverted dropout: identity at inference, rescaled mask in training,
-    which needs `rng` when rate > 0."""
+def dropout(x, rate: float, rng: np.random.Generator | None = None):
+    """Inverted dropout: a mask drawn from `rng` and rescaled by 1/(1-rate)
+    when given an rng (training), the identity without one (inference) or at
+    rate 0."""
     check_real("dropout rate", rate, "in [0, 1)", lambda r: 0.0 <= r < 1.0)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training needs a random generator")
     xd = x.data if isinstance(x, Tensor) else x
     keep = (rng.random(xd.shape) >= rate) / (1.0 - rate)
     if not isinstance(x, Tensor):

@@ -30,6 +30,14 @@ COUNT_WORDS = {1: "one", 2: "two", 3: "three"}
 # followed by the relation type one-hot
 SLOT_DIM = 1 + len(SHAPES) + len(COLORS) + len(SIZES) + 3
 BASE_FEATURE_DIM = 3 * SLOT_DIM + len(RELATIONS)
+# width of a scene's feature vector: the BASE_FEATURE_DIM one-hot entries,
+# zero-padded to 64
+FEATURE_DIM = 64
+# standard deviation of the Gaussian noise added to every feature, so that
+# no two scenes with the same attributes share a feature vector
+NOISE = 0.05
+# occurrences a training word needs to get its own id; rarer words map to <unk>
+MIN_COUNT = 5
 
 
 @dataclass
@@ -84,6 +92,9 @@ class Vocab:
         return self.index.get(token, UNK_ID)
 
     def token_of(self, idx: int) -> str:
+        """The token of an id; an id that is not an integer in the
+        vocabulary raises InputError."""
+        _check_ids([idx], len(self.tokens), "token")
         return self.tokens[idx]
 
 
@@ -106,11 +117,10 @@ def _make_scene(seed: int, index: int) -> tuple[Scene, np.random.Generator]:
     return Scene(index, objects, relation), rng
 
 
-def scene_features(scene: Scene, rng: np.random.Generator,
-                   feature_dim: int, noise: float) -> np.ndarray:
-    """Concatenated per-slot one-hot encodings plus additive Gaussian noise;
-    feature_dim is at least BASE_FEATURE_DIM."""
-    vec = np.zeros(feature_dim)
+def scene_features(scene: Scene, rng: np.random.Generator) -> np.ndarray:
+    """Concatenated per-slot one-hot encodings, zero-padded to FEATURE_DIM,
+    plus additive Gaussian noise of standard deviation NOISE."""
+    vec = np.zeros(FEATURE_DIM)
     for slot, obj in enumerate(scene.objects):
         base = slot * SLOT_DIM
         vec[base] = 1.0
@@ -120,9 +130,7 @@ def scene_features(scene: Scene, rng: np.random.Generator,
         vec[base + 1 + len(SHAPES) + len(COLORS) + len(SIZES) + obj.count - 1] = 1.0
     if scene.relation is not None:
         vec[3 * SLOT_DIM + RELATIONS.index(scene.relation)] = 1.0
-    if noise > 0:
-        vec = vec + rng.normal(0.0, noise, size=feature_dim)
-    return vec
+    return vec + rng.normal(0.0, NOISE, size=FEATURE_DIM)
 
 
 def _templates_for(scene: Scene) -> list[str]:
@@ -165,9 +173,10 @@ def scene_captions(scene: Scene, rng: np.random.Generator, n_refs: int) -> list[
 
 
 def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
-                     split_fractions: tuple[float, float, float] = (5 / 6, 1 / 12, 1 / 12),
-                     feature_dim: int = 64, noise: float = 0.05) -> list[CaptionExample]:
+                     split_fractions: tuple[float, float, float] = (5 / 6, 1 / 12, 1 / 12)
+                     ) -> list[CaptionExample]:
     """Deterministic synthetic dataset; each scene depends only on (seed, index).
+    Its features are scene_features, FEATURE_DIM wide with NOISE.
 
     Split sizes for train and val are round(n * fraction); test takes the
     remainder so every scene is covered.
@@ -181,8 +190,6 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
         check_real("split fractions", f, "non-negative", lambda r: not r < 0)
     if len(split_fractions) != 3 or not abs(sum(split_fractions) - 1.0) <= 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {split_fractions}")
-    check_int("feature_dim", feature_dim, BASE_FEATURE_DIM)
-    check_real("noise", noise, "finite and non-negative", lambda r: 0.0 <= r < np.inf)
     n_train = round(n_scenes * split_fractions[0])
     n_val = round(n_scenes * split_fractions[1])
     if n_train + n_val > n_scenes:
@@ -191,7 +198,7 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
     for index in range(n_scenes):
         scene, rng = _make_scene(seed, index)
         references = scene_captions(scene, rng, refs_per_scene)
-        features = scene_features(scene, rng, feature_dim, noise)
+        features = scene_features(scene, rng)
         if index < n_train:
             split = "train"
         elif index < n_train + n_val:
@@ -239,9 +246,8 @@ def check_scene_consistency(example: CaptionExample) -> bool:
 # -- vocabulary and tokenization ---------------------------------------------
 
 
-def build_vocab(train_examples: list[CaptionExample], min_count: int = 5) -> Vocab:
-    """Lowercased whitespace tokens occurring at least min_count times."""
-    check_int("min_count", min_count, 1)
+def build_vocab(train_examples: list[CaptionExample]) -> Vocab:
+    """Lowercased whitespace tokens occurring at least MIN_COUNT times."""
     counts: dict[str, int] = {}
     for ex in train_examples:
         for ref in ex.references:
@@ -249,7 +255,7 @@ def build_vocab(train_examples: list[CaptionExample], min_count: int = 5) -> Voc
                 counts[tok] = counts.get(tok, 0) + 1
     if not counts:
         raise InputError("cannot build a vocabulary from an empty corpus")
-    kept = sorted((t for t, c in counts.items() if c >= min_count),
+    kept = sorted((t for t, c in counts.items() if c >= MIN_COUNT),
                   key=lambda t: (-counts[t], t))
     return Vocab(SPECIALS + kept)
 

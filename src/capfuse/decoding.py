@@ -56,10 +56,6 @@ class BeamConfig:
     beam_width: int = 5
     max_len: int = 40  # tokens emitted at most, <eos> included
 
-    def validate(self):
-        check_int("beam_width", self.beam_width, 1)
-        check_int("max_len", self.max_len, 2)
-
 
 class Stepper:
     """Steps a caption model over one image's hypotheses on plain arrays.
@@ -132,42 +128,34 @@ class EmendStepper(Stepper):
     """Fusion decoding against a draft, stripped of special tokens and
     wrapped in <start> ... <eos> (so an already wrapped draft is unchanged):
     at step t the masked-LM state encodes the wrapped draft with position t+1
-    masked (mask appended past the end). mlm_override, one state of width
-    mlm_hidden_dim, replaces every row and skips the MLM. A baseline model,
-    or an MLM whose width is not the model's mlm_hidden_dim, raises
-    ConfigError; an override of any other shape raises ShapeError; a draft
-    with no words, or with an id that is not an integer in the vocabulary,
-    raises InputError."""
+    masked (mask appended past the end). A baseline model, or an MLM whose
+    width is not the model's mlm_hidden_dim or whose vocab_size is not the
+    model's, raises ConfigError; a draft with no words, or with an id that is
+    not an integer in the vocabulary, raises InputError. A frozen MLM whose
+    parameters are all zero gives rows of exactly +0.0, whatever the draft:
+    the "no MLM" ablation."""
 
-    def __init__(self, model, mlm: MaskedLM, features, draft,
-                 mlm_override: np.ndarray | None = None):
+    def __init__(self, model, mlm: MaskedLM, features, draft):
         if not model.needs_mlm():
             raise ConfigError("emending a draft needs a fusion model")
         super().__init__(model, features)
         if mlm is None:
             raise ConfigError("emending a draft needs the masked LM")
-        width = model.cfg.mlm_hidden_dim
-        if mlm.cfg.hidden_dim != width:
+        if mlm.cfg.hidden_dim != model.cfg.mlm_hidden_dim:
             raise ConfigError(f"the masked LM's hidden_dim {mlm.cfg.hidden_dim} is not "
-                              f"the model's mlm_hidden_dim {width}")
+                              f"the model's mlm_hidden_dim {model.cfg.mlm_hidden_dim}")
+        if mlm.cfg.vocab_size != model.cfg.vocab_size:
+            raise ConfigError(f"the masked LM's vocab_size {mlm.cfg.vocab_size} is not "
+                              f"the model's vocab_size {model.cfg.vocab_size}")
         _check_ids(draft, mlm.cfg.vocab_size, "draft token")
         words = strip_specials(draft)
         if not words:
             raise InputError("draft caption is empty")
-        wrapped = [START_ID] + words + [EOS_ID]
-        if mlm_override is None:
-            self.rows = draft_rows(mlm, wrapped)
-            return
-        override = np.array(mlm_override, dtype=np.float64)
-        if override.shape != (width,):
-            raise ShapeError(f"mlm_override must be one state of shape ({width},), "
-                             f"got {override.shape}")
-        self.rows = np.broadcast_to(override, (len(wrapped), width))
+        self.rows = draft_rows(mlm, [START_ID] + words + [EOS_ID])
 
 
 def _decode(stepper: Stepper, cfg: BeamConfig | None) -> tuple[list[int], float]:
     cfg = cfg or BeamConfig()
-    cfg.validate()
     return beam_over(stepper, cfg.beam_width, cfg.max_len)
 
 
@@ -193,8 +181,12 @@ def beam_over(stepper, beam_width: int, max_len: int) -> tuple[list[int], float]
     hypotheses, or of the live ones if none finished by max_len, the least in
     (-summed log-prob, length, tokens) wins, so ties go to the shorter
     sequence, then to the smaller token ids. Ties at expansion go to the
-    smaller token id (best_cells).
+    smaller token id (best_cells). A beam_width that is not an integer of
+    at least 1, or a max_len that is not one of at least 2, raises
+    ConfigError.
     """
+    check_int("beam_width", beam_width, 1)
+    check_int("max_len", max_len, 2)
     state = stepper.start()
     alive_tokens: list[list[int]] = [[]]
     alive_scores = np.zeros(1)
@@ -240,15 +232,14 @@ def beam_search_scored(model, features,
 
 
 def emend(model, mlm: MaskedLM, features, draft,
-          cfg: BeamConfig | None = None,
-          mlm_override: np.ndarray | None = None) -> list[int]:
+          cfg: BeamConfig | None = None) -> list[int]:
     """Re-decode a draft caption with the fusion model.
 
     The decoder conditions on the image and its own emitted tokens; the masked
     LM reads the draft with the next position masked. Returns the emended
     token sequence (ending in <eos> unless max_len was hit).
     """
-    return _decode(EmendStepper(model, mlm, features, draft, mlm_override), cfg)[0]
+    return _decode(EmendStepper(model, mlm, features, draft), cfg)[0]
 
 
 # -- rescoring oracle -------------------------------------------------------------

@@ -126,14 +126,14 @@ class CaptionModel(ParamStore):
         self.head_w = Parameter("head.W", xavier_uniform(rng, width, cfg.vocab_size))
         self.head_b = Parameter("head.b", np.zeros(cfg.vocab_size))
 
-    def step_logits(self, h_top, h_mlm, training: bool = False, rng=None):
+    def step_logits(self, h_top, h_mlm, rng=None):
         """Next-token logits: the head over the top decoder state, or over
         the fusion layer's features of it and masked-LM state h_mlm, after
-        dropout in training."""
+        dropout when given an rng (training)."""
         if self.fusion is not None and h_mlm is None:
             raise ConfigError("fusion model needs a masked-LM state per step")
         features = h_top if self.fusion is None else self.fusion.fuse(h_top, h_mlm)
-        return affine(dropout(features, self.cfg.dropout, training, rng), self.head_w, self.head_b)
+        return affine(dropout(features, self.cfg.dropout, rng), self.head_w, self.head_b)
 
     def needs_mlm(self) -> bool:
         return self.fusion is not None

@@ -67,7 +67,8 @@ from .autodiff import (
     params_checksum,
     softmax_xent,
 )
-from .data import EOS_ID, MASK_ID, PAD_ID, START_ID, UNK_ID, _check_ids  # noqa: F401 (re-exported)
+from .data import (EOS_ID, FEATURE_DIM, MASK_ID, PAD_ID, START_ID,  # noqa: F401 (re-exported)
+                   UNK_ID, _check_ids)
 from .errors import ConfigError, InputError, ShapeError, StateError, check_int, check_real
 
 
@@ -76,7 +77,7 @@ class ModelConfig:
     """Dimensions and knobs shared by the decoder, fusion layer, and MLM."""
 
     vocab_size: int
-    feature_dim: int = 64
+    feature_dim: int = FEATURE_DIM  # of data.generate_dataset's features
     embed_dim: int = 64
     hidden_dim: int = 128
     mlm_hidden_dim: int = 128

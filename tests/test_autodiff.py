@@ -321,8 +321,8 @@ class TestArrayActivations:
 
     def test_dropout_draws_the_mask_of_the_graph_path(self):
         x = np.random.default_rng(9).normal(size=(3, 4))
-        got = dropout(x, 0.5, True, np.random.default_rng(10))
-        want = dropout(Tensor(x, requires_grad=True), 0.5, True, np.random.default_rng(10))
+        got = dropout(x, 0.5, np.random.default_rng(10))
+        want = dropout(Tensor(x, requires_grad=True), 0.5, np.random.default_rng(10))
         assert type(got) is np.ndarray and want._parents
         assert got.tobytes() == want.data.tobytes() and (got == 0.0).any()
 
@@ -581,39 +581,33 @@ class TestSoftmaxXent:
 
 
 class TestDropout:
-    def test_rate_zero_identity(self):
-        x = t([1.0, 2.0])
-        out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_inference_identity(self):
-        x = t([1.0, 2.0])
-        out = dropout(x, 0.9, training=False, rng=np.random.default_rng(0))
-        assert out is x
+    @pytest.mark.parametrize("wrap", [np.asarray, t])
+    def test_rate_zero_identity(self, wrap):
+        x = wrap(np.ones((2, 3)))
+        assert dropout(x, 0.0, rng=np.random.default_rng(0)) is x
+        assert dropout(x, 0.0) is x
 
     @pytest.mark.parametrize("wrap", [np.asarray, t])
-    def test_training_without_an_rng_raises(self, wrap):
-        with pytest.raises(ConfigError, match="random generator"):
-            dropout(wrap(np.ones((2, 3))), 0.5, training=True, rng=None)
+    def test_inference_identity(self, wrap):
         x = wrap(np.ones((2, 3)))
-        assert dropout(x, 0.0, training=True, rng=None) is x
-        assert dropout(x, 0.5, training=False, rng=None) is x
+        assert dropout(x, 0.9) is x
+        assert dropout(x, 0.5, rng=None) is x
 
     def test_invalid_rate(self):
         for bad in (-0.1, 1.0, 1.5, float("nan"), "x", None):
             with pytest.raises(ConfigError, match="^dropout rate must be in"):
-                dropout(t([1.0]), bad, training=True, rng=np.random.default_rng(0))
+                dropout(t([1.0]), bad, rng=np.random.default_rng(0))
 
     def test_empirical_drop_fraction(self):
         rng = np.random.default_rng(12)
         x = Tensor(np.ones(1_000_000))
-        out = dropout(x, 0.3, training=True, rng=rng)
+        out = dropout(x, 0.3, rng=rng)
         dropped = float((out.data == 0.0).mean())
         assert abs(dropped - 0.3) <= 0.01
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(13)
-        out = dropout(Tensor(np.ones(1000)), 0.25, training=True, rng=rng)
+        out = dropout(Tensor(np.ones(1000)), 0.25, rng=rng)
         kept = out.data[out.data != 0.0]
         assert np.allclose(kept, 1.0 / 0.75)
 
@@ -621,7 +615,7 @@ class TestDropout:
         x = t(np.linspace(-1.0, 1.0, 8))
 
         def f(a):
-            return total(dropout(a, 0.5, training=True, rng=np.random.default_rng(99)))
+            return total(dropout(a, 0.5, rng=np.random.default_rng(99)))
 
         assert grad_check(f, [x]) <= 1e-6
 
@@ -826,7 +820,7 @@ class TestGraphMechanics:
         outs = [x * x, x * y, relu(x), affine(Tensor(np.ones((1, 2))), w, wb),
                 affine(Tensor(np.ones((1, 2))), w, Tensor(np.ones(2))),
                 concat(x, x), concat_rows(x, x), glu(Tensor(np.ones((1, 4)))),
-                dropout(x, 0.5, True, np.random.default_rng(0)), gather_rows(w, np.array([1, 0])),
+                dropout(x, 0.5, np.random.default_rng(0)), gather_rows(w, np.array([1, 0])),
                 lstm_seq(Tensor(np.ones((2, 4))), 1, wx, wh, b, [1]),
                 softmax_xent(Tensor(np.ones((1, 2))), np.array([0]))]
         assert all(not y.requires_grad and y._parents == () and y._backward is None

@@ -318,10 +318,15 @@ class TestGreedyAndBeam:
         assert a == b
 
     @pytest.mark.parametrize("field, value", [("beam_width", 0), ("max_len", 1),
-                                              ("beam_width", 2.5), ("max_len", 3.5)])
+                                              ("beam_width", 2.5), ("max_len", 3.5),
+                                              ("max_len", 0), ("beam_width", None)])
     def test_config_validation(self, field, value):
-        with pytest.raises(ConfigError, match=field):
-            BeamConfig(**{field: value}).validate()
+        model = tiny_model("none", seed=10)
+        cfg = BeamConfig(**{field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            beam_search_scored(model, feats(10), cfg)
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            beam_over(Stepper(model, feats(10)), cfg.beam_width, cfg.max_len)
 
     def test_fusion_decode_requires_mlm(self):
         # a fusion model decodes and rescores only against a draft
@@ -386,13 +391,21 @@ class TestEmend:
         out_b = emend(model, mlm, f, [7, 8, 9, 5, EOS_ID], CAP)
         assert out_a == out_b
 
-    def test_constant_override_removes_draft_dependence(self):
-        model = tiny_model("hier", seed=15)
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    def test_a_zero_weight_masked_lm_removes_draft_dependence(self, kind):
+        # the "no MLM" ablation: every row of a frozen all-zero MLM is +0.0
+        model = tiny_model(kind, seed=15)
         mlm = tiny_mlm(15)
+        for p in mlm.parameters():
+            p.data[...] = 0.0
+        mlm.freeze()
         f = feats(15)
-        const = np.zeros(mlm.cfg.hidden_dim)
-        out_a = emend(model, mlm, f, [5, 6, EOS_ID], CAP, mlm_override=const)
-        out_b = emend(model, mlm, f, [8, 9, EOS_ID], CAP, mlm_override=const)
+        drafts = [[START_ID, 5, 6, EOS_ID], [START_ID, 8, 9, 7, 5, EOS_ID]]
+        for draft, rows in zip(drafts, mlm_context_rows(mlm, drafts, append_row=True)):
+            assert rows.shape == (len(draft), mlm.cfg.hidden_dim)
+            assert not rows.any() and not np.signbit(rows).any()
+        out_a = emend(model, mlm, f, drafts[0], CAP)
+        out_b = emend(model, mlm, f, drafts[1], CAP)
         assert out_a == out_b
 
     def test_emend_score_matches_rescoring(self):
@@ -450,8 +463,9 @@ class TestEmend:
 
         got = logprobs(EmendStepper(model, mlm, f, wrapped))
         for t in range(len(prefix)):
-            row = rows[min(t, len(rows) - 1)]
-            want = logprobs(EmendStepper(model, mlm, f, wrapped, mlm_override=row))[t]
+            constant = EmendStepper(model, mlm, f, wrapped)
+            constant.rows = np.broadcast_to(rows[min(t, len(rows) - 1)], rows.shape)
+            want = logprobs(constant)[t]
             assert np.array_equal(got[t], want), f"step {t}"
 
     def test_requires_fusion_model(self):
@@ -483,19 +497,6 @@ class TestEmend:
         assert mlm not in decoding._ROWS_CACHE
         assert emend(model, mlm, f, np.array([5, 6]), CAP) == emend(model, mlm, f, [5, 6], CAP)
 
-    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
-    def test_override_must_be_one_state_of_the_masked_lm_width(self, kind):
-        model = tiny_model(kind, seed=28)
-        mlm = tiny_mlm(28)
-        f = feats(28)
-        wrapped = [START_ID, 5, 6, EOS_ID]
-        for bad in (np.zeros((2, 6)), np.zeros((1, 6)), np.zeros(7), np.zeros(5), 0.0):
-            with pytest.raises(ShapeError, match="mlm_override"):
-                EmendStepper(model, mlm, f, wrapped, mlm_override=bad)
-            with pytest.raises(ShapeError, match="mlm_override"):
-                emend(model, mlm, f, [5, 6, EOS_ID], mlm_override=bad)
-        assert emend(model, mlm, f, [5, 6, EOS_ID], CAP, mlm_override=[0.5] * 6)
-
     @pytest.mark.parametrize("draft", [[], [START_ID], [START_ID, EOS_ID],
                                        [PAD_ID, MASK_ID, EOS_ID]])
     def test_a_draft_without_words_is_rejected(self, draft):
@@ -503,9 +504,8 @@ class TestEmend:
         mlm = tiny_mlm(30)
         mlm.freeze()
         f = feats(30)
-        for override in (None, np.zeros(6)):
-            with pytest.raises(InputError, match="draft caption is empty"):
-                EmendStepper(model, mlm, f, draft, mlm_override=override)
+        with pytest.raises(InputError, match="draft caption is empty"):
+            EmendStepper(model, mlm, f, draft)
         assert mlm not in decoding._ROWS_CACHE
         shortest = EmendStepper(model, mlm, f, [5])
         assert shortest.rows.shape == (3, 6)
@@ -521,23 +521,25 @@ class TestEmend:
         with pytest.raises(ConfigError, match="hidden_dim 7 .* mlm_hidden_dim 6"):
             EmendStepper(model, wide, f, [START_ID, 5, 6, EOS_ID])
         with pytest.raises(ConfigError, match="hidden_dim 7"):
-            emend(model, wide, f, [5, 6, EOS_ID], mlm_override=np.zeros(6))
+            emend(model, wide, f, [5, 6, EOS_ID])
         with pytest.raises(ConfigError, match="hidden_dim 7"):
             sequence_logprob(model, f, [5, EOS_ID], mlm=wide, draft=[5, 6, EOS_ID])
 
-    def test_override_skips_the_masked_lm(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the masked LM ran despite an override")
-
-        monkeypatch.setattr(decoding, "mlm_context_rows", fail)
-        model = tiny_model("hier", seed=20)
-        mlm = tiny_mlm(20)
-        f = feats(20)
-        const = np.full(mlm.cfg.hidden_dim, 0.5)
-        wrapped = [START_ID, 5, 6, 7, EOS_ID]
-        stepper = EmendStepper(model, mlm, f, wrapped, mlm_override=const)
-        assert stepper.rows.shape == (len(wrapped), mlm.cfg.hidden_dim)
-        assert emend(model, mlm, f, wrapped, CAP, mlm_override=const)
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    @pytest.mark.parametrize("mlm_vocab", [V - 2, 2 * V])
+    def test_masked_lm_of_another_vocabulary_is_rejected(self, kind, mlm_vocab):
+        model = tiny_model(kind, seed=31)
+        other = MaskedLM(MlmConfig(vocab_size=mlm_vocab, embed_dim=5, hidden_dim=6),
+                         np.random.default_rng(31))
+        f = feats(31)
+        message = f"vocab_size {mlm_vocab} is not the model's vocab_size {V}"
+        with pytest.raises(ConfigError, match=message):
+            EmendStepper(model, other, f, [START_ID, 5, 6, EOS_ID])
+        with pytest.raises(ConfigError, match=message):
+            emend(model, other, f, [5, 6, EOS_ID], CAP)
+        with pytest.raises(ConfigError, match=message):
+            sequence_logprob(model, f, [5, EOS_ID], mlm=other, draft=[5, 6, EOS_ID])
+        assert other not in decoding._ROWS_CACHE
 
 
 def count_context_rows(monkeypatch) -> list:

@@ -148,11 +148,13 @@ class TestDispatch:
     def test_training_drops_out_the_features_once_before_the_head(self, kind):
         m = caption_model(kind, seed=31, dropout=0.5)
         h_lstm, h_mlm = (s.data for s in states(32))
-        logits = m.step_logits(h_lstm, h_mlm, True, np.random.default_rng(33))
+        logits = m.step_logits(h_lstm, h_mlm, np.random.default_rng(33))
         features = h_lstm if m.fusion is None else m.fusion.fuse(h_lstm, h_mlm)
-        dropped = dropout(features, 0.5, True, np.random.default_rng(33))
+        dropped = dropout(features, 0.5, np.random.default_rng(33))
         assert (dropped == 0.0).any()
         assert np.array_equal(logits, affine(dropped, m.head_w, m.head_b))
+        # without an rng, at inference, the features reach the head whole
+        assert np.array_equal(m.step_logits(h_lstm, h_mlm), affine(features, m.head_w, m.head_b))
 
     def test_all_schemes_emit_vocab_logits(self):
         h_lstm, h_mlm = states(19)
@@ -277,12 +279,3 @@ class TestCaptionModel:
         h = Tensor(np.zeros((1, 6)))
         with pytest.raises(ConfigError):
             model.step_logits(h, None)
-
-    @pytest.mark.parametrize("kind", ["none", "simple", "cold", "hier"])
-    def test_step_logits_in_training_needs_an_rng(self, kind):
-        model = build_model(tiny_cfg(kind, dropout=0.5), seed=5)
-        h, m = np.zeros((2, 6)), np.zeros((2, 7))
-        with pytest.raises(ConfigError, match="random generator"):
-            model.step_logits(h, m, training=True)
-        logits = model.step_logits(h, m, training=True, rng=np.random.default_rng(0))
-        assert logits.shape == (2, V)

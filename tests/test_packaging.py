@@ -1,8 +1,9 @@
 """Every console script that pyproject.toml declares resolves to a callable,
-and every name that src/capfuse defines has a caller in the program: in src/
-or in bench/, whose workloads are the program's traffic. A test is not a
-caller. src/capfuse stays within its code-line budget, counted by code_lines,
-the one count that ROADMAP's line figures use."""
+every name that src/capfuse defines has a caller in the program, and every
+parameter with a default has a call that sets it: in src/ or in bench/,
+whose workloads are the program's traffic. A test is not a caller.
+src/capfuse stays within its code-line budget, counted by code_lines, the
+one count that ROADMAP's line figures use."""
 
 import ast
 import importlib
@@ -29,6 +30,11 @@ AWAITING_TRAINING = {
     "mlm_masked_accuracy": 9,
     "aggregate_seeds": 12,
     "format_table": 12,
+}
+# parameters with a default that no call sets yet, each with the ROADMAP item
+# whose caller will set it
+AWAITING_SETTER = {
+    "CaptionModel.step_logits(rng)": 1,
 }
 
 
@@ -75,6 +81,51 @@ def dead_names() -> set[str]:
 
 def test_every_name_has_a_caller_in_src_or_bench():
     assert dead_names() == set(AWAITING_TRAINING)
+
+
+def options(tree: ast.Module):
+    """(callee name, leading parameters that a call does not pass, parameter
+    lists, label) of each top-level function (none) and of each method of a
+    top-level class (one: self or cls). A call of the class is the call of
+    its __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, 0, node.args, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield callee, 1, item.args, f"{node.name}.{item.name}"
+
+
+def unset_options() -> set[str]:
+    """Each parameter with a default, as name(parameter), of options() in
+    src/capfuse that no call in src/ or bench/ to a callee of its name
+    passes, by keyword or by position; a call with *args or **kwargs passes
+    every parameter. Fields of config dataclasses are not parameters here."""
+    calls = {}
+    for path in sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for path in sorted((ROOT / "src" / "capfuse").glob("*.py")):
+        for callee, skip, args, label in options(ast.parse(path.read_text())):
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param in defaulted:
+                if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg in (None, param) for k in call.keywords)
+                           or param in positional[:len(call.args)]
+                           for call in calls.get(callee, [])):
+                    unset.add(f"{label}({param})")
+    return unset
+
+
+def test_every_option_is_set_in_src_or_bench():
+    assert unset_options() == set(AWAITING_SETTER)
 
 
 # tokens that are not code: comments, line breaks and indentation
