@@ -23,6 +23,7 @@ from capfuse.data import (
     write_captions,
 )
 from capfuse.errors import ConfigError, InputError, ParseError
+from capfuse.models import ModelConfig
 
 
 def small_dataset(seed=0, n=24):
@@ -108,6 +109,24 @@ class TestGeneration:
         for x, y in zip(a, b):
             assert np.array_equal(x.features, y.features)
 
+    def test_features_are_the_one_hot_layout_plus_noise_of_scale_noise(self):
+        examples = generate_dataset(4, 200, 3, (0.5, 0.25, 0.25))
+        features = np.stack([ex.features for ex in examples])
+        assert features.shape == (200, data.FEATURE_DIM)
+        # noise of 0.05 never reaches 0.5, so rounding recovers the one-hot
+        one_hot = np.round(features)
+        assert set(np.unique(one_hot)) <= {0.0, 1.0}
+        assert not one_hot[:, data.BASE_FEATURE_DIM:].any()
+        assert (one_hot[:, ::data.SLOT_DIM][:, 0] == 1.0).all()  # slot 0 always present
+        noise = features - one_hot
+        assert abs(noise.std() - data.NOISE) <= 0.1 * data.NOISE
+        assert abs(noise.mean()) <= 0.1 * data.NOISE
+
+    def test_the_default_model_takes_the_generated_feature_width(self):
+        cfg = ModelConfig(vocab_size=10)
+        assert cfg.feature_dim == data.FEATURE_DIM
+        assert small_dataset()[0].features.shape == (cfg.feature_dim,)
+
 
 class TestVocab:
     def test_min_count_threshold(self):
@@ -118,16 +137,38 @@ class TestVocab:
         assert "b" not in vocab.index
         assert tokenize("b", vocab) == [START_ID, UNK_ID, EOS_ID]
 
+    @pytest.mark.parametrize("count", [1, data.MIN_COUNT - 1, data.MIN_COUNT,
+                                       data.MIN_COUNT + 1])
+    def test_a_word_gets_an_id_iff_it_occurs_min_count_times(self, count):
+        # the occurrences are counted across references and across examples
+        refs = ["w"] * count
+        examples = [CaptionExample(str(i), "train", np.zeros(1), refs[i::2] or ["x"])
+                    for i in range(2)]
+        vocab = build_vocab(examples)
+        assert ("w" in vocab.index) == (count >= data.MIN_COUNT)
+        assert (tokenize("w", vocab)[1] == UNK_ID) == (count < data.MIN_COUNT)
+
+    def test_a_corpus_of_min_count_copies_has_no_unks(self):
+        train = [ex for ex in small_dataset(seed=2) if ex.split == "train"]
+        vocab = full_vocab(train)
+        assert len(vocab) > len(build_vocab(train))
+        for ex in train:
+            for ref in ex.references:
+                assert UNK_ID not in tokenize(ref, vocab)[1:-1]
+
     def test_round_trip_token_ids(self):
         vocab = full_vocab(small_dataset())
         for tok in vocab.tokens:
             assert vocab.token_of(vocab.id_of(tok)) == tok
 
-    def test_token_of_an_id_outside_the_vocabulary_raises(self):
+    @pytest.mark.parametrize("bad", [-1, -7, 7, 9])
+    def test_token_of_an_id_outside_the_vocabulary_raises(self, bad):
         vocab = Vocab(data.SPECIALS + ["a", "b"])
-        for bad in (-1, len(vocab)):
-            with pytest.raises(InputError, match=f"token id {bad} is outside the vocabulary of 7"):
-                vocab.token_of(bad)
+        with pytest.raises(InputError, match=f"token id {bad} is outside the vocabulary of 7"):
+            vocab.token_of(bad)
+
+    def test_token_of_takes_numpy_integers_and_rejects_other_numbers(self):
+        vocab = Vocab(data.SPECIALS + ["a", "b"])
         with pytest.raises(InputError, match="token id 5.0 is not an integer"):
             vocab.token_of(5.0)
         assert vocab.token_of(np.int64(6)) == "b"

@@ -408,6 +408,19 @@ class TestEmend:
         out_b = emend(model, mlm, f, drafts[1], CAP)
         assert out_a == out_b
 
+    @pytest.mark.parametrize("kind", ["simple", "cold", "hier"])
+    def test_a_zero_weight_masked_lm_scores_a_caption_alike_for_every_draft(self, kind):
+        model = tiny_model(kind, seed=16)
+        mlm = tiny_mlm(16)
+        for p in mlm.parameters():
+            p.data[...] = 0.0
+        mlm.freeze()
+        f = feats(16)
+        caption = [5, 6, 7, EOS_ID]
+        scores = [sequence_logprob(model, f, caption, mlm=mlm, draft=draft)
+                  for draft in ([5, EOS_ID], [8, 9, 7, 5, 6, EOS_ID])]
+        assert np.isfinite(scores[0]) and scores[0] == scores[1]
+
     def test_emend_score_matches_rescoring(self):
         model = tiny_model("simple", seed=16)
         mlm = tiny_mlm(16)
