@@ -556,13 +556,18 @@ class Adam:
 
 
 def clip_grad_norm(params, max_norm: float):
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm, a
+    finite positive number, and return the norm before scaling. A norm that
+    is not finite raises NumericError before any gradient is scaled."""
+    check_real("max_norm", max_norm, "finite and positive", lambda r: 0.0 < r < np.inf)
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = np.sqrt(total)
-    if norm > max_norm > 0:
+    if not np.isfinite(norm):
+        raise NumericError(f"gradient norm is {norm}")
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:

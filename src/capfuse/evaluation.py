@@ -14,15 +14,16 @@ CIDER_SIGMA = 6 (R. Vedantam et al., "CIDEr: consensus-based image description
 evaluation", arXiv:1411.5726).
 
 BLEU, ROUGE-L and CIDEr-D read one index per corpus (`NgramIndex`), which
-checks the corpus once. ROUGE-L reads only its captions; BLEU and CIDEr-D read
-its arrays. It numbers each distinct caption once and each word once, then the
-n-grams of each order 2..MAX_N by one sort of (id of the (n-1)-gram, next
-word), so the ids stay dense for any vocabulary size. Its table holds one
-(caption, order, n-gram, count) entry per distinct n-gram of each caption, and
-one `searchsorted` over a sorted (caption, n-gram) key array answers how often
-each reference holds each n-gram of its hypothesis: one lookup per (hypothesis
-n-gram, reference) pair, by n-gram, then reference. BLEU's clipped counts are integer sums of
-those lookups, so they are exact.
+checks the corpus once and is built once, by the first of them to read it.
+It numbers each distinct caption once and each word once, and keeps the word
+ids of every caption, which ROUGE-L reads. It numbers the n-grams of each
+order 2..MAX_N by one sort of (id of the (n-1)-gram, next word), so the ids
+stay dense for any vocabulary size. Its table holds one (caption, order,
+n-gram, count) entry per distinct n-gram of each caption, and one
+`searchsorted` over a sorted (caption, n-gram) key array answers how often
+each reference holds each n-gram of its hypothesis: one lookup per
+(hypothesis n-gram, reference) pair, by n-gram, then reference. BLEU's
+clipped counts are integer sums of those lookups, so they are exact.
 
 CIDEr-D sums floats, and a float sum depends on its order, so every sum
 follows each caption's first-occurrence order: within a caption and order,
@@ -35,10 +36,21 @@ idf and the length penalty are taken with `math.log` and `math.exp`, once per
 distinct document frequency and length difference, because numpy's may differ
 from them in the last bit.
 
-ROUGE-L's LCS is bit-parallel over Python ints (L. Allison and T. I. Dix,
-"A bit-string longest-common-subsequence algorithm", IPL 23(5), 1986;
-H. Hyyro, "Bit-parallel LCS-length computation revisited", AWOCA 2004): one
-big-int update per reference token instead of a row of the O(n*m) table.
+ROUGE-L's LCS is bit-parallel (L. Allison and T. I. Dix, "A bit-string
+longest-common-subsequence algorithm", IPL 23(5), 1986; H. Hyyro,
+"Bit-parallel LCS-length computation revisited", AWOCA 2004), for every
+(hypothesis, reference) pair at once: one vectorised update per reference
+position instead of a row of the O(n*m) table per pair. A uint64 table
+holds the bitmask of each corpus word's positions in each distinct
+hypothesis: (distinct hypotheses) x (corpus words + 1) x ceil(longest
+hypothesis / 64) words, about 30 KB for the 100 hypotheses of a `score`
+operation. Every pair gathers the masks of its reference's words. Update j
+sets v = (v + u) | (v - u), with u = v & (mask of reference word j), for
+every pair, over vectors of uint64 words whose carries ripple from word to
+word. Each pair's F-measure, the maximum over a hypothesis' references and
+the mean over hypotheses take the float operations of a loop over pairs in
+its order; the mean adds in sequence (`np.cumsum`), so its bits do not
+depend on the Python version.
 
 token_edits computes the Levenshtein table d(i, j) (draft prefix i,
 emended prefix j) one column per emended token, as bit-vectors over Python
@@ -94,6 +106,8 @@ def _check_corpus(hypotheses: list[Tokens], references: list[list[Tokens]]):
         raise InputError("hypothesis and reference lists differ in length")
     if any(not refs for refs in references):
         raise InputError("every hypothesis needs at least one reference")
+    if any(isinstance(c, str) for c in chain(hypotheses, *references)):
+        raise InputError("a caption is a list of tokens, not a str")
 
 
 def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +118,7 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Ids 0..k-1 that number the k distinct values of `keys`, and k."""
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)  # equal keys get one id, so their order is free
     starts, sizes = _runs(keys[order])
     ids = np.empty_like(order)
     ids[order] = np.repeat(np.arange(len(starts)), sizes)
@@ -117,31 +131,30 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.subtract(np.arange(len(out)), out, out=out)
 
 
-def _occurrences(captions: list[tuple[str, ...]], length: np.ndarray):
+def _occurrences(tokens: np.ndarray, n_words: int, length: np.ndarray):
     """Caption, order (0-based) and n-gram id of every n-gram occurrence, by
     caption, then order, then position; and the number of distinct n-grams.
 
-    Words are numbered once; the (n+1)-grams of each order are numbered by
-    one sort of (id of the n-gram, next word), so every key stays below
-    (number of n-grams) x (number of words).
+    `tokens` holds the word ids 0..n_words-1 of the captions, concatenated.
+    The (n+1)-grams of each order are numbered by one sort of (id of the
+    n-gram, next word), so every key stays below (number of n-grams) x
+    (number of words).
     """
-    words = {w: i for i, w in enumerate(dict.fromkeys(chain.from_iterable(captions)))}
-    tokens = np.fromiter(map(words.__getitem__, chain.from_iterable(captions)), np.intp)
     per_order = np.maximum(length[:, None] - np.arange(MAX_N), 0)
     occ_start = (np.cumsum(per_order) - per_order.ravel()).reshape(per_order.shape)
     occ_gram = np.empty(per_order.sum(), np.intp)
     # ids[p] numbers the n-gram that starts at position p; an order reads
     # only positions where the previous order's n-grams start
-    ids, n_ids, n_grams = tokens.copy(), len(words), 0
+    ids, n_ids, n_grams = tokens.copy(), n_words, 0
     for n in range(MAX_N):
         pos = _ranges(np.cumsum(length) - length, per_order[:, n])
         if n:  # an (n+1)-gram is an n-gram and the word after it
-            grams, n_ids = _dense(ids[pos] * len(words) + tokens[pos + n])
+            grams, n_ids = _dense(ids[pos] * n_words + tokens[pos + n])
             ids[pos] = grams
         occ_gram[_ranges(occ_start[:, n], per_order[:, n])] = n_grams + ids[pos]
         n_grams += n_ids
-    occ_cap = np.repeat(np.arange(len(captions)), per_order.sum(1))
-    occ_order = np.repeat(np.tile(np.arange(MAX_N), len(captions)), per_order.ravel())
+    occ_cap = np.repeat(np.arange(len(length)), per_order.sum(1))
+    occ_order = np.repeat(np.tile(np.arange(MAX_N), len(length)), per_order.ravel())
     return occ_cap, occ_order, occ_gram, n_grams
 
 
@@ -149,14 +162,14 @@ class NgramIndex:
     """The n-grams of orders 1..MAX_N of one corpus, as arrays.
 
     The three corpus metrics are given the index, which checks the corpus
-    when it is made. BLEU and CIDEr-D read its arrays, and the first of them
-    to call `built` builds it, so they share one build; ROUGE-L reads only
-    `hypotheses` and `references`. Each distinct caption is numbered once,
-    in order of first appearance, hypotheses first. A pair is one reference
-    of one hypothesis, numbered in corpus order.
+    when it is made. They read its arrays, and the first of them to call
+    `built` builds it, so they share one build. Each distinct caption is
+    numbered once, in order of first appearance, hypotheses first. A pair is
+    one reference of one hypothesis, numbered in corpus order.
 
-    Per caption: `length`, `first_entry` and `n_entries`. Per hypothesis:
-    `hyp_cap`, `n_refs`, and `pair_start`, its first pair. Per pair:
+    `word` holds the word ids 0..n_words-1 of every caption, caption after
+    caption. Per caption: `length`, `first_entry` and `n_entries`. Per
+    hypothesis: `hyp_cap`, `n_refs`, and `pair_start`, its first pair. Per pair:
     `pair_hyp`, and `pair_ref`, the reference's caption. The table has one
     entry per distinct n-gram of each caption, grouped by caption, then
     order, then first occurrence: `order` (0-based), `gram`, `count`.
@@ -193,7 +206,11 @@ class NgramIndex:
         self.pair_hyp = np.repeat(np.arange(len(self.n_refs)), self.n_refs)
         self.pair_start = np.cumsum(self.n_refs) - self.n_refs
         self.length = np.fromiter(map(len, ids), np.intp, len(ids))
-        occ_cap, occ_order, occ_gram, self.n_grams = _occurrences(list(ids), self.length)
+        words = {w: i for i, w in enumerate(dict.fromkeys(chain.from_iterable(ids)))}
+        self.n_words = len(words)
+        self.word = np.fromiter(map(words.__getitem__, chain.from_iterable(ids)), np.intp)
+        occ_cap, occ_order, occ_gram, self.n_grams = _occurrences(self.word, self.n_words,
+                                                                  self.length)
         # one entry per distinct (caption, n-gram), at its first occurrence
         keys = occ_cap * self.n_grams + occ_gram
         order = np.argsort(keys, kind="stable")
@@ -260,56 +277,67 @@ def bleu_all(index: NgramIndex) -> list[float]:
 # -- ROUGE-L --------------------------------------------------------------------
 
 
-def _symbol_masks(a: Tokens) -> dict[str, int]:
-    """Token -> bitmask of its positions in `a` (bit i for a[i])."""
-    masks: dict[str, int] = {}
-    for i, x in enumerate(a):
-        masks[x] = masks.get(x, 0) | (1 << i)
-    return masks
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], np.uint64)  # the b lowest bits set
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], np.intp)  # per byte
 
 
-def _lcs_length(a: Tokens, b: Tokens, masks: dict[str, int]) -> int:
-    """LCS length of a and b, bit-parallel (see the module docstring).
+def _pair_lcs(ix: NgramIndex) -> np.ndarray:
+    """LCS length of every pair, bit-parallel, all pairs at once (see the
+    module docstring).
 
-    Bit i of v is cleared where a row of the LCS table steps up at a[i], so
-    after all of b the clear bits of v count the LCS. `masks` is
-    `_symbol_masks(a)`.
+    Bit i of a pair's v is cleared where a row of the LCS table steps up at
+    word i of the hypothesis, so after the whole reference the clear bits of
+    v count the LCS. Bit vectors are n_w uint64 words, n_w = ceil(longest
+    hypothesis / 64), least significant first.
     """
-    full = (1 << len(a)) - 1
-    v = full
-    for y in b:
-        m = masks.get(y)
-        if m:
-            u = v & m
-            v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
-
-
-def rouge_l_single(hypothesis: Tokens, references: list[Tokens]) -> float:
-    """LCS F-measure, recall weighted by ROUGE_BETA, against the
-    best-matching reference, 0-100 scale."""
-    if not references:
-        raise InputError("ROUGE-L needs at least one reference")
-    masks = _symbol_masks(hypothesis)
-    beta2 = ROUGE_BETA * ROUGE_BETA
-    best = 0.0
-    for ref in references:
-        lcs = _lcs_length(hypothesis, ref, masks)
-        if lcs == 0:
-            continue
-        p = lcs / len(hypothesis)
-        r = lcs / len(ref)
-        f = (1 + beta2) * p * r / (r + beta2 * p)
-        best = max(best, f)
-    return 100.0 * best
+    n_hyps = int(ix.hyp_cap.max()) + 1  # distinct hypotheses are numbered first
+    n_caps, cols = len(ix.length), ix.n_words + 1  # column n_words stays 0
+    cap = np.repeat(np.arange(n_caps), ix.length)  # per corpus word: its caption
+    bit = _ranges(np.zeros_like(ix.length), ix.length)  # and its place there
+    # table[w, hypothesis x cols + word]: word w of the word's positions in the
+    # hypothesis; a caption's bits are distinct, so adding them sets them
+    hyp_words = slice(int(ix.length[:n_hyps].sum()))
+    n_w = (int(ix.length[:n_hyps].max()) + 63) // 64
+    table = np.zeros((n_w, n_hyps * cols), np.uint64)
+    np.add.at(table, (bit[hyp_words] // 64, cap[hyp_words] * cols + ix.word[hyp_words]),
+              np.uint64(1) << (bit[hyp_words] % 64).astype(np.uint64))
+    # masks[w, j, pair]: the table entry of the reference's word j, 0 past its end
+    span = int(ix.length.max())
+    padded = np.full((n_caps, span), ix.n_words)
+    padded.ravel()[cap * span + bit] = ix.word
+    hyp = ix.hyp_cap[ix.pair_hyp]
+    ref_words = padded[ix.pair_ref, :int(ix.length[ix.pair_ref].max())].T
+    masks = table[:, ref_words + hyp * cols]
+    full = _LOW_BITS[np.clip(ix.length[hyp] - 64 * np.arange(n_w)[:, None], 0, 64)]
+    v, u, s = full.copy(), np.empty_like(full), np.empty_like(full)
+    for m in masks.transpose(1, 0, 2):
+        np.bitwise_and(v, m, out=u)
+        np.add(v, u, out=s)
+        carry = False  # out of word w: its sum wrapped below v, or the carry in made it v
+        for w in range(n_w - 1):
+            carry = (s[w] < v[w]) | carry & (s[w] == v[w])
+            s[w + 1] += carry
+        v ^= u  # v - u, as u is a subset of v
+        v |= s  # a carry past the hypothesis' end sets bits that `full` drops
+    v = np.bitwise_and(full, ~v, out=v)
+    return _POPCOUNT[v.view(np.uint8)].reshape(n_w, len(hyp), 8).sum((0, 2))
 
 
 def rouge_l(index: NgramIndex) -> float:
-    """Corpus ROUGE-L of the index's corpus: mean of the per-example
-    scores. It reads the hypotheses and references, not the n-gram table, so
-    it does not build the index."""
-    hyps = index.hypotheses
-    return sum(map(rouge_l_single, hyps, index.references)) / len(hyps)
+    """Corpus ROUGE-L: the mean over hypotheses of the LCS F-measure, recall
+    weighted by ROUGE_BETA, against the best-matching reference, 0-100
+    scale. A pair with no common word scores 0."""
+    ix = index.built()
+    lcs = _pair_lcs(ix)
+    hit = np.flatnonzero(lcs)
+    p = lcs[hit] / ix.length[ix.hyp_cap[ix.pair_hyp[hit]]]
+    r = lcs[hit] / ix.length[ix.pair_ref[hit]]
+    beta2 = ROUGE_BETA * ROUGE_BETA
+    f = np.zeros(len(lcs))
+    f[hit] = (1 + beta2) * p * r / (r + beta2 * p)
+    scores = 100.0 * np.maximum.reduceat(f, ix.pair_start)
+    # cumsum adds in sequence; builtin sum is compensated from Python 3.12 on
+    return float(np.cumsum(scores)[-1]) / len(scores)
 
 
 # -- CIDEr-D ---------------------------------------------------------------------
@@ -318,13 +346,11 @@ def rouge_l(index: NgramIndex) -> float:
 def _document_frequency(ix: NgramIndex) -> np.ndarray:
     """Per n-gram, the number of examples whose references hold it: a count
     of the distinct (example, n-gram) pairs of the references."""
-    # keys are caption x n_grams + gram, sorted, so each reference's block
-    # is in gram order and the sort only merges blocks; the shift turns
-    # caption into example
+    # keys are caption x n_grams + gram; the shift turns caption into example
     ref_entries = ix.n_entries[ix.pair_ref]
     docs = ix.keys[_ranges(ix.first_entry[ix.pair_ref], ref_entries)]
     docs += np.repeat((ix.pair_hyp - ix.pair_ref) * ix.n_grams, ref_entries)
-    docs.sort(kind="stable")
+    docs.sort()
     return np.bincount(docs[_runs(docs)[0]] % ix.n_grams, minlength=ix.n_grams)
 
 
@@ -395,6 +421,14 @@ class EditRecord:
     ops: list[EditOp]
 
 
+def _symbol_masks(a: Tokens) -> dict[str, int]:
+    """Token -> bitmask of its positions in `a` (bit i for a[i])."""
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
 def token_edits(draft: Tokens, emended: Tokens) -> EditRecord:
     """Token-level Levenshtein alignment with unit costs.
 
@@ -405,6 +439,8 @@ def token_edits(draft: Tokens, emended: Tokens) -> EditRecord:
     backtrace stops at the first cell of distance 0 (see the module
     docstring). The ops are in draft order, with draft-side positions.
     """
+    if isinstance(draft, str) or isinstance(emended, str):
+        raise InputError("token_edits takes lists of tokens, not a str")
     m, n = len(draft), len(emended)
     while m and n and draft[m - 1] == emended[n - 1]:
         m, n = m - 1, n - 1
@@ -518,8 +554,7 @@ class MetricsReport:
 def compute_metrics(hypotheses: list[Tokens],
                     references: list[list[Tokens]]) -> MetricsReport:
     """BLEU-1..4, ROUGE-L and CIDEr-D over one index, which checks the
-    corpus once; BLEU and CIDEr-D share its n-gram table, which the first of
-    them builds."""
+    corpus once and which the first of them builds."""
     index = NgramIndex(hypotheses, references)
     return MetricsReport(
         counts=len(hypotheses),
@@ -535,14 +570,22 @@ def aggregate_seeds(reports: list[MetricsReport]) -> MetricsReport:
         raise InputError("nothing to aggregate")
     if len({r.counts for r in reports}) != 1:
         raise InputError("per-seed reports cover different corpus sizes")
-    k = len(reports)
     return MetricsReport(
         counts=reports[0].counts,
-        bleu=[sum(r.bleu[i] for r in reports) / k for i in range(4)],
-        rouge_l=sum(r.rouge_l for r in reports) / k,
-        cider=sum(r.cider for r in reports) / k,
+        bleu=[_mean([r.bleu[i] for r in reports]) for i in range(MAX_N)],
+        rouge_l=_mean([r.rouge_l for r in reports]),
+        cider=_mean([r.cider for r in reports]),
         per_seed=list(reports),
     )
+
+
+def _mean(values: list[float]) -> float:
+    """The mean, summed in sequence: builtin sum is compensated from Python
+    3.12 on, so its last bits depend on the version."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total / len(values)
 
 
 def format_table(rows: dict[str, MetricsReport]) -> str:

@@ -106,7 +106,10 @@ def rouge_brute(hypotheses, references, beta=1.2):
             f = (1 + beta * beta) * p * r / (r + beta * beta * p)
             best = max(best, f)
         scores.append(100.0 * best)
-    return sum(scores) / len(scores)
+    total = 0.0
+    for score in scores:  # in sequence: builtin sum is compensated from Python 3.12 on
+        total += score
+    return total / len(scores)
 
 
 # -- CIDEr-D ---------------------------------------------------------------------

@@ -773,6 +773,40 @@ class TestAdam:
             assert opt.t == k
 
 
+class TestClipGradNorm:
+    def params(self, *grads):
+        out = []
+        for i, g in enumerate(grads):
+            p = Parameter(f"p{i}", np.zeros(len(g)))
+            p.grad = np.array(g, dtype=np.float64)
+            out.append(p)
+        return out
+
+    def test_a_norm_above_max_norm_is_scaled_down_to_it(self):
+        params = self.params([3.0, 0.0], [4.0])
+        assert ad.clip_grad_norm(params, 1.0) == 5.0
+        assert np.allclose(params[0].grad, [0.6, 0.0]) and np.allclose(params[1].grad, [0.8])
+
+    def test_a_norm_within_max_norm_is_left_alone(self):
+        params = self.params([3.0, 4.0, 0.0])
+        assert ad.clip_grad_norm(params, 5.0) == 5.0
+        assert np.array_equal(params[0].grad, [3.0, 4.0, 0.0])
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan"), float("inf"), None, "1"])
+    def test_a_max_norm_that_is_not_finite_and_positive_is_rejected(self, max_norm):
+        params = self.params([3.0, 4.0, 0.0])
+        with pytest.raises(ConfigError, match="max_norm must be finite and positive"):
+            ad.clip_grad_norm(params, max_norm)
+        assert np.array_equal(params[0].grad, [3.0, 4.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_norm_raises_before_any_gradient_is_scaled(self, bad):
+        params = self.params([30.0, 40.0], [1.0, bad])
+        with pytest.raises(NumericError, match="gradient norm"):
+            ad.clip_grad_norm(params, 1.0)
+        assert np.array_equal(params[0].grad, [30.0, 40.0])
+
+
 class TestGradCheck:
     def test_quadratic(self):
         x = t([1.0, 2.0])

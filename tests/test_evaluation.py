@@ -8,8 +8,7 @@ from capfuse.evaluation import (
     EditOp,
     MetricsReport,
     NgramIndex,
-    _lcs_length,
-    _symbol_masks,
+    _pair_lcs,
     aggregate_seeds,
     apply_edits,
     bleu_all,
@@ -19,7 +18,6 @@ from capfuse.evaluation import (
     format_table,
     histogram_csv,
     rouge_l,
-    rouge_l_single,
     token_edits,
 )
 from oracles import (
@@ -113,19 +111,19 @@ class TestBleu:
 class TestRouge:
     def test_identical_strings_100(self):
         toks = "a small red circle".split()
-        assert rouge_l_single(toks, [toks]) == pytest.approx(100.0, abs=1e-12)
+        assert rouge_of([toks], [[toks]]) == pytest.approx(100.0, abs=1e-12)
 
     def test_worked_lcs_example(self):
         # LCS("a b c", "a c d") = 2, P = R = 2/3, F = 2/3 for any beta
-        score = rouge_l_single(["a", "b", "c"], [["a", "c", "d"]])
+        score = rouge_of([["a", "b", "c"]], [[["a", "c", "d"]]])
         assert score == pytest.approx(100.0 * 2.0 / 3.0, abs=1e-12)
 
     def test_no_reference_rejected(self):
         with pytest.raises(InputError):
-            rouge_l_single(["a"], [])
+            rouge_of([["a"]], [[]])
 
     def test_empty_hypothesis_scores_zero(self):
-        assert rouge_l_single([], [["a", "b"]]) == 0.0
+        assert rouge_of([[]], [[["a", "b"]]]) == 0.0
 
     def test_exhaustive_lcs_against_recursive_oracle(self):
         seqs = [s for s in all_sequences(("a", "b", "c"), 4) if s]
@@ -142,9 +140,7 @@ class TestRouge:
     def test_reference_order_invariance(self):
         hyp = ["a", "b", "c"]
         refs = [["a", "c"], ["b", "c", "d"], ["a", "b", "x"]]
-        a = rouge_l_single(hyp, refs)
-        b = rouge_l_single(hyp, refs[::-1])
-        assert a == b
+        assert rouge_of([hyp], [refs]) == rouge_of([hyp], [refs[::-1]])
 
 
 class TestCider:
@@ -305,6 +301,10 @@ BAD_CORPORA = {
     "empty corpus": ([], []),
     "lengths differ": ([["a"], ["b"]], [[["a"]]]),
     "no reference": ([["a"], ["b"]], [[["a"]], []]),
+    "captions are str": (["a red circle", "two blue stars"], [["a red circle"], ["two blue star"]]),
+    "hypothesis a str": ([["a", "b"], "a b"], [[["a", "b"]], [["a"]]]),
+    "reference a str": ([["a", "b"], ["a"]], [[["a", "b"]], [["a"], "a"]]),
+    "references a str": ([["a", "b"], ["a"]], [[["a", "b"]], "a"]),
 }
 
 
@@ -322,13 +322,23 @@ captions = st.lists(st.sampled_from("abcd"), max_size=6)
 corpus_rows = st.tuples(captions, st.lists(captions, min_size=1, max_size=6))
 
 
-@given(captions, captions)
-@example([], ["a"])
-@example(["a"], [])
-@example(["a"], ["a"])
-@settings(max_examples=200, deadline=None)
-def test_bit_parallel_lcs_matches_recursive(a, b):
-    assert _lcs_length(a, b, _symbol_masks(a)) == lcs_recursive(tuple(a), tuple(b))
+# captions of 0-150 words, so bit vectors span up to three 64-bit words
+long_captions = st.integers(0, 150).flatmap(
+    lambda n: st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+
+
+@given(st.lists(st.tuples(long_captions, st.lists(long_captions, min_size=1, max_size=3)),
+                min_size=1, max_size=4))
+@example([([], [["a"]]), (["a"], [[]]), ([], [[]])])
+@example([(["a"] * 64, [["a"] * 64, ["a"] * 65]), (["a"] * 65, [["a"] * 64, ["b"] + ["a"] * 64])])
+@example([(["a"] * 128, [["a"] * 128]), (["a", "b"] * 75, [["b", "a"] * 75, ["a"] * 129])])
+@example([(["a"] * 150, [["a"] * 63]), (["b"], [["a"] * 150, ["b"]])])
+@settings(max_examples=60, deadline=None)
+def test_every_pair_lcs_matches_recursive(corpus):
+    hyps = [h for h, _ in corpus]
+    refs = [r for _, r in corpus]
+    want = [lcs_recursive(tuple(h), tuple(r)) for h, bundle in corpus for r in bundle]
+    assert _pair_lcs(NgramIndex(hyps, refs).built()).tolist() == want
 
 
 @given(st.lists(corpus_rows, min_size=1, max_size=5))
@@ -390,6 +400,14 @@ def test_bit_parallel_token_edits_match_the_table_and_replay(pair):
     draft, emended = pair
     assert_table_ops(draft, emended)
     assert apply_edits(draft, token_edits(draft, emended).ops) == emended
+
+
+@pytest.mark.parametrize("draft, emended", [("a red circle", "a red square".split()),
+                                            ("a red circle".split(), "a red square")],
+                         ids=["draft", "emended"])
+def test_token_edits_rejects_a_caption_given_as_a_str(draft, emended):
+    with pytest.raises(InputError, match="not a str"):
+        token_edits(draft, emended)
 
 
 @pytest.mark.parametrize("draft, emended", [([], []), ([], ["a", "b", "a"]), (["b", "a"], [])],
@@ -509,9 +527,9 @@ def ragged_corpus(seed: int, scenes: int = 12):
 
 # compute_metrics on each corpus, pinned as float.hex: BLEU-1..4, ROUGE-L,
 # CIDEr-D; the n-gram index must reproduce these bits exactly. They were taken
-# with CPython 3.11 and glibc's libm: ROUGE-L's mean uses the builtin sum,
-# which CPython 3.12 made compensated, and math.log/exp come from the
-# platform's libm, so another platform may differ in the last bit.
+# with CPython 3.11 and glibc's libm. Every mean adds in sequence, whatever
+# the Python version, but math.log/exp come from the platform's libm, so
+# another platform may differ in the last bit.
 GOLDEN_HEX = {
     (score_shaped_corpus, 11): [
         "0x1.37fc6b02d7dbep+6", "0x1.0869e59d4781dp+6", "0x1.d9866a9cef789p+5",
@@ -561,17 +579,19 @@ class TestSharedIndex:
         assert rep.bleu == bleu and rep.cider == 10.0 * cider_d
         assert rep.rouge_l == rouge_of(*corpus)
 
-    def test_compute_metrics_checks_its_corpus_once_and_rouge_l_builds_nothing(self,
-                                                                              monkeypatch):
-        checked = []
-        check = evaluation._check_corpus
+    def test_compute_metrics_checks_its_corpus_once_and_builds_its_index_once(self,
+                                                                             monkeypatch):
+        checked, built = [], []
+        check, build = evaluation._check_corpus, NgramIndex._build_table
         monkeypatch.setattr(evaluation, "_check_corpus",
                             lambda *corpus: checked.append(check(*corpus)))
+        monkeypatch.setattr(NgramIndex, "_build_table",
+                            lambda self: built.append(self) or build(self))
         corpus = score_shaped_corpus(13)
         rep = compute_metrics(*corpus)
-        assert len(checked) == 1
+        assert len(checked) == 1 and len(built) == 1
         index = NgramIndex(*corpus)
-        assert rouge_l(index) == rep.rouge_l and not index._built
+        assert rouge_l(index) == rep.rouge_l and index._built
 
     def test_index_counts_each_caption_once(self):
         caption = ["a", "b", "a", "b"]
