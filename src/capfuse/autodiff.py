@@ -88,12 +88,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def _grad_buffer(self) -> np.ndarray:
-        """.grad, zero-filled on first use, for ops that add into part of it."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
     def backward(self):
         """Backpropagate from a scalar output through the recorded graph.
 
@@ -472,11 +466,11 @@ def gather_rows(table, ids: np.ndarray):
     plain-array table gives a plain array and records no graph; a Tensor
     table gives a Tensor, whose backward scatter-adds.
 
-    The backward sums the gradients of each distinct id from zero, in the
-    order the ids come, into one buffer row per distinct id, then adds those
-    rows into the table's gradient: the rounding of a zero-filled full-size
-    scatter plus one addition, without the full-size array. A negative id's
-    rows are dropped."""
+    The backward scatter-adds the gradient rows, in the order the ids come,
+    into a zero-filled array of the table's shape and passes it to _accum
+    like any other op; a negative id's rows are dropped. A sum that starts
+    from +0.0 is never -0.0, so a gradient that backward() accumulates holds
+    no -0.0, and the untouched +0.0 rows leave its bits as they were."""
     ids = np.asarray(ids, dtype=np.int64)
     tensor = isinstance(table, Tensor)
     out = (table.data if tensor else table)[ids]
@@ -485,11 +479,10 @@ def gather_rows(table, ids: np.ndarray):
         return out
 
     def back(g, t=table, ix=ids):
-        rows, inv = np.unique(ix.ravel(), return_inverse=True)
-        part = np.zeros((rows.size,) + t.data.shape[1:])
-        np.add.at(part, inv, g.reshape(-1, *t.data.shape[1:]))
-        k = np.searchsorted(rows, 0)  # the negative ids come first
-        t._grad_buffer()[rows[k:]] += part[k:]
+        full = np.zeros_like(t.data)
+        keep = ix >= 0
+        np.add.at(full, ix[keep], g[keep])
+        t._accum(full)
     return _record(out, (table,), back)
 
 

@@ -3,7 +3,10 @@
 Scenes contain 1-3 colored shape groups plus a spatial relation between
 the first two groups when there are at least two. Each scene renders into a
 noisy one-hot feature vector (the image stand-in) and 3-5 template paraphrase
-captions that all describe the true attributes.
+captions that all describe the true attributes. The templates are the one copy
+of the caption grammar in the package; the tests parse every reference back
+into scene-graph tuples (tests/oracles.py, caption_tuples) and check them
+against its scene's (scene_tuples).
 """
 
 from __future__ import annotations
@@ -210,37 +213,6 @@ def generate_dataset(seed: int, n_scenes: int, refs_per_scene: int = 3,
             references=references, scene=scene,
         ))
     return examples
-
-
-def check_scene_consistency(example: CaptionExample) -> bool:
-    """Every attribute word in every reference must be true of the scene."""
-    scene = example.scene
-    if scene is None:
-        raise InputError("example carries no scene to validate against")
-    true_colors = {o.color for o in scene.objects}
-    true_sizes = {o.size for o in scene.objects}
-    true_shapes = set()
-    true_numbers = set()
-    for o in scene.objects:
-        true_shapes.add(o.shape if o.count == 1 else o.shape + "s")
-        true_numbers.add(COUNT_WORDS[o.count])
-    relation_words = set(scene.relation.split()) if scene.relation else set()
-    for ref in example.references:
-        for word in ref.split():
-            if word in COLORS and word not in true_colors:
-                return False
-            if word in SIZES and word not in true_sizes:
-                return False
-            if word in SHAPES or word[:-1] in SHAPES and word.endswith("s"):
-                if word not in true_shapes:
-                    return False
-            if word in COUNT_WORDS.values() and word != "one":
-                if word not in true_numbers:
-                    return False
-            if word in {"above", "below", "left", "right", "next"}:
-                if word not in relation_words:
-                    return False
-    return True
 
 
 # -- vocabulary and tokenization ---------------------------------------------

@@ -20,7 +20,8 @@ nor rebound, and copies stay frozen), so draft_rows keeps the read-only rows
 of up to ROWS_CACHE_SIZE drafts per frozen MLM without checking its parameters
 again: each distinct draft is encoded once for every fusion kind, the
 rescoring check sequence_logprob(..., draft=) and every later example with
-that draft. A step whose logits hold NaN or +inf raises NumericError.
+that draft. A step whose logits hold NaN or +inf, or leave a hypothesis no
+emittable token with a finite logit, raises NumericError.
 
 sequence_logprob does not step: it scores a whole sequence with one
 CaptionDecoder.teacher_forced pass and one step_logits call over all its
@@ -98,12 +99,16 @@ class Stepper:
 def _logprobs(model, h_top, rows, where: str) -> np.ndarray:
     """Next-token log-probabilities of top decoder states, one masked-LM row
     each (None for a baseline model): the logits of step_logits, a
-    NumericError if they hold NaN or +inf, BLOCKED_IDS set to -inf, then
+    NumericError if they hold NaN or +inf, BLOCKED_IDS set to -inf, a
+    NumericError if a row then has no finite logit (no token could be
+    emitted, and an empty caption would outrank every real one), then
     log_softmax. `where` names the steps in the error."""
     logits = model.step_logits(h_top, rows)
     if not logits.max() < np.inf:  # the max of logits holding NaN is NaN
         raise NumericError(f"the logits of {where} hold NaN or +inf")
     logits[:, list(BLOCKED_IDS)] = -np.inf
+    if not logits.max(axis=1).min() > -np.inf:
+        raise NumericError(f"the logits of {where} leave a row no emittable token")
     return log_softmax(logits)
 
 
@@ -245,10 +250,11 @@ def emend(model, mlm: MaskedLM, features, draft,
 # -- rescoring oracle -------------------------------------------------------------
 
 
-def sequence_logprob(model, features, tokens: list[int],
+def sequence_logprob(model, features, tokens,
                      mlm: MaskedLM | None = None,
                      draft: list[int] | None = None) -> float:
-    """Teacher-forced log-probability of an emitted token sequence.
+    """Teacher-forced log-probability of an emitted token sequence (a list,
+    tuple or numpy array of ids).
 
     One CaptionDecoder.teacher_forced pass over <start> and every token but
     the last, then one step_logits call over all its rows through the rule of
@@ -258,7 +264,7 @@ def sequence_logprob(model, features, tokens: list[int],
     Stepper.step: tests hold it to the beam's scores and to a token-by-token
     replay of Stepper.step (tests/oracles.py, stepped_logprob).
     """
-    if not tokens:
+    if len(tokens) == 0:
         raise InputError("cannot score an empty sequence")
     _check_ids(tokens, model.cfg.vocab_size, "token")
     stepper = (Stepper(model, features) if draft is None

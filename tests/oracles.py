@@ -11,8 +11,10 @@ products, slices, sigmoid, tanh, elementwise products and broadcast sums),
 masked-LM states one masked sequence at a time, one step and one layer at a
 time, fusion logits from each scheme's equations in plain numpy, greedy
 decoding by a plain argmax loop, beam expansion order by a three-key lexsort,
-and a sequence's log-probability by the beam's own Stepper.step, one token at
-a time, against the one teacher-forced pass of decoding.sequence_logprob.
+a sequence's log-probability by the beam's own Stepper.step, one token at
+a time, against the one teacher-forced pass of decoding.sequence_logprob, and
+a caption's scene-graph tuples by a parser of the noun phrases and relation
+that data's templates write, against the tuples of the scene itself.
 """
 
 import math
@@ -22,6 +24,7 @@ import numpy as np
 
 from capfuse import autodiff
 from capfuse.autodiff import Tensor, _record, gather_rows, softmax_xent
+from capfuse.data import COLORS, RELATIONS, SHAPES, SIZES
 from capfuse.decoding import EmendStepper, Stepper
 from capfuse.errors import InputError, NumericError
 from capfuse.models import EOS_ID, MASK_ID, START_ID, _context_steps, _padded_batch
@@ -491,3 +494,69 @@ def lexsort_cells(total, k):
     parents_key = np.repeat(np.arange(hyps), vocab)
     order = np.lexsort((parents_key, tokens_key, -flat))[:k]
     return [(int(parents_key[i]), int(tokens_key[i])) for i in order]
+
+
+# -- scene-graph tuples -----------------------------------------------------------
+
+# the determiner of a noun phrase and the count it states
+DETERMINERS = {"a": 1, "one": 1, "two": 2, "three": 3}
+
+
+def scene_tuples(scene) -> set:
+    """A scene's graph as tuples: (count, size, colour, shape) of each object,
+    and (relation, 0, 1) when the scene relates its first object to its
+    second. The relation names the objects by position, so one wrong
+    attribute is one wrong tuple; a caption that swaps the first two
+    objects still states it, and only the order of noun_phrases shows the
+    swap."""
+    tuples = {(o.count, o.size, o.color, o.shape) for o in scene.objects}
+    if scene.relation is not None:
+        tuples.add((scene.relation, 0, 1))
+    return tuples
+
+
+def _noun_phrase(words, i):
+    """(count, size, colour, shape) of "determiner size colour shape[s]" at
+    words[i:i + 4], with a plural s if and only if the count exceeds 1, or
+    None."""
+    if i + 4 > len(words) or words[i] not in DETERMINERS:
+        return None
+    count = DETERMINERS[words[i]]
+    size, colour, noun = words[i + 1:i + 4]
+    plural = noun.endswith("s")
+    shape = noun[:-1] if plural else noun
+    if plural == (count > 1) and size in SIZES and colour in COLORS and shape in SHAPES:
+        return (count, size, colour, shape)
+    return None
+
+
+def noun_phrases(words) -> list:
+    """(position, (count, size, colour, shape)) of each noun phrase of a
+    caption, in order, read left to right; words outside a phrase are
+    skipped."""
+    found, i = [], 0
+    while i < len(words):
+        phrase = _noun_phrase(words, i)
+        if phrase is None:
+            i += 1
+        else:
+            found.append((i, phrase))
+            i += 4
+    return found
+
+
+def caption_tuples(words) -> set:
+    """The scene_tuples that a caption's words state: each noun phrase
+    "determiner size colour shape[s]", and (relation, 0, 1) for a one- or
+    two-word RELATIONS phrase that comes directly after the first noun
+    phrase and directly before the second. Every other word is skipped, so
+    a caption off the grammar gives only the tuples it spells out."""
+    words = list(words)
+    phrases = noun_phrases(words)
+    tuples = {t for _, t in phrases}
+    if len(phrases) >= 2:
+        (first, _), (second, _) = phrases[:2]
+        relation = " ".join(words[first + 4:second])
+        if relation in RELATIONS:
+            tuples.add((relation, 0, 1))
+    return tuples

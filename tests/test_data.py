@@ -12,9 +12,10 @@ from capfuse.data import (
     START_ID,
     UNK_ID,
     CaptionExample,
+    Scene,
+    SceneObject,
     Vocab,
     build_vocab,
-    check_scene_consistency,
     detokenize,
     generate_dataset,
     read_captions,
@@ -24,6 +25,7 @@ from capfuse.data import (
 )
 from capfuse.errors import ConfigError, InputError, ParseError
 from capfuse.models import ModelConfig
+from oracles import DETERMINERS, caption_tuples, noun_phrases, scene_tuples
 
 
 def small_dataset(seed=0, n=24):
@@ -62,10 +64,6 @@ class TestGeneration:
         assert len(by_split["test"]) == 10
         all_ids = sum(by_split.values(), [])
         assert len(all_ids) == len(set(all_ids)) == 40
-
-    def test_attribute_consistency_everywhere(self):
-        examples = generate_dataset(7, 120, 5, (0.5, 0.25, 0.25))
-        assert all(check_scene_consistency(ex) for ex in examples)
 
     def test_reference_count_and_distinctness(self):
         for ex in small_dataset(seed=3):
@@ -126,6 +124,120 @@ class TestGeneration:
         cfg = ModelConfig(vocab_size=10)
         assert cfg.feature_dim == data.FEATURE_DIM
         assert small_dataset()[0].features.shape == (cfg.feature_dim,)
+
+
+def semantic_substitutions(caption):
+    """(category, caption) for each caption that one semantic substitution
+    makes of a caption: another colour, size or shape in one noun phrase,
+    another count in one noun phrase (with the noun's plural to match), or
+    another relation."""
+    words = caption.split()
+
+    def swap(i, n, new):
+        return " ".join(words[:i] + new + words[i + n:])
+
+    for i, word in enumerate(words):
+        for category, group in (("colour", data.COLORS), ("size", data.SIZES)):
+            if word in group:
+                yield from ((category, swap(i, 1, [w])) for w in group if w != word)
+        shape, plural = word.rstrip("s"), word.endswith("s")
+        if shape in data.SHAPES:
+            yield from (("shape", swap(i, 1, [s + "s" * plural]))
+                        for s in data.SHAPES if s != shape)
+        noun = words[i + 3].rstrip("s") if i + 3 < len(words) else None
+        if word in DETERMINERS and noun in data.SHAPES:
+            for det, count in DETERMINERS.items():
+                if count != DETERMINERS[word]:
+                    plural = noun + "s" * (count > 1)
+                    yield "count", swap(i, 4, [det, *words[i + 1:i + 3], plural])
+        for n in (1, 2):
+            relation = " ".join(words[i:i + n])
+            if relation in data.RELATIONS:
+                yield from (("relation", swap(i, n, r.split()))
+                            for r in data.RELATIONS if r != relation)
+
+
+class TestSceneTuples:
+    """The references against their scene's graph, through the oracle
+    parser of tests/oracles.py; the generator is the one copy of the
+    grammar in the package."""
+
+    @pytest.mark.parametrize("seed", [5, 11, 203])
+    def test_references_state_only_and_together_all_of_their_scenes_tuples(self, seed):
+        examples = generate_dataset(seed, 3000, refs_per_scene=5)
+        for ex in examples:
+            truth = scene_tuples(ex.scene)
+            objects = [(o.count, o.size, o.color, o.shape) for o in ex.scene.objects]
+            stated = [caption_tuples(ref.split()) for ref in ex.references]
+            for ref, tuples in zip(ex.references, stated):
+                assert tuples and tuples <= truth, (ex.id, ref, tuples - truth)
+                # each object once, in the scene's order, so (relation, 0, 1)
+                # relates the objects that the scene relates
+                assert [t for _, t in noun_phrases(ref.split())] == objects, (ex.id, ref)
+            assert set().union(*stated) == truth, (ex.id, truth - set().union(*stated))
+
+    def test_a_true_attribute_on_the_wrong_object_is_rejected(self):
+        # a bag-of-words check finds "small", "red" and "square" in this
+        # scene and accepts the caption
+        scene = Scene(0, [SceneObject("circle", "red", "small", 1),
+                          SceneObject("square", "blue", "small", 1)], "left of")
+        assert caption_tuples("a small red square".split()) == {(1, "small", "red", "square")}
+        assert not caption_tuples("a small red square".split()) <= scene_tuples(scene)
+        assert caption_tuples("a small red circle left of a small blue square".split()) \
+            == scene_tuples(scene)
+
+    @pytest.mark.parametrize("caption", [
+        "a small red circle",
+        "there are two large blue squares left of a small red circle and three small green stars",
+        "the image shows one large white star above one small black triangle",
+        "a picture of three small yellow triangles two large purple circles and a large red star",
+        "two small black stars next to a large green circle",
+    ])
+    def test_each_semantic_substitution_changes_exactly_one_tuple(self, caption):
+        before = caption_tuples(caption.split())
+        done = set()
+        for category, changed in semantic_substitutions(caption):
+            after = caption_tuples(changed.split())
+            assert len(before - after) == len(after - before) == 1, (changed, before ^ after)
+            done.add(category)
+        relation = any(r in caption for r in data.RELATIONS)
+        assert done == {"colour", "size", "shape", "count"} | ({"relation"} if relation else set())
+
+    @pytest.mark.parametrize("caption", [
+        "", "small red circle", "a red circle", "a small circle", "a small red",
+        "two small red circle", "a small red circles", "one large blue stars",
+        "small a red circle", "a small circle red", "a large <unk> square",
+        "four small red circles", "the image shows left of", "<unk> <unk> <unk> <unk>",
+    ])
+    def test_a_caption_off_the_grammar_gives_no_tuple(self, caption):
+        assert caption_tuples(caption.split()) == set()
+
+    @pytest.mark.parametrize("caption, want", [
+        ("<unk> zebra a small red circle <unk>", {(1, "small", "red", "circle")}),
+        ("a small red circle left of <unk> a large blue square",
+         {(1, "small", "red", "circle"), (1, "large", "blue", "square")}),
+        ("a small red circle left of", {(1, "small", "red", "circle")}),
+        ("a small red circle and a large blue square above two small green stars",
+         {(1, "small", "red", "circle"), (1, "large", "blue", "square"),
+          (2, "small", "green", "star")}),
+        ("left of a small red circle above one large blue square",
+         {(1, "small", "red", "circle"), (1, "large", "blue", "square"), ("above", 0, 1)}),
+    ])
+    def test_unknown_words_are_skipped_and_a_relation_needs_both_phrases(self, caption, want):
+        assert caption_tuples(caption.split()) == want
+
+    @given(st.lists(st.sampled_from(["a", "one", "two", "three", "small", "large", "red",
+                                     "blue", "circle", "circles", "star", "stars", "left",
+                                     "of", "above", "and", "<unk>"]), max_size=14))
+    @settings(max_examples=200, deadline=None)
+    def test_every_tuple_is_spelled_out_in_the_caption(self, words):
+        text = f" {' '.join(words)} "
+        for t in caption_tuples(words):
+            if isinstance(t[0], str):
+                assert f" {t[0]} " in text
+            else:
+                obj = SceneObject(t[3], t[2], t[1], t[0])
+                assert f" {obj.phrase()} " in text or f" {obj.phrase('one')} " in text
 
 
 class TestVocab:

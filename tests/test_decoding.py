@@ -708,6 +708,24 @@ class TestNonFiniteLogits:
         with pytest.raises(NumericError):
             sequence_logprob(model, feats(42), tokens)
 
+    @pytest.mark.parametrize("kind", ["none", "cold"])
+    @pytest.mark.parametrize("which", ["every", "every emittable"])
+    def test_a_step_with_no_emittable_finite_logit_raises(self, kind, which):
+        # an empty caption scored 0.0 and outranked every real one
+        model = tiny_model(kind, seed=43)
+        emittable = [t for t in range(V) if t not in decoding.BLOCKED_IDS]
+        model.head_b.data[slice(None) if which == "every" else emittable] = -np.inf
+        mlm = tiny_mlm(43)
+        mlm.freeze()
+        extra = {} if kind == "none" else {"mlm": mlm, "draft": [5, 6, EOS_ID]}
+        with pytest.raises(NumericError, match="logits of step 0 leave a row no emittable"):
+            if kind == "none":
+                beam_search_scored(model, feats(43), CAP)
+            else:
+                emend(model, mlm, feats(43), [5, 6, EOS_ID], CAP)
+        with pytest.raises(NumericError, match="logits of steps 0-1 leave a row no emittable"):
+            sequence_logprob(model, feats(43), [5, EOS_ID], **extra)
+
 
 class TestRescoringOracle:
     """sequence_logprob, one teacher-forced pass, against stepped_logprob,
@@ -733,6 +751,19 @@ class TestRescoringOracle:
                 tokens = [5, 6, blocked, 7, 8, 9, 5, 6, EOS_ID]
                 got = sequence_logprob(model, f, tokens, **extra)
                 assert got == stepped_logprob(model, f, tokens, **extra) == -np.inf
+
+    @pytest.mark.parametrize("kind", ["none", "hier"])
+    def test_a_list_a_tuple_and_an_array_score_alike(self, kind):
+        mlm = tiny_mlm(51)
+        mlm.freeze()
+        extra = {} if kind == "none" else {"mlm": mlm, "draft": np.array([5, 6, EOS_ID])}
+        model = tiny_model(kind, seed=51)
+        tokens = [5, 7, EOS_ID]
+        scores = [sequence_logprob(model, feats(51), t, **extra)
+                  for t in (tokens, tuple(tokens), np.array(tokens))]
+        assert np.isfinite(scores[0]) and scores == [scores[0]] * 3
+        with pytest.raises(InputError, match="empty sequence"):
+            sequence_logprob(model, feats(51), np.array([], dtype=np.int64), **extra)
 
 
 def test_steps_and_context_rows_build_no_graph(monkeypatch):

@@ -1,5 +1,6 @@
 """Every console script that pyproject.toml declares resolves to a callable,
-every name that src/capfuse defines has a caller in the program, and every
+every Python file parses at the floor that requires-python declares, every
+name that src/capfuse defines has a caller in the program, and every
 parameter with a default has a call that sets it: in src/ or in bench/,
 whose workloads are the program's traffic. A test is not a caller.
 src/capfuse stays within its code-line budget, counted by code_lines, the
@@ -26,7 +27,6 @@ AWAITING_TRAINING = {
     "read_captions": 1,
     "detokenize": 1,
     "histogram_csv": 1,
-    "check_scene_consistency": 7,
     "mlm_masked_accuracy": 9,
     "aggregate_seeds": 12,
     "format_table": 12,
@@ -47,6 +47,33 @@ def test_every_declared_script_target_imports():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} points at {target}, which is not callable"
+
+
+def python_floor() -> tuple[int, int]:
+    """(3, N) of pyproject.toml's requires-python = ">=3.N"."""
+    match = re.search(r'^requires-python = ">=3\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    return 3, int(match.group(1))
+
+
+def parses_at(text: str, version: tuple[int, int]) -> bool:
+    """Whether text parses as Python of the given (major, minor) grammar."""
+    try:
+        ast.parse(text, feature_version=version)
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_every_python_file_parses_at_the_declared_floor():
+    floor = python_floor()
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > 20
+    assert [p.relative_to(ROOT) for p in paths if not parses_at(p.read_text(), floor)] == []
+
+
+def test_the_floor_check_rejects_syntax_newer_than_the_floor():
+    snippet = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # from Python 3.11
+    assert parses_at(snippet, (3, 11)) and not parses_at(snippet, python_floor())
 
 
 def definitions(tree: ast.Module):
