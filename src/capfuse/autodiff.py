@@ -26,14 +26,16 @@ raises TypeError, as numpy arithmetic between the two does.
 
 lstm_step(x, h, c, wx, wh, b) is one LSTM cell step and lstm_seq(x, batch,
 wx, wh, b, last) one whole layer over a time-major [T*B x E] input; both take
-the layer's input and all three of the cell's weights. lstm_seq projects its
-input with one [T*B x E] @ Wx, then runs the cell's arithmetic step by step,
-each row only up to the last step its caller reads (its `last` argument),
-packed like a PyTorch PackedSequence: the rows still stepped at each step are
-a prefix of one order, so the state shrinks by slicing. On a Tensor, lstm_seq
-records one node for the whole layer, projection included, and
+the layer's input and all three of the cell's weights. lstm_seq steps each
+row only up to the last step its caller reads (its `last` argument), packed
+like a PyTorch PackedSequence: the rows still stepped at each step are a
+prefix of one order, so the state shrinks by slicing. It gathers the stepped
+input rows, projects them with one product by Wx, then runs the cell's
+arithmetic step by step; a padded row is never projected. On a Tensor,
+lstm_seq records one node for the whole layer, projection included, and
 backpropagates through time by hand in its backward, over the same packed
-rows, then through the projection to the input and Wx.
+rows, then through the projection to the input and Wx, again over the
+stepped rows only.
 
 Graphs are acyclic: a node refers to its parents and to a backward closure
 that holds the parents and saved arrays, never to the node itself; backward()
@@ -332,21 +334,23 @@ def lstm_seq(x, batch: int, wx: Tensor, wh: Tensor, b: Tensor, last):
     shape [T*batch x E]; returns the hidden state after every step,
     [T*batch x H], step t in rows t*batch to (t+1)*batch - 1.
 
-    The input is projected by one product xp = x @ wx over every row, padded
-    ones too. last[r] is the last step whose state row r's caller reads, -1
-    for none. Row r is stepped up to last[r] only, and its rows after that
-    are zero: the rows are ordered once by last, descending and stable, so
-    each step steps a prefix of that order, and the stepped rows of xp are
-    gathered step-major with one index, as a PackedSequence packs them. While
-    any row is stepped at least min(2, batch) rows are, since a one-row
-    product takes another BLAS kernel; a stepped row gets the bits of the
-    all-rows unroll. Each step is lstm_step's arithmetic (_gates, then
-    _cell_update) on plain arrays. A plain-array x gives a plain array and
-    records no graph. A Tensor x records one node over x, wx, wh and b that
-    saves the stepped rows' gates and cell states; its backward is
-    backpropagation through time over the same prefixes, one dz @ wh.T per
-    step, then one product over all rows for each weight's gradient and one
-    dz @ wx.T for the input's. A row that is not stepped gets gradient zero.
+    last[r] is the last step whose state row r's caller reads, -1 for none.
+    Row r is stepped up to last[r] only, and its rows after that are zero:
+    the rows are ordered once by last, descending and stable, so each step
+    steps a prefix of that order, and the stepped rows of x are gathered
+    step-major with one index, as a PackedSequence packs them, and projected
+    by one product with wx; padded rows are never projected. While any row is
+    stepped at least min(2, batch) rows are, and at least min(2, T*batch) rows
+    are projected, since a one-row product takes another BLAS kernel; a
+    stepped row gets the bits of the all-rows unroll (tests/oracles.py). Each
+    step is lstm_step's arithmetic (_gates, then _cell_update) on plain
+    arrays. A plain-array x gives a plain array and records no graph. A
+    Tensor x records one node over x, wx, wh and b that saves the stepped
+    rows' gates and cell states; its backward is backpropagation through time
+    over the same prefixes, one dz @ wh.T per step, then one product over the
+    packed rows for each weight's gradient and one dz @ wx.T for the input's,
+    scattered to the stepped rows. A row that is not stepped gets gradient
+    zero.
     """
     tensor = isinstance(x, Tensor)
     xd = x.data if tensor else x
@@ -360,7 +364,10 @@ def lstm_seq(x, batch: int, wx: Tensor, wh: Tensor, b: Tensor, last):
     rows = np.maximum((last >= steps[:, None]).sum(axis=1), min(2, batch))  # per step
     packed = (steps[:, None] * batch + np.argsort(-last, kind="stable"))[
         np.arange(batch) < rows[:, None]]
-    xs, hp = (xd @ wx.data)[packed], np.empty((len(packed), hidden))
+    # one packed row means batch 1 and last [0], that is row 0: the product
+    # takes row 1 too, if there is one, since one row takes another BLAS kernel
+    xp = xd[packed] if len(packed) != 1 else xd[:2]
+    xs, hp = xp @ wx.data, np.empty((len(packed), hidden))
     h = c = np.zeros((batch, hidden))
     gates, cells, bounds = [], [], [0, *np.cumsum(rows).tolist()]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -382,7 +389,8 @@ def lstm_seq(x, batch: int, wx: Tensor, wh: Tensor, b: Tensor, last):
 def _lstm_seq_backward(x, batch, wx, wh, b, hs, packed, bounds, gates, cells, g):
     # the first rows of dh and dc carry the gradient of the state entering
     # step t + 1, the rest are zero; dzp holds the stepped rows' gate
-    # pre-activation gradients, packed like the forward
+    # pre-activation gradients, packed like the forward, and every product
+    # below reads packed rows only
     n = hs.shape[1]
     gp, dzp = g[packed], np.empty((len(packed), 4 * n))
     dh, dc = np.zeros((batch, n)), np.zeros((batch, n))
@@ -399,16 +407,19 @@ def _lstm_seq_backward(x, batch, wx, wh, b, hs, packed, bounds, gates, cells, g)
         d[:, 3 * n:] = dht * tc * o * (1.0 - o)
         dc[:m] = dct * f
         dh[:m] = d @ wh.data.T
-    dz = np.zeros((len(hs), 4 * n))
-    dz[packed] = dzp
     if x.requires_grad:
-        x._accum(dz @ wx.data.T)
+        dx = np.zeros(x.data.shape)
+        dx[packed] = dzp @ wx.data.T
+        x._accum(dx)
     if wx.requires_grad:
-        wx._accum(x.data.T @ dz)
+        wx._accum(x.data[packed].T @ dzp)
     if wh.requires_grad:
-        wh._accum(hs[:-batch].T @ dz[batch:])
+        # step 0's rows come first and enter from the zero state; a later
+        # row enters from its sequence's state one step, batch rows, earlier
+        first = np.count_nonzero(packed < batch)
+        wh._accum(hs[packed[first:] - batch].T @ dzp[first:])
     if b.requires_grad:
-        b._accum(dz.sum(axis=0))
+        b._accum(dzp.sum(axis=0))
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

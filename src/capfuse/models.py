@@ -11,9 +11,9 @@ Image projections, steps, heads and affine layers follow the rule of
 autodiff's forward ops: a plain-array activation gives plain arrays and
 records no graph, and a Tensor activation records a graph. Stacked cells
 unroll over a sequence in one place, _unroll: per layer one autodiff.lstm_seq,
-which projects the layer's [T*B x E] input by Wx and runs the lstm_step
-arithmetic step by step, stepping each sequence only up to the last step whose
-state its caller reads.
+which steps each sequence only up to the last step whose state its caller
+reads: it projects only those stepped rows of the layer's [T*B x E] input by
+Wx and runs the lstm_step arithmetic step by step.
 
 The decoder has two forwards. CaptionDecoder.step advances every layer by one
 autodiff.lstm_step(x, h, c, Wx, Wh, b) on plain arrays, for the beam.
@@ -330,7 +330,8 @@ def _context_steps(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.minimum(p, n - 1) - 1, np.where(p < n, n - 2 - p, 0)
 
 
-# sequences per padded batch of mlm_context_rows; bounds its [T*B x 4H] projections
+# sequences per padded batch of mlm_context_rows; bounds its padded [T*B x E] inputs
+# and [T*B x H] states
 ROWS_CHUNK = 128
 
 

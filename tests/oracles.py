@@ -9,9 +9,10 @@ such as total, the sum of a tensor's elements), LSTM steps and
 the masked-LM loss as step-major graphs of elementary nodes (matrix
 products, slices, sigmoid, tanh, elementwise products and broadcast sums),
 masked-LM states one masked sequence at a time, one step and one layer at a
-time, fusion logits from each scheme's equations in plain numpy, greedy
-decoding by a plain argmax loop, beam expansion order by a three-key lexsort,
-a sequence's log-probability by the beam's own Stepper.step, one token at
+time, an LSTM layer's input projection and its gradients over every padded
+row as well as the stepped ones, fusion logits from each scheme's equations
+in plain numpy, greedy decoding by a plain argmax loop, beam expansion order
+by a three-key lexsort, a sequence's log-probability by the beam's own Stepper.step, one token at
 a time, against the one teacher-forced pass of decoding.sequence_logprob, and
 a caption's scene-graph tuples by a parser of the noun phrases and relation
 that data's templates write, against the tuples of the scene itself.
@@ -363,6 +364,63 @@ def stack_step_graph(cells, x: Tensor, state):
         x, c = lstm_step_graph(cell, x, h, c)
         new_state.append((x, c))
     return x, new_state
+
+
+def lstm_seq_all_rows(x, batch: int, wx, wh, b, last):
+    """autodiff.lstm_seq as it was before it projected only the rows it
+    steps: the same packed steps, but x @ wx over every row, padded ones too,
+    and a backward through a zero-filled [T*batch x 4H] gate gradient dz,
+    with dz @ wx.T, x.T @ dz, hs[:-batch].T @ dz[batch:] and dz.sum(0) over
+    every row. Its forward rows are lstm_seq's bits wherever a product's rows
+    do not depend on its row count; its gradients sum in another order."""
+    tensor = isinstance(x, Tensor)
+    xd, last, hidden = x.data if tensor else x, np.asarray(last), wh.data.shape[0]
+    steps = np.arange(last.max() + 1)
+    rows = np.maximum((last >= steps[:, None]).sum(axis=1), min(2, batch))
+    packed = (steps[:, None] * batch + np.argsort(-last, kind="stable"))[
+        np.arange(batch) < rows[:, None]]
+    xs, hp = (xd @ wx.data)[packed], np.empty((len(packed), hidden))
+    h = c = np.zeros((batch, hidden))
+    gates, cells, bounds = [], [], [0, *np.cumsum(rows).tolist()]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        z = autodiff._gates(xs[lo:hi], h[:hi - lo], wh.data, b.data)
+        h, c = autodiff._cell_update(z, c[:hi - lo])
+        hp[lo:hi] = h
+        gates.append(z)
+        cells.append(c)
+    hs = np.zeros((len(xd), hidden))
+    hs[packed] = hp
+    if not tensor:
+        return hs
+
+    def back(g, n=hidden):
+        gp, dzp = g[packed], np.empty((len(packed), 4 * n))
+        dh, dc = np.zeros((batch, n)), np.zeros((batch, n))
+        for t in reversed(range(len(gates))):
+            lo, hi = bounds[t], bounds[t + 1]
+            m, z, tc = hi - lo, gates[t], np.tanh(cells[t])
+            i, f, cand, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
+            dht = dh[:m] + gp[lo:hi]
+            dct = dc[:m] + dht * o * (1.0 - tc * tc)
+            d = dzp[lo:hi]
+            d[:, :n] = dct * cand * i * (1.0 - i)
+            d[:, n:2 * n] = (dct * cells[t - 1][:m] if t else 0.0) * f * (1.0 - f)
+            d[:, 2 * n:3 * n] = dct * i * (1.0 - cand * cand)
+            d[:, 3 * n:] = dht * tc * o * (1.0 - o)
+            dc[:m] = dct * f
+            dh[:m] = d @ wh.data.T
+        dz = np.zeros((len(hs), 4 * n))
+        dz[packed] = dzp
+        if x.requires_grad:
+            x._accum(dz @ wx.data.T)
+        if wx.requires_grad:
+            wx._accum(xd.T @ dz)
+        if wh.requires_grad:
+            wh._accum(hs[:-batch].T @ dz[batch:])
+        if b.requires_grad:
+            b._accum(dz.sum(axis=0))
+
+    return _record(hs, (x, wx, wh, b), back)
 
 
 def masked_batch_loss_graph(mlm, seqs, positions) -> Tensor:

@@ -23,7 +23,8 @@ from capfuse.autodiff import (
 )
 from capfuse.errors import ConfigError, InputError, NumericError, ShapeError, StateError
 
-from oracles import add, gather_rows_grad_full, grad_check, matmul, tanh, total
+from oracles import (add, gather_rows_grad_full, grad_check, lstm_seq_all_rows, matmul, tanh,
+                     total)
 
 
 def t(values, rg=True):
@@ -414,9 +415,10 @@ def stepped_rows(last, steps):
     return [order[:max(n, min(2, len(last)))] if n else [] for n in counts]
 
 
-# (last, steps): -1 entries, ties, one surviving row, batch 1, every row to T-1
+# (last, steps): -1 entries, ties, one surviving row, batch 1, no step, one
+# stepped row (batch 1 to step 0), every row to T-1
 PACKED = [([3, -1, 1, 3, 0, -1], 4), ([2, 0, 2, 1], 4), ([-1, 3, -1], 4), ([1], 3),
-          ([-1], 2), ([-1, -1], 2), ([2, 2, 2], 3)]
+          ([-1], 2), ([-1, -1], 2), ([0], 2), ([2, 2, 2], 3)]
 
 
 def packed_id(value):
@@ -475,6 +477,30 @@ class TestPackedLstmSeq:
                 return total(lstm_seq(inp, batch, w_x, w_h, bias, last) * Tensor(scale))
 
             assert grad_check(f, [x, *weights]) <= 1e-6
+
+    @pytest.mark.parametrize("hidden", [3, 128])
+    @pytest.mark.parametrize("last, steps", PACKED, ids=packed_id)
+    def test_the_all_rows_projection_gives_the_same_bits_and_gradients(self, last, steps,
+                                                                       hidden):
+        # lstm_seq projects and backpropagates only the packed rows; the
+        # oracle does both over every row. Forward bits hold, and a one-row
+        # product, which takes another BLAS kernel, is never made; gradients
+        # sum in another order
+        batch = len(last)
+        x, wx, wh, b = TestLstmSeq.case(3, steps, batch, hidden)
+        scale = Tensor(np.random.default_rng(4).normal(size=(steps * batch, hidden)))
+        runs = []
+        for unroll in (lstm_seq, lstm_seq_all_rows):
+            for p in (x, wx, wh, b):
+                p.grad = None
+            hs = unroll(x, batch, wx, wh, b, np.array(last))
+            total(hs * scale).backward()
+            runs.append([hs.data, unroll(x.data, batch, wx, wh, b, np.array(last))]
+                        + [p.grad for p in (x, wx, wh, b)])
+        (got, plain, *grads), (want, plain_want, *oracle) = runs
+        assert got.tobytes() == want.tobytes() == plain.tobytes() == plain_want.tobytes()
+        for g, w in zip(grads, oracle):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
     def test_last_must_name_one_step_per_row(self):
         x, wx, wh, b = TestLstmSeq.case(0, 3, 2)

@@ -4,7 +4,8 @@ name that src/capfuse defines has a caller in the program, and every
 parameter with a default has a call that sets it: in src/ or in bench/,
 whose workloads are the program's traffic. A test is not a caller.
 src/capfuse stays within its code-line budget, counted by code_lines, the
-one count that ROADMAP's line figures use."""
+one count that ROADMAP's line figures use. Every snippet of tests/mutants.py
+still occurs exactly once in its file."""
 
 import ast
 import importlib
@@ -213,3 +214,13 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
 
 def test_src_stays_within_the_item_13_line_budget():
     assert sum(map(code_lines, (ROOT / "src" / "capfuse").glob("*.py"))) <= SRC_LINE_BUDGET
+
+
+def test_every_mutant_snippet_occurs_once_in_its_file():
+    # tests/mutants.py runs each mutant's tests on a patched copy of the tree
+    # (about 30 s, so not here); this keeps its snippets from going stale
+    from mutants import MUTANTS
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    assert {m.name: (ROOT / m.file).read_text().count(m.snippet) for m in MUTANTS} == \
+        {m.name: 1 for m in MUTANTS}
